@@ -8,7 +8,9 @@
 # The tsan preset (gateway/failover/interner/wire/cluster/push/script/
 # fleet concurrency checking) is not in the default matrix because a
 # full-suite TSan run is slow; the wire leg below runs a *filtered* TSan
-# pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet') instead.
+# pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet') instead. The
+# filter covers the shard queue too: its suites (GatewayQueue.*, with the
+# 4-producer/1-consumer test, and GatewayPin.*) match 'Gateway'.
 # Opt in to the full suite with
 #   MOBIVINE_CI_PRESETS="default asan ubsan tsan" scripts/ci.sh
 # or run it directly:

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 
+#include "support/seed.h"
+
 namespace mobivine::cluster {
+
+using support::Mix64;
 
 void HashRing::Rebuild(const PartitionPlan& plan) {
   points_.clear();

@@ -10,27 +10,18 @@
 // kWrongWorker responses, and clients refresh until they hold at least
 // the epoch a worker rejected them with.
 //
-// The ring hashes each member onto kVnodesPerMember points (splitmix64 of
-// worker_id x vnode index); a client id is owned by the member whose
-// point is the first at or clockwise after the id's hash. Virtual nodes
-// keep the load split even-ish and — the property the membership unit
-// test pins — make a single join/leave move only O(1/n) of the keyspace,
-// never reshuffle it.
+// The ring hashes each member onto kVnodesPerMember points
+// (support::Mix64 of worker_id x vnode index); a client id is owned by
+// the member whose point is the first at or clockwise after the id's
+// hash. Virtual nodes keep the load split even-ish and — the property
+// the membership unit test pins — make a single join/leave move only
+// O(1/n) of the keyspace, never reshuffle it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace mobivine::cluster {
-
-/// splitmix64 finalizer: the repo's standard cheap mixer (same constants
-/// as the test suites' SplitMix64 and support/fingerprint).
-[[nodiscard]] constexpr std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct PlanMember {
   std::uint64_t worker_id = 0;  ///< stable, caller-chosen, >= 1

@@ -31,9 +31,9 @@
 
 #include <cstdint>
 
-#include "gateway/histogram.h"
 #include "gateway/stats.h"
 #include "support/fault.h"
+#include "support/histogram.h"
 
 namespace mobivine::gateway {
 
@@ -163,7 +163,7 @@ class FailoverEngine final : public support::FaultGate {
   ShardStats& stats_;
   support::FaultInjector injector_;
   CircuitBreaker breakers_[kPlatforms];
-  LatencyHistogram profiles_[kPlatforms];
+  support::LatencyHistogram profiles_[kPlatforms];
   std::uint64_t profile_samples_[kPlatforms] = {0, 0, 0};
   std::uint64_t hang_budget_us_ = 0;
 };

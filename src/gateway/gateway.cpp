@@ -21,19 +21,12 @@
 #include "s60/s60_platform.h"
 #include "sim/geo_track.h"
 #include "support/logging.h"
+#include "support/seed.h"
 #include "support/trace.h"
 
 namespace mobivine::gateway {
 
 namespace {
-
-/// Finalizing mix so nearby client ids still spread across shards.
-[[nodiscard]] std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Errors worth re-executing: the underlying condition (lost packet,
 /// radio glitch, failed GPS fix) is sampled fresh on every attempt.
@@ -48,6 +41,15 @@ namespace {
     default:
       return false;
   }
+}
+
+/// The kOverloaded message for a shed. Each Submit path loads
+/// `stopping_` once and passes that value both to its admission decision
+/// and here, so the reason cannot flip if Stop() lands mid-submit.
+[[nodiscard]] const char* ShedMessage(bool stopping, bool quota) {
+  if (stopping) return "gateway is stopping";
+  return quota ? "tenant over admission quota"
+               : "shard queue above shed watermark";
 }
 
 constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
@@ -866,8 +868,9 @@ class Gateway::Shard {
   /// Per-tenant queue-slot caps on THIS shard, derived from the weights
   /// and this shard's watermark at construction.
   std::vector<std::size_t> tenant_caps_;
-  /// Queue slots each tenant currently occupies here: ++ at admission,
-  /// -- at dequeue. Writers are submitting threads and the worker.
+  /// Outstanding (queued + in-service) requests per tenant here: ++ at
+  /// admission, -- at completion (see WorkerLoop). Writers are
+  /// submitting threads and the worker.
   std::unique_ptr<std::atomic<std::uint32_t>[]> tenant_occupancy_;
   ShardStats stats_;
   PushFeed feed_;
@@ -916,7 +919,9 @@ Gateway::Gateway(GatewayConfig config)
 Gateway::~Gateway() { Stop(); }
 
 std::uint32_t Gateway::ShardFor(std::uint64_t client_id) const {
-  return static_cast<std::uint32_t>(Mix64(client_id) % shards_.size());
+  // Finalizing mix so nearby client ids still spread across shards.
+  return static_cast<std::uint32_t>(support::Mix64(client_id) %
+                                    shards_.size());
 }
 
 PushFeed& Gateway::FeedForShard(std::uint32_t shard) {
@@ -956,8 +961,9 @@ bool Gateway::Submit(Request request) {
   if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
   queued.request = std::move(request);
 
+  const bool stopping = stopping_.load(std::memory_order_relaxed);
   Shard::Admission admission = Shard::Admission::kQueueFull;
-  if (!stopping_.load(std::memory_order_relaxed)) {
+  if (!stopping) {
     admission = shard.TrySubmit(queued);
     if (admission == Shard::Admission::kAdmitted) {
       span.Tag("admitted", 1);
@@ -978,10 +984,7 @@ bool Gateway::Submit(Request request) {
   }
   Response response;
   response.error = core::ErrorCode::kOverloaded;
-  response.message = stopping_.load(std::memory_order_relaxed)
-                         ? "gateway is stopping"
-                         : (quota ? "tenant over admission quota"
-                                  : "shard queue above shed watermark");
+  response.message = ShedMessage(stopping, quota);
   response.shard = index;
   InvokeCompletion(queued.request, response);
   return false;
@@ -1000,12 +1003,10 @@ bool Gateway::Submit(const BorrowedRequest& request,
   // Admission first, materialization second: a shed decision must not
   // cost a string copy — the wire layer hands views into its input ring
   // precisely so the overload path stays allocation-free.
+  const bool stopping = stopping_.load(std::memory_order_relaxed);
   Shard::Admission admission = Shard::Admission::kQueueFull;
-  if (!stopping_.load(std::memory_order_relaxed)) {
-    admission = shard.ProbeAdmission(slot);
-  }
-  if (!stopping_.load(std::memory_order_relaxed) &&
-      admission == Shard::Admission::kAdmitted) {
+  if (!stopping) admission = shard.ProbeAdmission(slot);
+  if (admission == Shard::Admission::kAdmitted) {
     QueuedRequest queued;
     queued.tenant_slot = static_cast<std::uint32_t>(slot);
     queued.submitted_at = Clock::now();
@@ -1060,10 +1061,7 @@ bool Gateway::Submit(const BorrowedRequest& request,
   }
   Response response;
   response.error = core::ErrorCode::kOverloaded;
-  response.message = stopping_.load(std::memory_order_relaxed)
-                         ? "gateway is stopping"
-                         : (quota ? "tenant over admission quota"
-                                  : "shard queue above shed watermark");
+  response.message = ShedMessage(stopping, quota);
   response.shard = index;
   InvokeCompletionFn(on_complete, response);
   return false;
@@ -1107,8 +1105,9 @@ bool Gateway::SubmitScript(ScriptRequest request) {
   if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
   queued.script = std::make_unique<ScriptRequest>(std::move(request));
 
+  const bool stopping = stopping_.load(std::memory_order_relaxed);
   Shard::Admission admission = Shard::Admission::kQueueFull;
-  if (!stopping_.load(std::memory_order_relaxed)) {
+  if (!stopping) {
     admission = shard.TrySubmit(queued);
     if (admission == Shard::Admission::kAdmitted) {
       span.Tag("admitted", 1);
@@ -1128,10 +1127,7 @@ bool Gateway::SubmitScript(ScriptRequest request) {
   }
   ScriptResponse response;
   response.error = core::ErrorCode::kOverloaded;
-  response.message = stopping_.load(std::memory_order_relaxed)
-                         ? "gateway is stopping"
-                         : (quota ? "tenant over admission quota"
-                                  : "shard queue above shed watermark");
+  response.message = ShedMessage(stopping, quota);
   response.shard = index;
   InvokeScriptCompletionFn(queued.script->on_complete, response);
   return false;

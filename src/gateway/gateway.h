@@ -63,6 +63,9 @@ inline constexpr const char* kGatewaySmsPeer = "+15550123";
 
 struct GatewayConfig {
   int shards = 4;
+  /// Per-shard admission bound: at most this many requests queued on a
+  /// shard. Not a preallocation — the queue's ring grows on demand up to
+  /// it, so a deep bound costs memory only when traffic actually queues.
   std::size_t queue_capacity = 1024;
   /// Shed when a shard's queue depth reaches this at admission;
   /// 0 means "at capacity" (the bounded queue itself is the watermark).

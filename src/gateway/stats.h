@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "gateway/histogram.h"
+#include "support/histogram.h"
 
 namespace mobivine::gateway {
 
@@ -47,7 +47,8 @@ struct ShardSnapshot {
   std::uint64_t script_cache_misses = 0;
   std::uint64_t queue_depth = 0;      ///< at snapshot time
   std::uint64_t max_queue_depth = 0;  ///< high-water mark since start
-  HistogramSnapshot latency;          ///< completions (ok + failed + timed_out)
+  /// Completions (ok + failed + timed_out).
+  support::HistogramSnapshot latency;
 
   [[nodiscard]] std::uint64_t completed() const {
     return ok + failed + timed_out;
@@ -172,7 +173,7 @@ class ShardStats {
   std::atomic<std::uint64_t> script_cache_hits_{0};
   std::atomic<std::uint64_t> script_cache_misses_{0};
   std::atomic<std::uint64_t> max_depth_{0};
-  LatencyHistogram latency_;
+  support::LatencyHistogram latency_;
 };
 
 /// Sum shard snapshots into `totals` (histograms merged).

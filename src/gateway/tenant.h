@@ -40,7 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gateway/histogram.h"
+#include "support/histogram.h"
 
 namespace mobivine::gateway {
 
@@ -66,7 +66,8 @@ struct TenantSnapshot {
   std::uint64_t failed = 0;
   std::uint64_t timed_out = 0;
   std::uint64_t retries = 0;
-  HistogramSnapshot latency;  ///< completions (ok + failed + timed_out)
+  /// Completions (ok + failed + timed_out).
+  support::HistogramSnapshot latency;
 
   [[nodiscard]] std::uint64_t completed() const {
     return ok + failed + timed_out;
@@ -117,7 +118,7 @@ class TenantStats {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> timed_out_{0};
   std::atomic<std::uint64_t> retries_{0};
-  LatencyHistogram latency_;
+  support::LatencyHistogram latency_;
 };
 
 /// Immutable-after-construction tenant directory: id -> slot resolution,

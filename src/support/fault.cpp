@@ -6,15 +6,6 @@
 namespace mobivine::support {
 namespace {
 
-// splitmix64 — the same generator the shard worlds use for seeding;
-// one step per sample keeps streams cheap and well-distributed.
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 bool WildcardMatch(const std::string& pattern, std::string_view value) {
   return pattern.empty() || pattern == "*" || pattern == value;
 }
@@ -216,15 +207,12 @@ std::string FaultPlan::ToString() const {
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t salt)
-    : plan_(std::move(plan)), rule_fires_(plan_.rules.size(), 0) {
-  // Mix the plan seed with the salt so shards sharing a plan draw
-  // decorrelated fault streams, still deterministically.
-  rng_state_ = plan_.seed ^ (salt * 0x9e3779b97f4a7c15ull + 1);
-  (void)SplitMix64(rng_state_);  // discard the first, weakly mixed draw
-}
-
-double FaultInjector::NextUniform() {
-  return static_cast<double>(SplitMix64(rng_state_) >> 11) * 0x1.0p-53;
+    : plan_(std::move(plan)),
+      rule_fires_(plan_.rules.size(), 0),
+      // Mix the plan seed with the salt so shards sharing a plan draw
+      // decorrelated fault streams, still deterministically.
+      rng_(plan_.seed ^ (salt * 0x9e3779b97f4a7c15ull + 1)) {
+  (void)rng_.Next();  // discard the first, weakly mixed draw
 }
 
 FaultDecision FaultInjector::Decide(std::string_view platform_tag,
@@ -235,7 +223,7 @@ FaultDecision FaultInjector::Decide(std::string_view platform_tag,
     if (rule.max_fires > 0 && rule_fires_[i] >= rule.max_fires) continue;
     // Sample even at p=1.0 so adding/removing `p=` never shifts the
     // stream consumed by later rules.
-    double draw = NextUniform();
+    const double draw = rng_.NextUnit();
     if (draw >= rule.probability) continue;
     ++rule_fires_[i];
     ++total_fired_;

@@ -3,7 +3,7 @@
 // A FaultPlan is a list of per-platform/per-op rules, each describing one
 // way a backend can misbehave: fail with a typed error, run slow (added
 // virtual latency), or hang until its caller's patience budget runs out.
-// A FaultInjector instantiates a plan with a splitmix64 stream, so two
+// A FaultInjector instantiates a plan with a SplitMix64 stream, so two
 // runs with the same plan, seed and request sequence inject exactly the
 // same faults — chaos experiments are reproducible by construction.
 //
@@ -25,6 +25,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/seed.h"
 
 namespace mobivine::support {
 
@@ -136,11 +138,9 @@ class FaultInjector {
   }
 
  private:
-  [[nodiscard]] double NextUniform();  ///< [0, 1)
-
   FaultPlan plan_;
   std::vector<std::uint64_t> rule_fires_;
-  std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ull;
+  SplitMix64 rng_{0x9e3779b97f4a7c15ull};
   std::uint64_t total_fired_ = 0;
   std::uint64_t fired_by_action_[4] = {0, 0, 0, 0};
 };

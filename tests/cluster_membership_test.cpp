@@ -12,6 +12,7 @@
 #include "cluster/control.h"
 #include "cluster/membership.h"
 #include "cluster/plan.h"
+#include "support/seed.h"
 #include "wire/protocol.h"
 
 namespace mobivine {
@@ -23,11 +24,11 @@ using cluster::ControlOp;
 using cluster::HashRing;
 using cluster::Membership;
 using cluster::MembershipConfig;
-using cluster::Mix64;
 using cluster::PartitionPlan;
 using cluster::PlanMember;
 using cluster::RegisterOutcome;
 using cluster::WorkerHealth;
+using support::Mix64;
 
 MembershipConfig Config() {
   MembershipConfig config;
