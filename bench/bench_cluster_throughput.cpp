@@ -62,6 +62,7 @@
 #include "support/fault.h"
 #include "support/histogram.h"
 #include "support/metrics.h"
+#include "support/seed.h"
 #include "support/trace.h"
 #include "wire/client.h"
 #include "wire/protocol.h"
@@ -77,15 +78,7 @@ const core::DescriptorStore& Store() {
   return store;
 }
 
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t Next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-};
+using support::SplitMix64;
 
 /// Same mix as bench_wire_throughput, so the 1-worker row is directly
 /// comparable to BENCH_wire.json's single-server numbers.

@@ -50,6 +50,7 @@
 #include "support/buffer_pool.h"
 #include "support/histogram.h"
 #include "support/metrics.h"
+#include "support/seed.h"
 #include "support/trace.h"
 #include "wire/client.h"
 #include "wire/protocol.h"
@@ -65,15 +66,7 @@ const core::DescriptorStore& Store() {
   return store;
 }
 
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t Next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-};
+using support::SplitMix64;
 
 /// The traffic generator's default op/platform mix (gateway/traffic.h),
 /// re-rolled here so the wire and in-process runs offer the same work.

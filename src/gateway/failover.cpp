@@ -64,7 +64,7 @@ support::FaultDecision FailoverEngine::Admit(std::string_view platform_tag,
   if (!injector_.armed()) return support::FaultDecision{};
   support::FaultDecision decision = injector_.Decide(platform_tag, op_name);
   if (decision.action == support::FaultAction::kNone) return decision;
-  stats_.OnFaultInjected();
+  stats_.Add(ShardCounter::faults_injected);
   if (decision.action == support::FaultAction::kHang) {
     // The injector leaves the hang open-ended; the shard sized this
     // dispatch's patience (hedge threshold or capped deadline) just
@@ -101,7 +101,7 @@ void FailoverEngine::OnDispatchSuccess(std::size_t platform_index,
 void FailoverEngine::OnDispatchFailure(std::size_t platform_index,
                                        std::uint64_t now_us) {
   if (breakers_[platform_index].OnFailure(now_us)) {
-    stats_.OnBreakerOpen();
+    stats_.Add(ShardCounter::breaker_opens);
     support::trace::Instant("gateway.breaker_open", "platform",
                             static_cast<std::int64_t>(platform_index));
   }

@@ -9,8 +9,10 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "android/android_platform.h"
 #include "core/meter.h"
@@ -43,9 +45,9 @@ namespace {
   }
 }
 
-/// The kOverloaded message for a shed. Each Submit path loads
-/// `stopping_` once and passes that value both to its admission decision
-/// and here, so the reason cannot flip if Stop() lands mid-submit.
+/// The kOverloaded message for a shed. Admit loads `stopping_` once and
+/// passes that value both to its admission decision and here, so the
+/// reason cannot flip if Stop() lands mid-submit.
 [[nodiscard]] const char* ShedMessage(bool stopping, bool quota) {
   if (stopping) return "gateway is stopping";
   return quota ? "tenant over admission quota"
@@ -56,13 +58,10 @@ constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
 constexpr int kOpCount = static_cast<int>(core::Op::kCount_);
 
-/// A request as it sits in a shard queue: envelope + admission stamps.
+/// A work item as it sits in a shard queue: the payload — an invocation
+/// or an M-Script execution — plus the admission stamps.
 struct QueuedRequest {
-  Request request;
-  /// Non-null for an M-Script execution: it rides the same bounded queue
-  /// and admission/deadline stamps, but Serve branches to the script
-  /// plane at dequeue (and never retries it).
-  std::unique_ptr<ScriptRequest> script;
+  std::variant<Request, ScriptRequest> work;
   /// Resolved TenantTable slot (stamped at submit so the worker and the
   /// occupancy release never re-hash the tenant id).
   std::uint32_t tenant_slot = 0;
@@ -70,8 +69,16 @@ struct QueuedRequest {
   Clock::time_point deadline = kNoDeadline;
 };
 
-void InvokeCompletionFn(const std::function<void(const Response&)>& fn,
-                        const Response& response) {
+/// The completion type of a payload: Response for a Request,
+/// ScriptResponse for a ScriptRequest (read off its on_complete).
+template <typename Result>
+Result ResultOf(const std::function<void(const Result&)>&);
+template <typename Work>
+using ResultFor = decltype(ResultOf(std::declval<Work&>().on_complete));
+
+template <typename Result>
+void InvokeCompletion(const std::function<void(const Result&)>& fn,
+                      const Result& response) {
   if (!fn) return;
   try {
     fn(response);
@@ -81,20 +88,86 @@ void InvokeCompletionFn(const std::function<void(const Response&)>& fn,
   }
 }
 
-void InvokeCompletion(Request& request, const Response& response) {
-  InvokeCompletionFn(request.on_complete, response);
+/// Submit `work` through `submit` and block until its completion fires.
+template <typename Work, typename SubmitFn>
+ResultFor<Work> CallAndWait(Work work, SubmitFn submit) {
+  struct Rendezvous {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    ResultFor<Work> response;
+  } rendezvous;
+  work.on_complete = [&rendezvous](const ResultFor<Work>& response) {
+    // Notify under the lock: the waiter owns `rendezvous` on its stack, so
+    // the callback must not touch it after the waiter can observe done —
+    // holding the mutex through the notify pins the waiter in wait().
+    std::lock_guard<std::mutex> lock(rendezvous.mutex);
+    rendezvous.response = response;
+    rendezvous.done = true;
+    rendezvous.cv.notify_one();
+  };
+  submit(std::move(work));
+  std::unique_lock<std::mutex> lock(rendezvous.mutex);
+  rendezvous.cv.wait(lock, [&rendezvous] { return rendezvous.done; });
+  return rendezvous.response;
 }
 
-void InvokeScriptCompletionFn(
-    const std::function<void(const ScriptResponse&)>& fn,
-    const ScriptResponse& response) {
-  if (!fn) return;
-  try {
-    fn(response);
-  } catch (const std::exception& e) {
-    MOBIVINE_LOG_ERROR << "gateway: script completion callback threw: "
-                       << e.what();
+/// Owning copy of a borrowed request's operands (everything but the
+/// completion callback, which Admit installs).
+Request Materialize(const BorrowedRequest& request) {
+  Request owned;
+  owned.client_id = request.client_id;
+  owned.tenant = request.tenant;
+  owned.platform = request.platform;
+  owned.op = request.op;
+  owned.target.assign(request.target.data(), request.target.size());
+  owned.payload.assign(request.payload.data(), request.payload.size());
+  owned.content_type.assign(request.content_type.data(),
+                            request.content_type.size());
+  owned.properties.reserve(request.property_count);
+  for (std::size_t i = 0; i < request.property_count; ++i) {
+    const BorrowedProperty& property = request.properties[i];
+    std::string name(property.name);
+    if (const auto* s = std::get_if<std::string_view>(&property.value)) {
+      owned.properties.emplace_back(std::move(name), std::string(*s));
+    } else if (const auto* n = std::get_if<long long>(&property.value)) {
+      owned.properties.emplace_back(std::move(name), *n);
+    } else if (const auto* d = std::get_if<double>(&property.value)) {
+      owned.properties.emplace_back(std::move(name), *d);
+    } else {
+      owned.properties.emplace_back(std::move(name),
+                                    std::get<bool>(property.value));
+    }
   }
+  owned.timeout = request.timeout;
+  owned.retry = request.retry;
+  return owned;
+}
+
+template <typename Snapshot, std::size_t N>
+void ExportCounters(support::MetricsSink& sink, const std::string& base,
+                    const CounterField<Snapshot> (&table)[N],
+                    const Snapshot& snap) {
+  for (const auto& counter : table) {
+    sink.Counter(base + counter.metric, snap.*counter.field);
+  }
+}
+
+void ExportShard(support::MetricsSink& sink, const std::string& base,
+                 const ShardSnapshot& snap) {
+  ExportCounters(sink, base, kShardCounters, snap);
+  sink.Counter(base + "queue_depth", snap.queue_depth);
+  sink.Counter(base + "max_queue_depth", snap.max_queue_depth);
+}
+
+void ExportLatency(support::MetricsSink& sink, const std::string& base,
+                   const support::HistogramSnapshot& latency) {
+  sink.Gauge(base + "latency_p50_us",
+             static_cast<double>(latency.Percentile(0.50)));
+  sink.Gauge(base + "latency_p95_us",
+             static_cast<double>(latency.Percentile(0.95)));
+  sink.Gauge(base + "latency_p99_us",
+             static_cast<double>(latency.Percentile(0.99)));
 }
 
 }  // namespace
@@ -185,40 +258,26 @@ class Gateway::Shard {
           std::make_unique<FailoverEngine>(config.failover, stats_, index);
     }
 
-    location_[PlatformIndex(Platform::kAndroid)] =
-        registry_.CreateLocationProxy(*android_);
+    // One Location/Sms/Http proxy per platform binding. With M-Failover
+    // the engine is every proxy's fault gate, so injected faults surface
+    // through the same binding-dispatch path as real ones.
+    const auto create_proxies = [this](Platform platform, auto& binding) {
+      const std::size_t i = PlatformIndex(platform);
+      location_[i] = registry_.CreateLocationProxy(binding);
+      sms_[i] = registry_.CreateSmsProxy(binding);
+      http_[i] = registry_.CreateHttpProxy(binding);
+      if (failover_ == nullptr) return;
+      location_[i]->installFaultGate(failover_.get(), ToString(platform));
+      sms_[i]->installFaultGate(failover_.get(), ToString(platform));
+      http_[i]->installFaultGate(failover_.get(), ToString(platform));
+    };
+    create_proxies(Platform::kAndroid, *android_);
+    create_proxies(Platform::kS60, *s60_);
+    create_proxies(Platform::kIphone, *iphone_);
     location_[PlatformIndex(Platform::kAndroid)]->setProperty(
         "context", &android_->application_context());
-    location_[PlatformIndex(Platform::kS60)] =
-        registry_.CreateLocationProxy(*s60_);
-    location_[PlatformIndex(Platform::kIphone)] =
-        registry_.CreateLocationProxy(*iphone_);
-
-    sms_[PlatformIndex(Platform::kAndroid)] = registry_.CreateSmsProxy(*android_);
     sms_[PlatformIndex(Platform::kAndroid)]->setProperty(
         "context", &android_->application_context());
-    sms_[PlatformIndex(Platform::kS60)] = registry_.CreateSmsProxy(*s60_);
-    sms_[PlatformIndex(Platform::kIphone)] = registry_.CreateSmsProxy(*iphone_);
-
-    http_[PlatformIndex(Platform::kAndroid)] =
-        registry_.CreateHttpProxy(*android_);
-    http_[PlatformIndex(Platform::kS60)] = registry_.CreateHttpProxy(*s60_);
-    http_[PlatformIndex(Platform::kIphone)] =
-        registry_.CreateHttpProxy(*iphone_);
-
-    if (failover_ != nullptr) {
-      // The engine is every proxy's fault gate, so injected faults
-      // surface through the same binding-dispatch path as real ones.
-      static constexpr Platform kAll[] = {Platform::kAndroid, Platform::kS60,
-                                          Platform::kIphone};
-      for (Platform platform : kAll) {
-        const char* tag = ToString(platform);
-        const std::size_t i = PlatformIndex(platform);
-        location_[i]->installFaultGate(failover_.get(), tag);
-        sms_[i]->installFaultGate(failover_.get(), tag);
-        http_[i]->installFaultGate(failover_.get(), tag);
-      }
-    }
 
     // M-Script: the engine's host ops close over this shard's proxies, so
     // a script's invocations hit the exact metered, fault-gated,
@@ -240,7 +299,7 @@ class Gateway::Shard {
                                    const std::string& name,
                                    const std::string& value) {
       core::MProxy& proxy = ProxyFor(platform, op);
-      // Snapshot each proxy once per script, on first touch; ServeScript
+      // Snapshot each proxy once per script, on first touch; RunScript
       // restores every touched proxy after the run, so script property
       // writes never leak into later traffic on this shard.
       const bool seen = std::any_of(
@@ -282,17 +341,30 @@ class Gateway::Shard {
     Join();
   }
 
-  /// Admission control on the submitting thread: the global shed
-  /// watermark first, then the tenant's weighted slot cap. On anything
-  /// but kAdmitted the request is left intact in `queued` (TryPush only
-  /// moves on success) so the caller can shed it. The occupancy counter
-  /// is reserved *before* the push and released on failure, so
-  /// concurrent submitters can momentarily observe cap-full and shed,
-  /// but a tenant can never exceed its cap.
-  Admission TrySubmit(QueuedRequest& queued) {
+  /// The admission checks, run on the submitting thread before anything
+  /// is materialized: the global shed watermark first, then the tenant's
+  /// weighted slot cap. Records the depth seen for the high-water mark.
+  /// Advisory — the queue can still fill (or the tenant's slots free up)
+  /// before TrySubmit, so the push itself remains the authoritative
+  /// admission.
+  [[nodiscard]] Admission ProbeAdmission(std::size_t slot) {
     const std::size_t depth = queue_.size();
     stats_.ObserveDepth(depth);
     if (depth >= shed_watermark_) return Admission::kQueueFull;
+    if (tenant_occupancy_[slot].load(std::memory_order_relaxed) >=
+        tenant_caps_[slot]) {
+      return Admission::kQuota;
+    }
+    return Admission::kAdmitted;
+  }
+
+  /// The authoritative push. On anything but kAdmitted the item is left
+  /// intact in `queued` (TryPush only moves on success) so the caller can
+  /// shed it. The occupancy counter is reserved *before* the push and
+  /// released on failure, so concurrent submitters can momentarily
+  /// observe cap-full and shed, but a tenant can never exceed its cap.
+  Admission TrySubmit(QueuedRequest& queued) {
+    if (queue_.size() >= shed_watermark_) return Admission::kQueueFull;
     const std::size_t slot = queued.tenant_slot;
     const std::uint32_t prev =
         tenant_occupancy_[slot].fetch_add(1, std::memory_order_relaxed);
@@ -304,22 +376,8 @@ class Gateway::Shard {
       tenant_occupancy_[slot].fetch_sub(1, std::memory_order_relaxed);
       return Admission::kQueueFull;
     }
-    stats_.OnAccepted();
-    tenants_.stats(slot).OnAccepted();
-    return Admission::kAdmitted;
-  }
-
-  /// The admission checks alone, for the borrowed-request path: lets the
-  /// caller decide to shed before paying for string materialization.
-  /// Advisory — the queue can still fill (or the tenant's slots free up)
-  /// between this and TrySubmit, so the push itself remains the
-  /// authoritative admission.
-  [[nodiscard]] Admission ProbeAdmission(std::size_t slot) const {
-    if (queue_.size() >= shed_watermark_) return Admission::kQueueFull;
-    if (tenant_occupancy_[slot].load(std::memory_order_relaxed) >=
-        tenant_caps_[slot]) {
-      return Admission::kQuota;
-    }
+    stats_.Add(ShardCounter::accepted);
+    tenants_.stats(slot).Add(TenantCounter::accepted);
     return Admission::kAdmitted;
   }
 
@@ -421,7 +479,7 @@ class Gateway::Shard {
     support::trace::SetThreadVirtualClock(&Shard::VirtualNow, this);
     QueuedRequest queued;
     while (queue_.Pop(queued)) {
-      Serve(queued);
+      std::visit([&](auto& work) { Serve(queued, work); }, queued.work);
       // The tenant's slot reservation ends at *completion*, not dequeue:
       // the cap bounds outstanding (queued + in-service) work per
       // tenant. Releasing at dequeue would let a flooding tenant with
@@ -436,16 +494,16 @@ class Gateway::Shard {
     support::trace::SetThreadVirtualClock(nullptr, nullptr);
   }
 
-  void Serve(QueuedRequest& queued) {
-    if (queued.script != nullptr) {
-      ServeScript(queued);
-      return;
-    }
-    support::trace::Span serve_span("gateway.serve");
-    serve_span.Tag("shard", index_);
-    serving_client_id_ = queued.request.client_id;
-    Response response;
-    response.shard = index_;
+  /// One dequeued item, invocation or script: the shared dequeue work
+  /// (queue wait, deadline check), the payload's own body, the device
+  /// drain, then the one Finish.
+  template <typename Work>
+  void Serve(const QueuedRequest& queued, Work& work) {
+    constexpr bool kScript = std::is_same_v<Work, ScriptRequest>;
+    support::trace::Span span(kScript ? "script.run" : "gateway.serve");
+    span.Tag("shard", index_);
+    serving_client_id_ = work.client_id;
+    ResultFor<Work> response;
     const Clock::time_point dequeued_at = Clock::now();
     // Queue wait starts on the submitting thread and ends here; record it
     // as a complete event with caller-supplied bounds.
@@ -453,16 +511,27 @@ class Gateway::Shard {
                                   dequeued_at, "shard", index_);
     if (dequeued_at >= queued.deadline) {
       support::trace::Instant("gateway.deadline_expired", "shard", index_);
-      stats_.OnTimedOut();
       response.error = core::ErrorCode::kDeadlineExceeded;
       response.message = "deadline expired in queue";
-      Finish(queued, response);
-      return;
+    } else {
+      if constexpr (kScript) {
+        response = RunScript(work, span);
+      } else {
+        RunRequest(queued, work, response);
+      }
+      // Drain device-side follow-ups (delivery intents, polling ticks)
+      // before the next item so per-item virtual work stays bounded.
+      device_->RunAll();
     }
+    Finish(queued, work, response);
+  }
 
-    const RetryPolicy& policy = queued.request.retry.max_attempts > 0
-                                    ? queued.request.retry
-                                    : default_retry_;
+  /// The request body: retry rounds under the request's policy and
+  /// deadline. Leaves the outcome in `response` for Finish to book.
+  void RunRequest(const QueuedRequest& queued, const Request& request,
+                  Response& response) {
+    const RetryPolicy& policy =
+        request.retry.max_attempts > 0 ? request.retry : default_retry_;
     // max_attempts bounds retry ROUNDS. Without M-Failover a round is
     // exactly one dispatch, so this is the pre-failover contract; with it
     // a round is one failover sweep across the shard's platforms, and
@@ -477,17 +546,15 @@ class Gateway::Shard {
       // request never starts another attempt.
       if (response.attempts > 0 && Clock::now() >= queued.deadline) {
         support::trace::Instant("gateway.deadline_expired", "shard", index_);
-        stats_.OnTimedOut();
         response.error = core::ErrorCode::kDeadlineExceeded;
         response.message = "deadline expired between retry attempts";
         break;
       }
       ++round;
-      const SweepOutcome sweep = RunSweep(queued, response);
-      if (sweep.final) break;  // success, or a non-retryable failure booked
+      const SweepOutcome sweep = RunSweep(request, queued.deadline, response);
+      if (sweep.final) break;  // success, or a non-retryable failure
       // The whole sweep failed transiently: spend a retry round on it.
       if (round >= max_rounds) {
-        stats_.OnFailed();
         if (sweep.all_backends) {
           // Failover actually swept the shard's platforms (or breakers
           // sidelined them) and none could serve: the caller's platform
@@ -506,17 +573,16 @@ class Gateway::Shard {
         // Transient and rounds remain, but the deadline cannot absorb
         // the next backoff: the request ran out of time, not attempts.
         // That is a deadline outcome, not a failure of the last error's
-        // kind — misclassifying it as the transient error both lies to
-        // the caller and double-books stats (failed vs timed_out).
-        stats_.OnTimedOut();
+        // kind — misclassifying it as the transient error lies to the
+        // caller and books it as failed instead of timed_out.
         response.error = core::ErrorCode::kDeadlineExceeded;
         response.message =
             std::string("deadline exhausted during retry; last error: ") +
             sweep.last_message;
         break;
       }
-      stats_.OnRetry();
-      tenants_.stats(queued.tenant_slot).OnRetry();
+      stats_.Add(ShardCounter::retries);
+      tenants_.stats(queued.tenant_slot).Add(TenantCounter::retries);
       {
         support::trace::Span backoff_span("gateway.backoff");
         backoff_span.Tag("backoff_us", backoff.count());
@@ -534,69 +600,20 @@ class Gateway::Shard {
                              grown, backoff.count() + 1)),
                          policy.max_backoff);
     }
-    // Drain device-side follow-ups (delivery intents, polling ticks)
-    // before the next request so per-request virtual work stays bounded.
-    device_->RunAll();
-    Finish(queued, response);
   }
 
-  void Finish(QueuedRequest& queued, Response& response) {
-    response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-        Clock::now() - queued.submitted_at);
-    stats_.RecordLatency(
-        static_cast<std::uint64_t>(response.latency.count()));
-    // Per-tenant outcome, classified once from the final response so it
-    // mirrors the shard counters booked along the serve path exactly:
-    // ok / kDeadlineExceeded / everything-else == ok / timed_out / failed.
-    TenantStats& tenant = tenants_.stats(queued.tenant_slot);
-    if (response.ok) {
-      tenant.OnOk();
-    } else if (response.error == core::ErrorCode::kDeadlineExceeded) {
-      tenant.OnTimedOut();
-    } else {
-      tenant.OnFailed();
-    }
-    tenant.RecordLatency(
-        static_cast<std::uint64_t>(response.latency.count()));
-    support::trace::Span complete_span("gateway.complete");
-    complete_span.Tag("shard", index_);
-    complete_span.Tag("attempts", response.attempts);
-    InvokeCompletion(queued.request, response);
-  }
-
-  /// M-Script service: deadline check at dequeue, one sandboxed
-  /// execution, one completion. No retry rounds — a composite may have
-  /// performed side effects (an SMS send) before failing, and retry is
-  /// expressible in-language since host errors are catchable.
-  void ServeScript(QueuedRequest& queued) {
-    ScriptRequest& script = *queued.script;
-    support::trace::Span run_span("script.run");
-    run_span.Tag("shard", index_);
-    serving_client_id_ = script.client_id;
-    ScriptResponse response;
-    response.shard = index_;
-    const Clock::time_point dequeued_at = Clock::now();
-    support::trace::CompleteEvent("gateway.queue_wait", queued.submitted_at,
-                                  dequeued_at, "shard", index_);
-    if (dequeued_at >= queued.deadline) {
-      support::trace::Instant("gateway.deadline_expired", "shard", index_);
-      stats_.OnTimedOut();
-      response.error = core::ErrorCode::kDeadlineExceeded;
-      response.message = "deadline expired in queue";
-      FinishScript(queued, response);
-      return;
-    }
-    stats_.OnScript();
-    response = script_engine_->Execute(script);
-    response.shard = index_;
-    if (response.cache_hit) {
-      stats_.OnScriptCacheHit();
-    } else {
-      stats_.OnScriptCacheMiss();
-    }
-    run_span.Tag("steps", static_cast<std::int64_t>(response.steps));
-    run_span.Tag("invocations",
-                 static_cast<std::int64_t>(response.invocations));
+  /// The script body: one sandboxed execution. Never retried — a
+  /// composite may have performed side effects (an SMS send) before
+  /// failing, and retry is expressible in-language since host errors are
+  /// catchable.
+  ScriptResponse RunScript(const ScriptRequest& script,
+                           support::trace::Span& span) {
+    stats_.Add(ShardCounter::scripts);
+    ScriptResponse response = script_engine_->Execute(script);
+    stats_.Add(response.cache_hit ? ShardCounter::script_cache_hits
+                                  : ShardCounter::script_cache_misses);
+    span.Tag("steps", static_cast<std::int64_t>(response.steps));
+    span.Tag("invocations", static_cast<std::int64_t>(response.invocations));
     // Undo the script's property writes (reverse order, mirroring nested
     // ScopedPropertyRestore) whatever the outcome — including throws the
     // script caught and recovered from.
@@ -605,49 +622,50 @@ class Gateway::Shard {
       it->first->restoreProperties(std::move(it->second));
     }
     script_touched_.clear();
-    stats_.OnScriptSteps(response.steps);
-    stats_.OnScriptInvocations(response.invocations);
-    if (response.ok) {
-      stats_.OnOk();
-    } else if (response.error == core::ErrorCode::kDeadlineExceeded) {
-      stats_.OnTimedOut();
-    } else {
-      stats_.OnFailed();
-    }
-    if (response.script_error) stats_.OnScriptError();
-    if (response.budget_kill) stats_.OnScriptBudgetKill();
-    // Drain device-side follow-ups (delivery intents, polling ticks)
-    // scheduled by the script's invocations, as Serve does.
-    device_->RunAll();
-    FinishScript(queued, response);
+    stats_.Add(ShardCounter::script_steps, response.steps);
+    stats_.Add(ShardCounter::script_invocations, response.invocations);
+    if (response.script_error) stats_.Add(ShardCounter::script_errors);
+    if (response.budget_kill) stats_.Add(ShardCounter::script_budget_kills);
+    return response;
   }
 
-  void FinishScript(QueuedRequest& queued, ScriptResponse& response) {
+  /// The one completion path. Classifies the final response once — ok /
+  /// kDeadlineExceeded / anything else == ok / timed_out / failed — and
+  /// books that band on the shard and the tenant plane alike, so the two
+  /// cannot disagree. Booking precedes the callback, so a caller woken by
+  /// it (Call) already sees the outcome counted.
+  template <typename Work>
+  void Finish(const QueuedRequest& queued, Work& work,
+              ResultFor<Work>& response) {
+    response.shard = index_;
     response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
         Clock::now() - queued.submitted_at);
-    stats_.RecordLatency(
-        static_cast<std::uint64_t>(response.latency.count()));
-    // Same per-tenant classification as Finish(): scripts bill their
-    // tenant through the identical outcome bands.
     TenantStats& tenant = tenants_.stats(queued.tenant_slot);
     if (response.ok) {
-      tenant.OnOk();
+      stats_.Add(ShardCounter::ok);
+      tenant.Add(TenantCounter::ok);
     } else if (response.error == core::ErrorCode::kDeadlineExceeded) {
-      tenant.OnTimedOut();
+      stats_.Add(ShardCounter::timed_out);
+      tenant.Add(TenantCounter::timed_out);
     } else {
-      tenant.OnFailed();
+      stats_.Add(ShardCounter::failed);
+      tenant.Add(TenantCounter::failed);
     }
-    tenant.RecordLatency(
-        static_cast<std::uint64_t>(response.latency.count()));
+    const auto micros = static_cast<std::uint64_t>(response.latency.count());
+    stats_.RecordLatency(micros);
+    tenant.RecordLatency(micros);
     support::trace::Span complete_span("gateway.complete");
     complete_span.Tag("shard", index_);
-    InvokeScriptCompletionFn(queued.script->on_complete, response);
+    if constexpr (std::is_same_v<Work, Request>) {
+      complete_span.Tag("attempts", response.attempts);
+    }
+    InvokeCompletion(work.on_complete, response);
   }
 
   /// What one failover sweep (one retry round) left behind when it did
-  /// not fully book the response.
+  /// not finalize the response.
   struct SweepOutcome {
-    bool final = false;  ///< response booked (success or terminal failure)
+    bool final = false;  ///< response final (success or terminal failure)
     /// The sweep genuinely exhausted the shard's platforms (>= 2
     /// platforms dispatched-and-failed, or breakers sidelined some):
     /// label exhaustion kAllBackendsFailed instead of the last error.
@@ -661,9 +679,10 @@ class Gateway::Shard {
   /// primary first, then the rest in enum order — skipping open
   /// breakers, re-dispatching transient failures (failover) and hanging
   /// dispatches (hedge), first success wins.
-  SweepOutcome RunSweep(QueuedRequest& queued, Response& response) {
+  SweepOutcome RunSweep(const Request& request, Clock::time_point deadline,
+                        Response& response) {
     SweepOutcome out;
-    const Platform primary = queued.request.platform;
+    const Platform primary = request.platform;
     const bool multi =
         failover_ != nullptr &&
         (failover_->config().failover || failover_->config().hedging);
@@ -694,11 +713,8 @@ class Gateway::Shard {
       const bool is_hedge = is_redispatch && next_is_hedge;
       std::optional<support::trace::Span> redispatch_span;
       if (is_redispatch) {
-        if (is_hedge) {
-          stats_.OnHedgeFired();
-        } else {
-          stats_.OnFailover();
-        }
+        stats_.Add(is_hedge ? ShardCounter::hedges_fired
+                            : ShardCounter::failovers);
         redispatch_span.emplace(is_hedge ? "gateway.hedge"
                                          : "gateway.failover");
         redispatch_span->Tag("shard", index_);
@@ -714,10 +730,10 @@ class Gateway::Shard {
           budget = failover_->HedgeThresholdUs(platform_index);
         } else {
           budget = failover_->config().hang_cap_us;
-          if (queued.deadline != kNoDeadline) {
+          if (deadline != kNoDeadline) {
             const auto remaining =
                 std::chrono::duration_cast<std::chrono::microseconds>(
-                    queued.deadline - Clock::now())
+                    deadline - Clock::now())
                     .count();
             budget = static_cast<std::uint64_t>(std::clamp<std::int64_t>(
                 remaining, 1, static_cast<std::int64_t>(budget)));
@@ -732,11 +748,10 @@ class Gateway::Shard {
         support::trace::Span attempt_span("gateway.attempt");
         attempt_span.Tag("n", response.attempts);
         attempt_span.Tag("shard", index_);
-        response.payload = ExecuteOnce(queued.request, platform);
+        response.payload = ExecuteOnce(request, platform);
         response.ok = true;
         response.served_platform = platform;
-        stats_.OnOk();
-        if (is_hedge) stats_.OnHedgeWon();
+        if (is_hedge) stats_.Add(ShardCounter::hedges_won);
         if (failover_ != nullptr) {
           failover_->OnDispatchSuccess(platform_index,
                                        VirtualNowUs() - virt_start);
@@ -758,7 +773,6 @@ class Gateway::Shard {
           failover_->OnDispatchFailure(platform_index, VirtualNowUs());
         }
         if (!transient) {
-          stats_.OnFailed();
           response.error = error.code();
           response.message = error.what();
           out.final = true;
@@ -773,7 +787,6 @@ class Gateway::Shard {
             multi && (failover_->config().failover || next_is_hedge);
         if (!sweep_on) break;  // retry rounds take it from here
       } catch (const std::exception& e) {
-        stats_.OnFailed();
         response.error = core::ErrorCode::kUnknown;
         response.message = e.what();
         out.final = true;
@@ -945,212 +958,87 @@ std::size_t Gateway::queue_depth() const {
   return total;
 }
 
-bool Gateway::Submit(Request request) {
-  support::trace::Span span("gateway.submit");
-  const std::uint32_t index = ShardFor(request.client_id);
+template <typename Result, typename Build>
+bool Gateway::Admit(const char* span_name, std::uint64_t client_id,
+                    std::uint32_t tenant, std::chrono::microseconds timeout,
+                    std::function<void(const Result&)>& on_complete,
+                    Build&& build) {
+  support::trace::Span span(span_name);
+  const std::uint32_t index = ShardFor(client_id);
   span.Tag("shard", index);
   Shard& shard = *shards_[index];
-  const std::size_t slot = tenant_table_.SlotFor(request.tenant);
-  tenant_table_.stats(slot).OnSubmitted();
-
-  QueuedRequest queued;
-  queued.tenant_slot = static_cast<std::uint32_t>(slot);
-  queued.submitted_at = Clock::now();
-  const std::chrono::microseconds timeout =
-      request.timeout.count() > 0 ? request.timeout : config_.default_timeout;
-  if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
-  queued.request = std::move(request);
+  const std::size_t slot = tenant_table_.SlotFor(tenant);
+  TenantStats& tenant_stats = tenant_table_.stats(slot);
+  tenant_stats.Add(TenantCounter::submitted);
 
   const bool stopping = stopping_.load(std::memory_order_relaxed);
-  Shard::Admission admission = Shard::Admission::kQueueFull;
-  if (!stopping) {
+  Shard::Admission admission =
+      stopping ? Shard::Admission::kQueueFull : shard.ProbeAdmission(slot);
+  if (admission == Shard::Admission::kAdmitted) {
+    // Admission first, materialization second: a shed decision must not
+    // cost a string copy — the wire layer hands views into its input ring
+    // precisely so the overload path stays allocation-free.
+    QueuedRequest queued{build(), static_cast<std::uint32_t>(slot),
+                         Clock::now()};
+    if (timeout.count() <= 0) timeout = config_.default_timeout;
+    if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
+    auto& work = std::get<std::invoke_result_t<Build&>>(queued.work);
+    work.on_complete = std::move(on_complete);
     admission = shard.TrySubmit(queued);
     if (admission == Shard::Admission::kAdmitted) {
       span.Tag("admitted", 1);
       return true;
     }
+    // Lost the race for the last slot; TrySubmit left the item intact.
+    on_complete = std::move(work.on_complete);
   }
   // Shed on the submitting thread: typed overload error, no queueing.
-  // (TrySubmit leaves `queued` intact on failure.)
   span.Tag("admitted", 0);
   support::trace::Instant("gateway.shed", "shard", index);
-  shard.stats().OnShed();
+  shard.stats().Add(ShardCounter::shed);
+  tenant_stats.Add(TenantCounter::shed);
   const bool quota = admission == Shard::Admission::kQuota;
   if (quota) {
     support::trace::Instant("gateway.quota_shed", "shard", index);
-    tenant_table_.stats(slot).OnQuotaShed();
-  } else {
-    tenant_table_.stats(slot).OnShed();
+    tenant_stats.Add(TenantCounter::quota_shed);
   }
-  Response response;
+  Result response;
   response.error = core::ErrorCode::kOverloaded;
   response.message = ShedMessage(stopping, quota);
   response.shard = index;
-  InvokeCompletion(queued.request, response);
+  InvokeCompletion(on_complete, response);
   return false;
+}
+
+bool Gateway::Submit(Request request) {
+  auto on_complete = std::move(request.on_complete);
+  return Admit("gateway.submit", request.client_id, request.tenant,
+               request.timeout, on_complete,
+               [&request] { return std::move(request); });
 }
 
 bool Gateway::Submit(const BorrowedRequest& request,
                      std::function<void(const Response&)> on_complete) {
-  support::trace::Span span("gateway.submit");
-  const std::uint32_t index = ShardFor(request.client_id);
-  span.Tag("shard", index);
-  Shard& shard = *shards_[index];
-
-  const std::size_t slot = tenant_table_.SlotFor(request.tenant);
-  tenant_table_.stats(slot).OnSubmitted();
-
-  // Admission first, materialization second: a shed decision must not
-  // cost a string copy — the wire layer hands views into its input ring
-  // precisely so the overload path stays allocation-free.
-  const bool stopping = stopping_.load(std::memory_order_relaxed);
-  Shard::Admission admission = Shard::Admission::kQueueFull;
-  if (!stopping) admission = shard.ProbeAdmission(slot);
-  if (admission == Shard::Admission::kAdmitted) {
-    QueuedRequest queued;
-    queued.tenant_slot = static_cast<std::uint32_t>(slot);
-    queued.submitted_at = Clock::now();
-    const std::chrono::microseconds timeout = request.timeout.count() > 0
-                                                  ? request.timeout
-                                                  : config_.default_timeout;
-    if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
-    Request& owned = queued.request;
-    owned.client_id = request.client_id;
-    owned.tenant = request.tenant;
-    owned.platform = request.platform;
-    owned.op = request.op;
-    owned.target.assign(request.target.data(), request.target.size());
-    owned.payload.assign(request.payload.data(), request.payload.size());
-    owned.content_type.assign(request.content_type.data(),
-                              request.content_type.size());
-    owned.properties.reserve(request.property_count);
-    for (std::size_t i = 0; i < request.property_count; ++i) {
-      const BorrowedProperty& property = request.properties[i];
-      std::string name(property.name);
-      if (const auto* s = std::get_if<std::string_view>(&property.value)) {
-        owned.properties.emplace_back(std::move(name), std::string(*s));
-      } else if (const auto* n = std::get_if<long long>(&property.value)) {
-        owned.properties.emplace_back(std::move(name), *n);
-      } else if (const auto* d = std::get_if<double>(&property.value)) {
-        owned.properties.emplace_back(std::move(name), *d);
-      } else {
-        owned.properties.emplace_back(std::move(name),
-                                      std::get<bool>(property.value));
-      }
-    }
-    owned.timeout = request.timeout;
-    owned.retry = request.retry;
-    owned.on_complete = std::move(on_complete);
-    admission = shard.TrySubmit(queued);
-    if (admission == Shard::Admission::kAdmitted) {
-      span.Tag("admitted", 1);
-      return true;
-    }
-    // Lost the race for the last queue slot; shed the materialized copy.
-    on_complete = std::move(queued.request.on_complete);
-  }
-  span.Tag("admitted", 0);
-  support::trace::Instant("gateway.shed", "shard", index);
-  shard.stats().OnShed();
-  const bool quota = admission == Shard::Admission::kQuota;
-  if (quota) {
-    support::trace::Instant("gateway.quota_shed", "shard", index);
-    tenant_table_.stats(slot).OnQuotaShed();
-  } else {
-    tenant_table_.stats(slot).OnShed();
-  }
-  Response response;
-  response.error = core::ErrorCode::kOverloaded;
-  response.message = ShedMessage(stopping, quota);
-  response.shard = index;
-  InvokeCompletionFn(on_complete, response);
-  return false;
-}
-
-Response Gateway::Call(Request request) {
-  struct Rendezvous {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    Response response;
-  } rendezvous;
-  request.on_complete = [&rendezvous](const Response& response) {
-    // Notify under the lock: the waiter owns `rendezvous` on its stack, so
-    // the callback must not touch it after the waiter can observe done —
-    // holding the mutex through the notify pins the waiter in wait().
-    std::lock_guard<std::mutex> lock(rendezvous.mutex);
-    rendezvous.response = response;
-    rendezvous.done = true;
-    rendezvous.cv.notify_one();
-  };
-  Submit(std::move(request));
-  std::unique_lock<std::mutex> lock(rendezvous.mutex);
-  rendezvous.cv.wait(lock, [&rendezvous] { return rendezvous.done; });
-  return rendezvous.response;
+  return Admit("gateway.submit", request.client_id, request.tenant,
+               request.timeout, on_complete,
+               [&request] { return Materialize(request); });
 }
 
 bool Gateway::SubmitScript(ScriptRequest request) {
-  support::trace::Span span("gateway.submit_script");
-  const std::uint32_t index = ShardFor(request.client_id);
-  span.Tag("shard", index);
-  Shard& shard = *shards_[index];
-  const std::size_t slot = tenant_table_.SlotFor(request.tenant);
-  tenant_table_.stats(slot).OnSubmitted();
+  auto on_complete = std::move(request.on_complete);
+  return Admit("gateway.submit_script", request.client_id, request.tenant,
+               request.timeout, on_complete,
+               [&request] { return std::move(request); });
+}
 
-  QueuedRequest queued;
-  queued.tenant_slot = static_cast<std::uint32_t>(slot);
-  queued.submitted_at = Clock::now();
-  const std::chrono::microseconds timeout =
-      request.timeout.count() > 0 ? request.timeout : config_.default_timeout;
-  if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
-  queued.script = std::make_unique<ScriptRequest>(std::move(request));
-
-  const bool stopping = stopping_.load(std::memory_order_relaxed);
-  Shard::Admission admission = Shard::Admission::kQueueFull;
-  if (!stopping) {
-    admission = shard.TrySubmit(queued);
-    if (admission == Shard::Admission::kAdmitted) {
-      span.Tag("admitted", 1);
-      return true;
-    }
-  }
-  // Shed on the submitting thread, exactly like Submit(Request).
-  span.Tag("admitted", 0);
-  support::trace::Instant("gateway.shed", "shard", index);
-  shard.stats().OnShed();
-  const bool quota = admission == Shard::Admission::kQuota;
-  if (quota) {
-    support::trace::Instant("gateway.quota_shed", "shard", index);
-    tenant_table_.stats(slot).OnQuotaShed();
-  } else {
-    tenant_table_.stats(slot).OnShed();
-  }
-  ScriptResponse response;
-  response.error = core::ErrorCode::kOverloaded;
-  response.message = ShedMessage(stopping, quota);
-  response.shard = index;
-  InvokeScriptCompletionFn(queued.script->on_complete, response);
-  return false;
+Response Gateway::Call(Request request) {
+  return CallAndWait(std::move(request),
+                     [this](Request r) { Submit(std::move(r)); });
 }
 
 ScriptResponse Gateway::CallScript(ScriptRequest request) {
-  struct Rendezvous {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    ScriptResponse response;
-  } rendezvous;
-  request.on_complete = [&rendezvous](const ScriptResponse& response) {
-    // Notify under the lock for the same lifetime reason as Call().
-    std::lock_guard<std::mutex> lock(rendezvous.mutex);
-    rendezvous.response = response;
-    rendezvous.done = true;
-    rendezvous.cv.notify_one();
-  };
-  SubmitScript(std::move(request));
-  std::unique_lock<std::mutex> lock(rendezvous.mutex);
-  rendezvous.cv.wait(lock, [&rendezvous] { return rendezvous.done; });
-  return rendezvous.response;
+  return CallAndWait(std::move(request),
+                     [this](ScriptRequest r) { SubmitScript(std::move(r)); });
 }
 
 void Gateway::Stop() {
@@ -1189,55 +1077,11 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
   return registry.Register(
       std::move(prefix), [this](support::MetricsSink& sink) {
         const GatewaySnapshot snapshot = Stats();
-        const ShardSnapshot& totals = snapshot.totals;
-        sink.Counter("accepted", totals.accepted);
-        sink.Counter("shed", totals.shed);
-        sink.Counter("ok", totals.ok);
-        sink.Counter("failed", totals.failed);
-        sink.Counter("timed_out", totals.timed_out);
-        sink.Counter("retries", totals.retries);
-        sink.Counter("failovers", totals.failovers);
-        sink.Counter("hedges_fired", totals.hedges_fired);
-        sink.Counter("hedges_won", totals.hedges_won);
-        sink.Counter("breaker_opens", totals.breaker_opens);
-        sink.Counter("faults_injected", totals.faults_injected);
-        // M-Script: executed is in-sandbox runs (subset of accepted);
-        // budget_kills is the subset of errors/timeouts caused by a
-        // sandbox ceiling — every one a typed status, never a fault.
-        sink.Counter("script.executed", totals.scripts);
-        sink.Counter("script.errors", totals.script_errors);
-        sink.Counter("script.budget_kills", totals.script_budget_kills);
-        sink.Counter("script.steps", totals.script_steps);
-        sink.Counter("script.invocations", totals.script_invocations);
-        sink.Counter("script.cache_hits", totals.script_cache_hits);
-        sink.Counter("script.cache_misses", totals.script_cache_misses);
-        sink.Counter("queue_depth", totals.queue_depth);
-        sink.Counter("max_queue_depth", totals.max_queue_depth);
-        sink.Gauge("latency_p50_us",
-                   static_cast<double>(snapshot.p50_micros()));
-        sink.Gauge("latency_p95_us",
-                   static_cast<double>(snapshot.p95_micros()));
-        sink.Gauge("latency_p99_us",
-                   static_cast<double>(snapshot.p99_micros()));
+        ExportShard(sink, "", snapshot.totals);
+        ExportLatency(sink, "", snapshot.totals.latency);
         for (std::size_t i = 0; i < snapshot.shards.size(); ++i) {
-          const ShardSnapshot& s = snapshot.shards[i];
-          const std::string base = "shard." + std::to_string(i) + ".";
-          sink.Counter(base + "accepted", s.accepted);
-          sink.Counter(base + "shed", s.shed);
-          sink.Counter(base + "ok", s.ok);
-          sink.Counter(base + "failed", s.failed);
-          sink.Counter(base + "timed_out", s.timed_out);
-          sink.Counter(base + "retries", s.retries);
-          sink.Counter(base + "failovers", s.failovers);
-          sink.Counter(base + "hedges_fired", s.hedges_fired);
-          sink.Counter(base + "hedges_won", s.hedges_won);
-          sink.Counter(base + "breaker_opens", s.breaker_opens);
-          sink.Counter(base + "faults_injected", s.faults_injected);
-          sink.Counter(base + "script.executed", s.scripts);
-          sink.Counter(base + "script.errors", s.script_errors);
-          sink.Counter(base + "script.budget_kills", s.script_budget_kills);
-          sink.Counter(base + "queue_depth", s.queue_depth);
-          sink.Counter(base + "max_queue_depth", s.max_queue_depth);
+          ExportShard(sink, "shard." + std::to_string(i) + ".",
+                      snapshot.shards[i]);
         }
         // Per-tenant serving counters under tenant.<name>.* — the
         // admission-isolation plane. Quiescent, every tenant reconciles
@@ -1245,18 +1089,8 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
         for (const TenantSnapshot& t : tenant_table_.Snapshot()) {
           const std::string base = "tenant." + t.name + ".";
           sink.Counter(base + "weight", t.weight);
-          sink.Counter(base + "submitted", t.submitted);
-          sink.Counter(base + "accepted", t.accepted);
-          sink.Counter(base + "shed", t.shed);
-          sink.Counter(base + "quota_shed", t.quota_shed);
-          sink.Counter(base + "ok", t.ok);
-          sink.Counter(base + "failed", t.failed);
-          sink.Counter(base + "timed_out", t.timed_out);
-          sink.Counter(base + "retries", t.retries);
-          sink.Gauge(base + "latency_p50_us",
-                     static_cast<double>(t.latency.Percentile(0.50)));
-          sink.Gauge(base + "latency_p95_us",
-                     static_cast<double>(t.latency.Percentile(0.95)));
+          ExportCounters(sink, base, kTenantCounters, t);
+          ExportLatency(sink, base, t.latency);
         }
         // M-Push feed totals across shards — the notifier/feeder plane's
         // health: how much was published, how much the replay rings have

@@ -10,12 +10,14 @@
 // never need a lock. Cross-shard state is confined to the read-only
 // DescriptorStore and the SharedInterner behind Interner::Global().
 //
-// Serving semantics:
+// Serving semantics — one path for every entry point (Submit, borrowed
+// Submit, SubmitScript): one admission decision, one queue, one
+// completion that books the outcome before the callback runs.
 //  * Admission control — each shard queue is bounded with a shed
-//    watermark; a request arriving above it completes immediately with
-//    ProxyError-typed ErrorCode::kOverloaded instead of queueing
-//    unboundedly, which keeps served-request tail latency bounded under
-//    overload.
+//    watermark, and each tenant with a weighted slot cap; work arriving
+//    above either completes immediately on the submitting thread with
+//    ErrorCode::kOverloaded instead of queueing unboundedly, which keeps
+//    served-request tail latency bounded under overload.
 //  * Deadlines — a request's wall-clock deadline is checked at dequeue
 //    (kDeadlineExceeded, the binding never runs) and between retry
 //    attempts; an in-flight blocking binding call is never interrupted.
@@ -39,6 +41,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -114,12 +117,10 @@ class Gateway {
   bool Submit(Request request);
 
   /// Borrowed-request overload for callers whose operands are views into
-  /// transient buffers (the wire layer's input rings). The admission
-  /// decision runs first: only a request actually bound for a shard queue
-  /// has its strings materialized into an owning Request; the shed path
-  /// completes with kOverloaded without copying anything. Views must stay
-  /// valid until this returns — they are not retained. Same exactly-once
-  /// completion contract as Submit(Request).
+  /// transient buffers (the wire layer's input rings). Strings are copied
+  /// only once the request is admitted, so a shed copies nothing. Views
+  /// must stay valid until this returns — they are not retained. Same
+  /// contract as Submit(Request).
   bool Submit(const BorrowedRequest& request,
               std::function<void(const Response&)> on_complete);
 
@@ -130,10 +131,8 @@ class Gateway {
   // ---- M-Script: server-side composite invocations (gateway/script.h) --
 
   /// Route a script to its client's shard, where it executes inside the
-  /// sandbox against that shard's proxies. Rides the same queue/
-  /// admission/deadline machinery as Submit(Request) — true when
-  /// admitted, false when shed (on_complete already ran with
-  /// kOverloaded) — but is never retried by the gateway: a composite may
+  /// sandbox against that shard's proxies. Same contract as
+  /// Submit(Request), but never retried by the gateway: a composite may
   /// have performed side effects before failing.
   bool SubmitScript(ScriptRequest request);
 
@@ -200,6 +199,15 @@ class Gateway {
 
  private:
   class Shard;
+
+  /// The one admission path behind both Submit overloads and
+  /// SubmitScript: routing, the admission decision, the queue push and
+  /// the single shed block. `build` materializes the queued payload only
+  /// once the admission probe has passed.
+  template <typename Result, typename Build>
+  bool Admit(const char* span_name, std::uint64_t client_id,
+             std::uint32_t tenant, std::chrono::microseconds timeout,
+             std::function<void(const Result&)>& on_complete, Build&& build);
 
   GatewayConfig config_;
   /// Before shards_: every shard keeps a reference for admission caps

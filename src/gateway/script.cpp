@@ -97,7 +97,6 @@ ScriptResponse ScriptEngine::Execute(const ScriptRequest& request) {
     if (it != cache_index_.end() && it->second->source == request.source) {
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
       program = cache_lru_.front().program;
-      ++cache_hits_;
       response.cache_hit = true;
     }
   }
@@ -205,10 +204,9 @@ ScriptResponse ScriptEngine::Execute(const ScriptRequest& request) {
 
   try {
     if (program == nullptr) {
-      // A failed parse counts as a miss too; it is never cached (the
-      // throw below skips the insert), so a bad program re-parses — and
-      // re-fails — cheaply without occupying a slot.
-      ++cache_misses_;
+      // A failed parse is a miss too (cache_hit stays false); it is never
+      // cached (the throw below skips the insert), so a bad program
+      // re-parses — and re-fails — cheaply without occupying a slot.
       program = std::make_shared<const minijs::Program>(
           minijs::ParseProgram(request.source));
       if (cache_enabled) {

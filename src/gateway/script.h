@@ -165,11 +165,6 @@ class ScriptEngine {
 
   const ScriptLimits& limits() const { return limits_; }
 
-  /// Parse-cache counters since construction (worker-thread reads only;
-  /// the shard mirrors them into ShardStats for the metrics plane).
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
-
  private:
   struct CacheEntry;
 
@@ -179,8 +174,6 @@ class ScriptEngine {
   std::list<CacheEntry> cache_lru_;
   std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator>
       cache_index_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
 };
 
 /// Parse "android" / "s60" / "iphone" (as ToString(Platform) emits).

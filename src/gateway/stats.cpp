@@ -1,5 +1,6 @@
 #include "gateway/stats.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace mobivine::gateway {
@@ -8,28 +9,12 @@ GatewaySnapshot Aggregate(std::vector<ShardSnapshot> shards) {
   GatewaySnapshot snap;
   snap.shards = std::move(shards);
   for (const ShardSnapshot& shard : snap.shards) {
-    snap.totals.accepted += shard.accepted;
-    snap.totals.shed += shard.shed;
-    snap.totals.ok += shard.ok;
-    snap.totals.failed += shard.failed;
-    snap.totals.timed_out += shard.timed_out;
-    snap.totals.retries += shard.retries;
-    snap.totals.failovers += shard.failovers;
-    snap.totals.hedges_fired += shard.hedges_fired;
-    snap.totals.hedges_won += shard.hedges_won;
-    snap.totals.breaker_opens += shard.breaker_opens;
-    snap.totals.faults_injected += shard.faults_injected;
-    snap.totals.scripts += shard.scripts;
-    snap.totals.script_errors += shard.script_errors;
-    snap.totals.script_budget_kills += shard.script_budget_kills;
-    snap.totals.script_steps += shard.script_steps;
-    snap.totals.script_invocations += shard.script_invocations;
-    snap.totals.script_cache_hits += shard.script_cache_hits;
-    snap.totals.script_cache_misses += shard.script_cache_misses;
-    snap.totals.queue_depth += shard.queue_depth;
-    if (shard.max_queue_depth > snap.totals.max_queue_depth) {
-      snap.totals.max_queue_depth = shard.max_queue_depth;
+    for (const auto& counter : kShardCounters) {
+      snap.totals.*counter.field += shard.*counter.field;
     }
+    snap.totals.queue_depth += shard.queue_depth;
+    snap.totals.max_queue_depth =
+        std::max(snap.totals.max_queue_depth, shard.max_queue_depth);
     snap.totals.latency.Merge(shard.latency);
   }
   return snap;

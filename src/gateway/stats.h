@@ -7,44 +7,94 @@
 // per counter (each is a single atomic) but not across counters; the
 // invariants tests assert (accepted == served + queue backlog, etc.) hold
 // exactly once the gateway is quiescent.
+//
+// Every event counter is declared once, as a row of a counter table
+// (MOBIVINE_GATEWAY_SHARD_COUNTERS here, MOBIVINE_GATEWAY_TENANT_COUNTERS in
+// gateway/tenant.h). The table generates the snapshot field, the counter
+// enum that Add() bumps, and the {metric, field} row that Snapshot(),
+// Aggregate() and the metrics export iterate — so adding a counter is one
+// table line plus the line that bumps it.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "support/histogram.h"
 
 namespace mobivine::gateway {
 
+/// One row of a counter table: the metric name it is exported under and
+/// the snapshot field that holds it.
+template <typename Snapshot>
+struct CounterField {
+  const char* metric;
+  std::uint64_t Snapshot::*field;
+};
+
+/// The live side of a counter table: one relaxed atomic per row, indexed
+/// by the table's enum. Relaxed because the counters are independent
+/// monotonic event counts, not a synchronization protocol.
+template <typename Counter, const auto& kFields>
+class CounterSet {
+ public:
+  void Add(Counter counter, std::uint64_t n = 1) {
+    values_[static_cast<std::size_t>(counter)].fetch_add(
+        n, std::memory_order_relaxed);
+  }
+
+  template <typename Snapshot>
+  void LoadInto(Snapshot& snap) const {
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      snap.*kFields[i].field = values_[i].load(std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, std::size(kFields)> values_{};
+};
+
+/// The shard plane's event counters: X(field, metric name, doc).
+#define MOBIVINE_GATEWAY_SHARD_COUNTERS(X)                                  \
+  X(accepted, "accepted", "admitted into the shard queue")                  \
+  X(shed, "shed", "rejected at admission (kOverloaded)")                    \
+  X(ok, "ok", "served successfully")                                        \
+  X(failed, "failed", "served, ended in any error but kDeadlineExceeded")   \
+  X(timed_out, "timed_out",                                                 \
+    "every kDeadlineExceeded completion: queue or retry expiry, a "         \
+    "backend's own deadline error, a script's virtual-time budget")         \
+  X(retries, "retries", "extra retry rounds beyond the first")              \
+  X(failovers, "failovers", "dispatches moved to another platform")         \
+  X(hedges_fired, "hedges_fired", "hedge dispatches launched")              \
+  X(hedges_won, "hedges_won", "hedge dispatches that produced the win")     \
+  X(breaker_opens, "breaker_opens", "closed/half-open -> open transitions") \
+  X(faults_injected, "faults_injected", "FaultPlan decisions that fired")   \
+  X(scripts, "script.executed",                                             \
+    "M-Script executions dequeued and run (also counted in accepted + "     \
+    "ok/failed/timed_out: scripts ride the same serving machinery)")        \
+  X(script_errors, "script.errors",                                         \
+    "kScriptError outcomes (throw/budget)")                                 \
+  X(script_budget_kills, "script.budget_kills",                             \
+    "sandbox budget kills within script_errors/timed_out: step-limit, "     \
+    "virtual-time and result-cap violations, each surfaced as a typed "     \
+    "status, never a process fault")                                        \
+  X(script_steps, "script.steps", "interpreter steps executed")             \
+  X(script_invocations, "script.invocations",                               \
+    "host binding calls from scripts")                                      \
+  X(script_cache_hits, "script.cache_hits",                                 \
+    "parse-cache hits: reused a cached AST (fresh sandbox either way); "    \
+    "hits + misses == scripts once quiescent")                              \
+  X(script_cache_misses, "script.cache_misses",                             \
+    "parse-cache misses: paid the lexer/parser")
+
 /// Point-in-time copy of one shard's counters.
 struct ShardSnapshot {
-  std::uint64_t accepted = 0;   ///< admitted into the shard queue
-  std::uint64_t shed = 0;       ///< rejected at admission (kOverloaded)
-  std::uint64_t ok = 0;         ///< served successfully
-  std::uint64_t failed = 0;     ///< served, ended in a ProxyError
-  std::uint64_t timed_out = 0;  ///< deadline expired before service
-  std::uint64_t retries = 0;    ///< extra retry rounds beyond the first
-  std::uint64_t failovers = 0;  ///< dispatches moved to another platform
-  std::uint64_t hedges_fired = 0;  ///< hedge dispatches launched
-  std::uint64_t hedges_won = 0;    ///< hedge dispatches that produced the win
-  std::uint64_t breaker_opens = 0;  ///< closed/half-open -> open transitions
-  std::uint64_t faults_injected = 0;  ///< FaultPlan decisions that fired
-  /// M-Script: executions dequeued and run (also counted in accepted +
-  /// ok/failed/timed_out — scripts ride the same serving machinery).
-  std::uint64_t scripts = 0;
-  std::uint64_t script_errors = 0;  ///< kScriptError outcomes (throw/budget)
-  /// Sandbox budget kills within script_errors/timed_out: step-limit,
-  /// virtual-time and result-cap violations — each surfaced as a typed
-  /// status, never a process fault.
-  std::uint64_t script_budget_kills = 0;
-  std::uint64_t script_steps = 0;        ///< interpreter steps executed
-  std::uint64_t script_invocations = 0;  ///< host binding calls from scripts
-  /// Parse-cache outcomes: a hit reused a cached AST (fresh sandbox
-  /// either way), a miss paid the lexer/parser. hits + misses == scripts
-  /// once quiescent (every execution is one or the other).
-  std::uint64_t script_cache_hits = 0;
-  std::uint64_t script_cache_misses = 0;
+#define MOBIVINE_X(field, metric, doc) std::uint64_t field = 0;
+  MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
   std::uint64_t queue_depth = 0;      ///< at snapshot time
   std::uint64_t max_queue_depth = 0;  ///< high-water mark since start
   /// Completions (ok + failed + timed_out).
@@ -53,6 +103,18 @@ struct ShardSnapshot {
   [[nodiscard]] std::uint64_t completed() const {
     return ok + failed + timed_out;
   }
+};
+
+enum class ShardCounter : std::size_t {
+#define MOBIVINE_X(field, metric, doc) field,
+  MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+
+inline constexpr CounterField<ShardSnapshot> kShardCounters[] = {
+#define MOBIVINE_X(field, metric, doc) {metric, &ShardSnapshot::field},
+    MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
 };
 
 /// Aggregate view plus the per-shard breakdown.
@@ -71,47 +133,10 @@ struct GatewaySnapshot {
   }
 };
 
-/// The live, written-in-place side. All counters relaxed: they are
-/// independent monotonic event counts, not a synchronization protocol.
-class ShardStats {
+/// The live, written-in-place side: the table's counters (Add) plus the
+/// depth high-water mark and the latency histogram.
+class ShardStats : public CounterSet<ShardCounter, kShardCounters> {
  public:
-  void OnAccepted() { accepted_.fetch_add(1, std::memory_order_relaxed); }
-  void OnShed() { shed_.fetch_add(1, std::memory_order_relaxed); }
-  void OnOk() { ok_.fetch_add(1, std::memory_order_relaxed); }
-  void OnFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
-  void OnTimedOut() { timed_out_.fetch_add(1, std::memory_order_relaxed); }
-  void OnRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
-  void OnFailover() { failovers_.fetch_add(1, std::memory_order_relaxed); }
-  void OnHedgeFired() {
-    hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnHedgeWon() { hedges_won_.fetch_add(1, std::memory_order_relaxed); }
-  void OnBreakerOpen() {
-    breaker_opens_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnFaultInjected() {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnScript() { scripts_.fetch_add(1, std::memory_order_relaxed); }
-  void OnScriptError() {
-    script_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnScriptBudgetKill() {
-    script_budget_kills_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnScriptSteps(std::uint64_t steps) {
-    script_steps_.fetch_add(steps, std::memory_order_relaxed);
-  }
-  void OnScriptInvocations(std::uint64_t count) {
-    script_invocations_.fetch_add(count, std::memory_order_relaxed);
-  }
-  void OnScriptCacheHit() {
-    script_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnScriptCacheMiss() {
-    script_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   void RecordLatency(std::uint64_t micros) { latency_.Record(micros); }
 
   /// Monotonic high-water mark of the queue depth seen at admission.
@@ -125,28 +150,7 @@ class ShardStats {
 
   [[nodiscard]] ShardSnapshot Snapshot(std::uint64_t queue_depth) const {
     ShardSnapshot snap;
-    snap.accepted = accepted_.load(std::memory_order_relaxed);
-    snap.shed = shed_.load(std::memory_order_relaxed);
-    snap.ok = ok_.load(std::memory_order_relaxed);
-    snap.failed = failed_.load(std::memory_order_relaxed);
-    snap.timed_out = timed_out_.load(std::memory_order_relaxed);
-    snap.retries = retries_.load(std::memory_order_relaxed);
-    snap.failovers = failovers_.load(std::memory_order_relaxed);
-    snap.hedges_fired = hedges_fired_.load(std::memory_order_relaxed);
-    snap.hedges_won = hedges_won_.load(std::memory_order_relaxed);
-    snap.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
-    snap.faults_injected = faults_injected_.load(std::memory_order_relaxed);
-    snap.scripts = scripts_.load(std::memory_order_relaxed);
-    snap.script_errors = script_errors_.load(std::memory_order_relaxed);
-    snap.script_budget_kills =
-        script_budget_kills_.load(std::memory_order_relaxed);
-    snap.script_steps = script_steps_.load(std::memory_order_relaxed);
-    snap.script_invocations =
-        script_invocations_.load(std::memory_order_relaxed);
-    snap.script_cache_hits =
-        script_cache_hits_.load(std::memory_order_relaxed);
-    snap.script_cache_misses =
-        script_cache_misses_.load(std::memory_order_relaxed);
+    LoadInto(snap);
     snap.queue_depth = queue_depth;
     snap.max_queue_depth = max_depth_.load(std::memory_order_relaxed);
     snap.latency = latency_.Snapshot();
@@ -154,24 +158,6 @@ class ShardStats {
   }
 
  private:
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> ok_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> timed_out_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> hedges_fired_{0};
-  std::atomic<std::uint64_t> hedges_won_{0};
-  std::atomic<std::uint64_t> breaker_opens_{0};
-  std::atomic<std::uint64_t> faults_injected_{0};
-  std::atomic<std::uint64_t> scripts_{0};
-  std::atomic<std::uint64_t> script_errors_{0};
-  std::atomic<std::uint64_t> script_budget_kills_{0};
-  std::atomic<std::uint64_t> script_steps_{0};
-  std::atomic<std::uint64_t> script_invocations_{0};
-  std::atomic<std::uint64_t> script_cache_hits_{0};
-  std::atomic<std::uint64_t> script_cache_misses_{0};
   std::atomic<std::uint64_t> max_depth_{0};
   support::LatencyHistogram latency_;
 };

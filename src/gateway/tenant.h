@@ -33,13 +33,13 @@
 // bills the default bucket.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "gateway/stats.h"
 #include "support/histogram.h"
 
 namespace mobivine::gateway {
@@ -53,19 +53,26 @@ struct TenantConfig {
   std::uint32_t weight = 1; ///< admission weight; 0 => zero quota (always shed)
 };
 
+/// The tenant plane's event counters: X(field, metric name, doc). Same
+/// mechanics as MOBIVINE_GATEWAY_SHARD_COUNTERS (gateway/stats.h).
+#define MOBIVINE_GATEWAY_TENANT_COUNTERS(X)                                \
+  X(submitted, "submitted", "Submit/SubmitScript calls billed here")       \
+  X(accepted, "accepted", "admitted into some shard queue")                \
+  X(shed, "shed", "all sheds (watermark + quota + stopping)")              \
+  X(quota_shed, "quota_shed", "subset of shed: tenant cap, not watermark") \
+  X(ok, "ok", "served successfully")                                       \
+  X(failed, "failed", "served, ended in any error but kDeadlineExceeded")  \
+  X(timed_out, "timed_out", "every kDeadlineExceeded completion")          \
+  X(retries, "retries", "extra retry rounds beyond the first")
+
 /// Point-in-time copy of one tenant's counters.
 struct TenantSnapshot {
   std::uint32_t id = 0;
   std::string name;
   std::uint32_t weight = 1;
-  std::uint64_t submitted = 0;   ///< Submit/SubmitScript calls billed here
-  std::uint64_t accepted = 0;    ///< admitted into some shard queue
-  std::uint64_t shed = 0;        ///< all sheds (watermark + quota + stopping)
-  std::uint64_t quota_shed = 0;  ///< subset of shed: tenant cap, not watermark
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t retries = 0;
+#define MOBIVINE_X(field, metric, doc) std::uint64_t field = 0;
+  MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
   /// Completions (ok + failed + timed_out).
   support::HistogramSnapshot latency;
 
@@ -74,50 +81,36 @@ struct TenantSnapshot {
   }
 };
 
+enum class TenantCounter : std::size_t {
+#define MOBIVINE_X(field, metric, doc) field,
+  MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+
+inline constexpr CounterField<TenantSnapshot> kTenantCounters[] = {
+#define MOBIVINE_X(field, metric, doc) {metric, &TenantSnapshot::field},
+    MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+
 /// The live, written-in-place side. Same discipline as ShardStats: every
 /// counter is an independent relaxed atomic, written by submitting
 /// threads (admission) and shard workers (service) and snapshot by
 /// anyone; cross-counter invariants hold exactly once quiescent. The
 /// latency histogram's buckets are individually atomic, so one shared
 /// histogram per tenant is safe under concurrent multi-shard writers.
-class TenantStats {
+class TenantStats : public CounterSet<TenantCounter, kTenantCounters> {
  public:
-  void OnSubmitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
-  void OnAccepted() { accepted_.fetch_add(1, std::memory_order_relaxed); }
-  void OnShed() { shed_.fetch_add(1, std::memory_order_relaxed); }
-  void OnQuotaShed() {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    quota_shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnOk() { ok_.fetch_add(1, std::memory_order_relaxed); }
-  void OnFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
-  void OnTimedOut() { timed_out_.fetch_add(1, std::memory_order_relaxed); }
-  void OnRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
   void RecordLatency(std::uint64_t micros) { latency_.Record(micros); }
 
   [[nodiscard]] TenantSnapshot Snapshot() const {
     TenantSnapshot snap;
-    snap.submitted = submitted_.load(std::memory_order_relaxed);
-    snap.accepted = accepted_.load(std::memory_order_relaxed);
-    snap.shed = shed_.load(std::memory_order_relaxed);
-    snap.quota_shed = quota_shed_.load(std::memory_order_relaxed);
-    snap.ok = ok_.load(std::memory_order_relaxed);
-    snap.failed = failed_.load(std::memory_order_relaxed);
-    snap.timed_out = timed_out_.load(std::memory_order_relaxed);
-    snap.retries = retries_.load(std::memory_order_relaxed);
+    LoadInto(snap);
     snap.latency = latency_.Snapshot();
     return snap;
   }
 
  private:
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> quota_shed_{0};
-  std::atomic<std::uint64_t> ok_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> timed_out_{0};
-  std::atomic<std::uint64_t> retries_{0};
   support::LatencyHistogram latency_;
 };
 

@@ -18,10 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +27,7 @@
 #include "core/descriptor/proxy_descriptor.h"
 #include "gateway/gateway.h"
 #include "gateway/mpsc_queue.h"
+#include "gateway_test_util.h"
 #include "support/fault.h"
 #include "support/seed.h"
 
@@ -41,6 +40,7 @@ using gateway::Gateway;
 using gateway::GatewayConfig;
 using gateway::Request;
 using gateway::Response;
+using testing::WorkerBlocker;
 
 /// Queue element that counts its live instances and carries a string too
 /// long for the small-string buffer, like a real SMS body or POST.
@@ -245,39 +245,6 @@ Request HttpGetRequest(std::uint32_t tenant) {
       std::string("http://") + gateway::kGatewayHttpHost + "/ping";
   return request;
 }
-
-/// Parks the shard's worker inside a completion callback until released,
-/// so every later admission lands in a queue nobody is popping. Tests
-/// must reach Release() (no ASSERT in between): the worker waits on this
-/// object, and the gateway's destructor joins the worker.
-class WorkerBlocker {
- public:
-  /// Submits the blocking request and waits until the worker holds it.
-  void Block(Gateway& gw, std::uint32_t tenant) {
-    Request request = HttpGetRequest(tenant);
-    request.on_complete = [this](const Response&) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return released_; });
-    };
-    ASSERT_TRUE(gw.Submit(std::move(request)));
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return entered_; });
-  }
-
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool released_ = false;
-};
 
 struct ShedProbe {
   bool admitted = true;

@@ -11,13 +11,17 @@
 //    deadline mid-retry surfaces kDeadlineExceeded and counts timed_out;
 //  * request-scoped properties never leak into later requests served on
 //    the same shard's proxies;
-//  * GatewayStats counters reconcile with what the callbacks observed.
+//  * GatewayStats counters reconcile with what the callbacks observed;
+//  * RegisterMetrics exports every counter-table row — totals, per shard
+//    and per tenant — and every gateway.* name the M-Scope schema requires.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
@@ -29,6 +33,7 @@
 #include "gateway/gateway.h"
 #include "gateway/traffic.h"
 #include "support/fault.h"
+#include "support/metrics.h"
 
 namespace mobivine {
 namespace {
@@ -614,6 +619,73 @@ TEST(Gateway, FailoverStatsReconcileUnderConcurrentTraffic) {
   std::uint64_t per_shard_failovers = 0;
   for (const auto& shard : stats.shards) per_shard_failovers += shard.failovers;
   EXPECT_EQ(per_shard_failovers, stats.totals.failovers);
+}
+
+// ---------------------------------------------------------------------------
+// Metrics export
+// ---------------------------------------------------------------------------
+
+TEST(GatewayMetrics, ExportCoversEveryCounterTableRow) {
+  GatewayConfig config = BaseConfig(2);
+  config.tenants = {gateway::TenantConfig{1, "alpha", 1}};
+  Gateway gw(config);
+  support::MetricsRegistry registry;
+  const auto registration = gw.RegisterMetrics(registry);
+  const support::MetricsSnapshot snapshot = registry.Snapshot();
+
+  for (const auto& counter : gateway::kShardCounters) {
+    EXPECT_NE(snapshot.Find(std::string("gateway.") + counter.metric),
+              nullptr)
+        << counter.metric;
+    for (int shard = 0; shard < gw.shard_count(); ++shard) {
+      const std::string name = "gateway.shard." + std::to_string(shard) +
+                               "." + counter.metric;
+      EXPECT_NE(snapshot.Find(name), nullptr) << name;
+    }
+  }
+  for (const char* tenant : {"default", "alpha"}) {
+    const std::string base = std::string("gateway.tenant.") + tenant + ".";
+    for (const auto& counter : gateway::kTenantCounters) {
+      EXPECT_NE(snapshot.Find(base + counter.metric), nullptr)
+          << base << counter.metric;
+    }
+    for (const char* gauge :
+         {"latency_p50_us", "latency_p95_us", "latency_p99_us"}) {
+      EXPECT_NE(snapshot.Find(base + gauge), nullptr) << base << gauge;
+    }
+  }
+
+  // Every full gateway.* metric name the checked-in M-Scope schema
+  // requires (the bare "gateway.tenant." prefix excepted), and every
+  // counter its fleet section expects on each tenant row.
+  std::ifstream file(MOBIVINE_DESCRIPTOR_DIR "/../scripts/mscope_schema.json");
+  ASSERT_TRUE(file.good());
+  const std::string schema((std::istreambuf_iterator<char>(file)),
+                           std::istreambuf_iterator<char>());
+  int required = 0;
+  for (std::size_t pos = schema.find("\"gateway."); pos != std::string::npos;
+       pos = schema.find("\"gateway.", pos + 1)) {
+    const std::string name =
+        schema.substr(pos + 1, schema.find('"', pos + 1) - pos - 1);
+    if (name.back() == '.') continue;
+    ++required;
+    EXPECT_NE(snapshot.Find(name), nullptr) << name;
+  }
+  EXPECT_GE(required, 13);
+  const std::size_t list = schema.find("\"tenant_counters\"");
+  ASSERT_NE(list, std::string::npos);
+  const std::size_t list_end = schema.find(']', list);
+  int tenant_counters = 0;
+  for (std::size_t pos = schema.find('"', schema.find('[', list));
+       pos < list_end; pos = schema.find('"', schema.find('"', pos + 1) + 1)) {
+    const std::size_t end = schema.find('"', pos + 1);
+    const std::string name = schema.substr(pos + 1, end - pos - 1);
+    ++tenant_counters;
+    EXPECT_NE(snapshot.Find("gateway.tenant.default." + name), nullptr)
+        << name;
+  }
+  EXPECT_EQ(tenant_counters,
+            static_cast<int>(std::size(gateway::kTenantCounters)));
 }
 
 }  // namespace

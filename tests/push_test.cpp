@@ -47,6 +47,7 @@
 #include "gateway/gateway.h"
 #include "gateway/push.h"
 #include "minijs/value.h"
+#include "support/seed.h"
 #include "webview/notification_table.h"
 #include "wire/client.h"
 #include "wire/protocol.h"
@@ -1018,15 +1019,6 @@ TEST(PushEpochParse, MalformedBodyCorpusNeverMisparses) {
   // the strict parser must agree with a trivially-correct reference on
   // every input — in particular it must not saturate on overflow the way
   // the old strtoull-based parse did.
-  struct SplitMix64 {
-    std::uint64_t state;
-    std::uint64_t Next() {
-      std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      return z ^ (z >> 31);
-    }
-  };
   auto reference = [](const std::string& body) -> std::uint64_t {
     if (body.empty()) return 0;
     for (char c : body) {
@@ -1041,7 +1033,7 @@ TEST(PushEpochParse, MalformedBodyCorpusNeverMisparses) {
     return static_cast<std::uint64_t>(value);
   };
 
-  SplitMix64 rng{0xec0c0ull};
+  support::SplitMix64 rng{0xec0c0ull};
   const char alphabet[] = "0123456789 -+.xeE\xff\x00" "abz";
   for (int iteration = 0; iteration < 20'000; ++iteration) {
     std::string body;

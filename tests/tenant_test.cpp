@@ -14,22 +14,31 @@
 //    throughput under full backlog follows the weight ratio;
 //  * per-tenant counters reconcile exactly once quiescent, including under
 //    concurrent multi-tenant traffic: ok + failed + timed_out + shed ==
-//    submitted, and the latency histogram holds exactly the completions.
+//    submitted, and the latency histogram holds exactly the completions;
+//  * the shard plane and the tenant plane book the same outcome band for
+//    every completion, requests and scripts alike;
+//  * every entry point (Submit, borrowed Submit, SubmitScript) sheds the
+//    same way for each shed cause: one kOverloaded callback on the
+//    submitting thread, the same message, the same booking.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/descriptor/proxy_descriptor.h"
 #include "gateway/gateway.h"
 #include "gateway/tenant.h"
 #include "gateway/traffic.h"
+#include "gateway_test_util.h"
 #include "support/fault.h"
 
 namespace mobivine {
@@ -42,9 +51,12 @@ using gateway::Op;
 using gateway::Platform;
 using gateway::Request;
 using gateway::Response;
+using gateway::ScriptRequest;
+using gateway::ScriptResponse;
 using gateway::TenantConfig;
 using gateway::TenantSnapshot;
 using gateway::TenantTable;
+using testing::WorkerBlocker;
 
 const core::DescriptorStore& Store() {
   static const core::DescriptorStore store =
@@ -305,6 +317,240 @@ TEST(TenantGateway, RowsReconcileUnderConcurrentMultiTenantTraffic) {
   // Nothing leaked into the default bucket.
   EXPECT_EQ(RowFor(gateway, 0).submitted, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Shard and tenant planes agree
+// ---------------------------------------------------------------------------
+
+TEST(TenantGateway, ShardAndTenantOutcomesAgree) {
+  // Every outcome band from every source, on two tenants: served requests
+  // and scripts, retry exhaustion (s60 times out transiently), a backend's
+  // own non-transient deadline error (android), queue-deadline expiry,
+  // script throws, step-budget and virtual-time-budget kills.
+  GatewayConfig config = BaseConfig(2);
+  config.tenants = {TenantConfig{1, "a", 1}, TenantConfig{2, "b", 1}};
+  config.default_retry.max_attempts = 2;
+  config.default_retry.initial_backoff = std::chrono::microseconds(100);
+  config.failover.fault_plan = *support::FaultPlan::Parse(
+      "seed=1;android:*:error=deadline-exceeded;s60:*:error=timeout");
+  Gateway gateway(config);
+
+  const auto platform_request = [](std::uint32_t tenant, Platform platform) {
+    Request request = PingRequest(tenant, /*client_id=*/tenant);
+    request.platform = platform;
+    return request;
+  };
+  const auto script = [](std::uint32_t tenant, const char* source) {
+    ScriptRequest request;
+    request.client_id = tenant;
+    request.tenant = tenant;
+    request.source = source;
+    return request;
+  };
+  for (std::uint32_t tenant : {1u, 2u}) {
+    EXPECT_TRUE(gateway.Call(platform_request(tenant, Platform::kIphone)).ok);
+    EXPECT_EQ(gateway.Call(platform_request(tenant, Platform::kAndroid)).error,
+              ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(gateway.Call(platform_request(tenant, Platform::kS60)).error,
+              ErrorCode::kTimeout);
+    EXPECT_TRUE(gateway.CallScript(script(tenant, "1 + 1;")).ok);
+    EXPECT_TRUE(gateway.CallScript(script(tenant, "throw 'boom';")).script_error);
+    EXPECT_EQ(gateway
+                  .CallScript(script(
+                      tenant, "mobile.invoke('android', 'httpGet', "
+                              "'http://gw.example/ping');"))
+                  .error,
+              ErrorCode::kUnknown);
+    ScriptRequest steps = script(tenant, "while (true) {}");
+    steps.step_budget = 1'000;
+    EXPECT_TRUE(gateway.CallScript(std::move(steps)).budget_kill);
+    ScriptRequest slow = script(tenant, "var i = 0; while (i < 1000) { i = i + 1; }");
+    slow.virtual_us_budget = 1'000;
+    EXPECT_EQ(gateway.CallScript(std::move(slow)).error,
+              ErrorCode::kDeadlineExceeded);
+  }
+
+  // Queue-deadline expiry: park tenant 1's shard on an android blocker
+  // (itself a deadline error), queue a request and a script with a 1us
+  // budget behind it, then let the worker go.
+  {
+    WorkerBlocker blocker;
+    blocker.Block(gateway, /*tenant=*/1);
+    std::promise<void> request_done;
+    std::promise<void> script_done;
+    Request expiring = platform_request(1, Platform::kIphone);
+    expiring.timeout = std::chrono::microseconds(1);
+    expiring.on_complete = [&request_done](const Response&) {
+      request_done.set_value();
+    };
+    ASSERT_TRUE(gateway.Submit(std::move(expiring)));
+    ScriptRequest expiring_script = script(1, "1;");
+    expiring_script.timeout = std::chrono::microseconds(1);
+    expiring_script.on_complete = [&script_done](const ScriptResponse&) {
+      script_done.set_value();
+    };
+    ASSERT_TRUE(gateway.SubmitScript(std::move(expiring_script)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    blocker.Release();
+    request_done.get_future().wait();
+    script_done.get_future().wait();
+  }
+
+  const gateway::ShardSnapshot totals = gateway.Stats().totals;
+  TenantSnapshot sum;
+  for (const TenantSnapshot& row : gateway.TenantStatsSnapshot()) {
+    sum.ok += row.ok;
+    sum.failed += row.failed;
+    sum.timed_out += row.timed_out;
+  }
+  EXPECT_EQ(totals.ok, sum.ok);
+  EXPECT_EQ(totals.failed, sum.failed);
+  EXPECT_EQ(totals.timed_out, sum.timed_out);
+  // Per tenant: iphone and "1 + 1;" ok; s60 exhaustion, the throw, the
+  // uncaught host error and the step kill failed; android's deadline
+  // error and the virtual-time kill timed out (+ the android blocker and
+  // the two queue expiries on tenant 1).
+  EXPECT_EQ(totals.ok, 4u);
+  EXPECT_EQ(totals.failed, 8u);
+  EXPECT_EQ(totals.timed_out, 7u);
+  EXPECT_EQ(RowFor(gateway, 1).timed_out, 5u);
+  EXPECT_EQ(RowFor(gateway, 2).timed_out, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Shed parity across entry points
+// ---------------------------------------------------------------------------
+
+enum class EntryPoint { kOwned, kBorrowed, kScript };
+enum class ShedCause { kStopping, kQueueFull, kQuota };
+
+/// What one shed completion looked like from the caller's side.
+struct ShedSeen {
+  int calls = 0;
+  std::thread::id thread;
+  bool ok = true;
+  ErrorCode error = ErrorCode::kUnknown;
+  std::string message;
+  std::uint32_t shard = 0;
+
+  template <typename Result>
+  std::function<void(const Result&)> Callback() {
+    return [this](const Result& response) {
+      ++calls;
+      thread = std::this_thread::get_id();
+      ok = response.ok;
+      error = response.error;
+      message = response.message;
+      shard = response.shard;
+    };
+  }
+};
+
+bool SubmitVia(Gateway& gateway, EntryPoint entry, std::uint32_t tenant,
+               ShedSeen& seen) {
+  switch (entry) {
+    case EntryPoint::kOwned: {
+      Request request = PingRequest(tenant);
+      request.on_complete = seen.Callback<Response>();
+      return gateway.Submit(std::move(request));
+    }
+    case EntryPoint::kBorrowed: {
+      const std::string target =
+          std::string("http://") + gateway::kGatewayHttpHost + "/ping";
+      gateway::BorrowedRequest request;
+      request.client_id = 1;
+      request.tenant = tenant;
+      request.op = Op::kHttpGet;
+      request.target = target;
+      return gateway.Submit(request, seen.Callback<Response>());
+    }
+    case EntryPoint::kScript: {
+      ScriptRequest request;
+      request.client_id = 1;
+      request.tenant = tenant;
+      request.source = "1;";
+      request.on_complete = seen.Callback<ScriptResponse>();
+      return gateway.SubmitScript(std::move(request));
+    }
+  }
+  return true;
+}
+
+class GatewayShedParity
+    : public ::testing::TestWithParam<std::tuple<EntryPoint, ShedCause>> {};
+
+TEST_P(GatewayShedParity, SameOverloadedAndBookingOnEveryEntryPoint) {
+  const auto [entry, cause] = GetParam();
+  // Watermark 1 over a total weight of 3: every positive-weight tenant
+  // gets the one-slot minimum cap, "banned" gets none.
+  GatewayConfig config = BaseConfig(1);
+  config.queue_capacity = 4;
+  config.shed_watermark = 1;
+  config.tenants = {TenantConfig{1, "blocker", 1}, TenantConfig{2, "filler", 1},
+                    TenantConfig{7, "banned", 0}};
+  Gateway gateway(config);
+  WorkerBlocker blocker;
+
+  std::uint32_t tenant = 0;
+  const char* message = "shard queue above shed watermark";
+  switch (cause) {
+    case ShedCause::kStopping:
+      gateway.Stop();
+      message = "gateway is stopping";
+      break;
+    case ShedCause::kQueueFull: {
+      // Park the worker on tenant 1, then queue one filler from tenant 2:
+      // the queue sits at the watermark, no tenant is over quota.
+      blocker.Block(gateway, /*tenant=*/1);
+      ASSERT_TRUE(gateway.Submit(PingRequest(/*tenant=*/2)));
+      break;
+    }
+    case ShedCause::kQuota:
+      tenant = 7;
+      message = "tenant over admission quota";
+      break;
+  }
+
+  const gateway::ShardSnapshot before = gateway.Stats().totals;
+  const TenantSnapshot row_before = RowFor(gateway, tenant);
+  ShedSeen seen;
+  EXPECT_FALSE(SubmitVia(gateway, entry, tenant, seen));
+  const gateway::ShardSnapshot after = gateway.Stats().totals;
+  const TenantSnapshot row_after = RowFor(gateway, tenant);
+  blocker.Release();
+
+  EXPECT_EQ(seen.calls, 1);
+  EXPECT_EQ(seen.thread, std::this_thread::get_id());
+  EXPECT_FALSE(seen.ok);
+  EXPECT_EQ(seen.error, ErrorCode::kOverloaded);
+  EXPECT_EQ(seen.message, message);
+  EXPECT_EQ(seen.shard, gateway.ShardFor(1));
+  EXPECT_EQ(after.shed - before.shed, 1u);
+  EXPECT_EQ(after.accepted, before.accepted);
+  EXPECT_EQ(row_after.submitted - row_before.submitted, 1u);
+  EXPECT_EQ(row_after.accepted, row_before.accepted);
+  EXPECT_EQ(row_after.shed - row_before.shed, 1u);
+  EXPECT_EQ(row_after.quota_shed - row_before.quota_shed,
+            cause == ShedCause::kQuota ? 1u : 0u);
+}
+
+std::string ShedCaseName(
+    const ::testing::TestParamInfo<GatewayShedParity::ParamType>& info) {
+  static const char* const kEntry[] = {"Owned", "Borrowed", "Script"};
+  static const char* const kCause[] = {"Stopping", "QueueFull", "Quota"};
+  return std::string(kEntry[static_cast<int>(std::get<0>(info.param))]) +
+         kCause[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEntryPoints, GatewayShedParity,
+    ::testing::Combine(::testing::Values(EntryPoint::kOwned,
+                                         EntryPoint::kBorrowed,
+                                         EntryPoint::kScript),
+                       ::testing::Values(ShedCause::kStopping,
+                                         ShedCause::kQueueFull,
+                                         ShedCause::kQuota)),
+    ShedCaseName);
 
 }  // namespace
 }  // namespace mobivine

@@ -42,6 +42,7 @@
 #include "gateway/gateway.h"
 #include "support/checksum.h"
 #include "support/metrics.h"
+#include "support/seed.h"
 #include "support/varint.h"
 #include "wire/client.h"
 #include "wire/connection.h"
@@ -98,15 +99,7 @@ WireRequest HttpGet(std::uint64_t client_id) {
 
 /// splitmix64: the fuzz suite's only entropy source — same seed, same
 /// mutations, same verdicts, every run.
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t Next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-};
+using support::SplitMix64;
 
 // ---------------------------------------------------------------------------
 // Protocol: round trips
