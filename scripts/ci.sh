@@ -8,9 +8,11 @@
 # The tsan preset (gateway/failover/interner/wire/cluster/push/script/
 # fleet concurrency checking) is not in the default matrix because a
 # full-suite TSan run is slow; the wire leg below runs a *filtered* TSan
-# pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet') instead. The
-# filter covers the shard queue too: its suites (GatewayQueue.*, with the
-# 4-producer/1-consumer test, and GatewayPin.*) match 'Gateway'.
+# pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace') instead.
+# The filter covers the shard queue too: its suites (GatewayQueue.*, with
+# the 4-producer/1-consumer test, and GatewayPin.*) match 'Gateway'.
+# 'Trace' adds the M-Scope suite, where threads create their span buffers
+# on their first event while the exporter reads the registry.
 # Opt in to the full suite with
 #   MOBIVINE_CI_PRESETS="default asan ubsan tsan" scripts/ci.sh
 # or run it directly:
@@ -41,6 +43,11 @@ for preset in $PRESETS; do
   cmake --build --preset "$preset" -j "$JOBS"
   echo "==== [$preset] test ===="
   ctest --preset "$preset" -j "$JOBS" --output-on-failure
+  if [[ "$preset" == "default" ]]; then
+    # perfbench builds its own tree (.bench_build/) from the same src/.
+    echo "==== [default] perfbench tests ===="
+    python3 perfbench/run.py --test
+  fi
 done
 
 # M-Scope leg: run the trace-enabled gateway scenario and validate both
@@ -136,11 +143,11 @@ python3 scripts/validate_mscope.py \
   scripts/mscope_schema.json --require-fleet
 
 if [[ "${MOBIVINE_CI_WIRE_TSAN:-1}" != "0" ]]; then
-  echo "==== [wire] tsan: Script|Push|Cluster|Wire|Gateway|Tenant|Fleet suites ===="
+  echo "==== [wire] tsan: Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace suites ===="
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS"
   ctest --test-dir build-tsan \
-    -R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet' -j "$JOBS" \
+    -R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace' -j "$JOBS" \
     --output-on-failure
 fi
 

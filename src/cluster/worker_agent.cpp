@@ -118,6 +118,12 @@ bool WorkerAgent::RegisterWithController(std::string* error) {
 
 void WorkerAgent::Run() {
   support::trace::SetCurrentThreadName("cluster-agent");
+  // A thread's trace label is exported with its first event. Mark the
+  // start of the agent's track here: an agent that only heartbeats would
+  // otherwise record nothing and leave "cluster-agent" out of the trace.
+  support::trace::Instant(
+      "cluster.agent_start", "epoch",
+      static_cast<std::int64_t>(plan_epoch_.load(std::memory_order_acquire)));
   std::uint64_t next_heartbeat_us = NowMicros() + config_.heartbeat_interval_us;
   while (!stop_.load(std::memory_order_acquire)) {
     if (leave_requested_.exchange(false, std::memory_order_acq_rel)) {

@@ -1098,17 +1098,11 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
         PushFeed::Counters push;
         for (const auto& shard : shards_) {
           const PushFeed::Counters c = shard->feed().GetCounters();
-          push.published += c.published;
-          push.evicted += c.evicted;
-          push.listeners += c.listeners;
-          push.replays += c.replays;
-          push.replay_gaps += c.replay_gaps;
+          for (const auto& counter : kPushCounters) {
+            push.*counter.field += c.*counter.field;
+          }
         }
-        sink.Counter("push.published", push.published);
-        sink.Counter("push.evicted", push.evicted);
-        sink.Counter("push.listeners", push.listeners);
-        sink.Counter("push.replays", push.replays);
-        sink.Counter("push.replay_gaps", push.replay_gaps);
+        ExportCounters(sink, "push.", kPushCounters, push);
         // Per-proxy OverheadMeter counts summed across every shard's nine
         // proxies: the paper's de-fragmentation-overhead attribution, as a
         // live metric.

@@ -39,12 +39,12 @@ std::uint64_t PushFeed::Publish(PushTopic topic, std::uint64_t client_id,
                           static_cast<std::int64_t>(event.cursor));
   for (const Entry& entry : listeners_) entry.listener(event);
   if (replay_capacity_ == 0) {
-    ++evicted_;  // nothing is ever retained
+    ++counters_.evicted;  // nothing is ever retained
     return event.cursor;
   }
   if (ring_.size() == replay_capacity_) {
     ring_.pop_front();
-    ++evicted_;
+    ++counters_.evicted;
   }
   const std::uint64_t cursor = event.cursor;
   ring_.push_back(std::move(event));
@@ -97,7 +97,7 @@ PushFeed::ReplayResult PushFeed::ReplayLocked(std::uint64_t after,
                                               const Listener& fn) {
   support::trace::Span span("push.replay");
   span.Tag("after", static_cast<std::int64_t>(after));
-  ++replays_;
+  ++counters_.replays;
   ReplayResult result;
   const std::uint64_t last = next_cursor_ - 1;
   // A cursor from the future (typically: a cursor issued by a different
@@ -111,7 +111,7 @@ PushFeed::ReplayResult PushFeed::ReplayLocked(std::uint64_t after,
     result.gap_first = after + 1;
     result.gap_last = ring_.empty() ? last : first_retained - 1;
     result.resume_cursor = result.gap_last;
-    ++replay_gaps_;
+    ++counters_.replay_gaps;
   }
   for (const PushEvent& event : ring_) {
     if (event.cursor <= after) continue;
@@ -131,12 +131,9 @@ std::uint64_t PushFeed::last_cursor() const {
 
 PushFeed::Counters PushFeed::GetCounters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Counters counters;
+  Counters counters = counters_;
   counters.published = next_cursor_ - 1;
-  counters.evicted = evicted_;
   counters.listeners = listeners_.size();
-  counters.replays = replays_;
-  counters.replay_gaps = replay_gaps_;
   return counters;
 }
 

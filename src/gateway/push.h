@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "gateway/stats.h"
+
 namespace mobivine::gateway {
 
 /// Callback families a subscription can listen to. Numeric values are
@@ -66,6 +68,18 @@ struct PushEvent {
   return sub_client == 0 || event.client_id == 0 ||
          event.client_id == sub_client;
 }
+
+/// The feed's counters: X(field, metric name, doc). Like the shard and
+/// tenant tables, this one list generates PushFeed::Counters and the
+/// kPushCounters rows the gateway sums across shards and exports under
+/// push.*.
+#define MOBIVINE_GATEWAY_PUSH_COUNTERS(X)                              \
+  X(published, "published", "events ever published")                  \
+  X(evicted, "evicted",                                                \
+    "pushed out of the replay ring (every event when it holds none)")  \
+  X(listeners, "listeners", "currently registered")                    \
+  X(replays, "replays", "ReplayAfter calls")                           \
+  X(replay_gaps, "replay_gaps", "replays that reported a gap")
 
 class PushFeed {
  public:
@@ -129,11 +143,9 @@ class PushFeed {
   [[nodiscard]] std::uint64_t last_cursor() const;
 
   struct Counters {
-    std::uint64_t published = 0;
-    std::uint64_t evicted = 0;    ///< pushed out of the replay ring
-    std::uint64_t listeners = 0;  ///< currently registered
-    std::uint64_t replays = 0;    ///< ReplayAfter calls
-    std::uint64_t replay_gaps = 0;  ///< replays that reported a gap
+#define MOBIVINE_X(field, metric, doc) std::uint64_t field = 0;
+    MOBIVINE_GATEWAY_PUSH_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
   };
   [[nodiscard]] Counters GetCounters() const;
 
@@ -153,9 +165,15 @@ class PushFeed {
   std::uint64_t next_listener_id_ = 1;
   std::deque<PushEvent> ring_;  ///< retained events, oldest first
   std::vector<Entry> listeners_;
-  std::uint64_t evicted_ = 0;
-  std::uint64_t replays_ = 0;
-  std::uint64_t replay_gaps_ = 0;
+  /// evicted, replays and replay_gaps; GetCounters() derives published
+  /// and listeners from the cursor and the listener list.
+  Counters counters_;
+};
+
+inline constexpr CounterField<PushFeed::Counters> kPushCounters[] = {
+#define MOBIVINE_X(field, metric, doc) {metric, &PushFeed::Counters::field},
+    MOBIVINE_GATEWAY_PUSH_COUNTERS(MOBIVINE_X)
+#undef MOBIVINE_X
 };
 
 }  // namespace mobivine::gateway

@@ -13,7 +13,9 @@
 // gateway/tenant.h). The table generates the snapshot field, the counter
 // enum that Add() bumps, and the {metric, field} row that Snapshot(),
 // Aggregate() and the metrics export iterate — so adding a counter is one
-// table line plus the line that bumps it.
+// table line plus the line that bumps it. The push feed's mutex-guarded
+// counters use the same {metric, field} rows (MOBIVINE_GATEWAY_PUSH_COUNTERS
+// in gateway/push.h) for their cross-shard sum and export.
 #pragma once
 
 #include <array>

@@ -16,17 +16,26 @@ constexpr std::size_t kDefaultCapacity = 64 * 1024;
 /// any reader may scan slots below the published head — those are never
 /// rewritten (full buffers drop new events instead of wrapping), so the
 /// only synchronization is the release/acquire pair on head_.
+///
+/// The slots are allocated uninitialised: a slot's pages become resident
+/// only when the writer fills it, so a buffer's footprint follows the
+/// events recorded, not its capacity.
 struct ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity, int tid_in)
-      : slots(capacity), tid(tid_in) {}
+  ThreadBuffer(std::size_t capacity_in, int tid_in, std::string label_in)
+      : slots(std::make_unique_for_overwrite<detail::EventRecord[]>(
+            capacity_in)),
+        capacity(capacity_in),
+        tid(tid_in),
+        label(std::move(label_in)) {}
 
-  std::vector<detail::EventRecord> slots;
+  std::unique_ptr<detail::EventRecord[]> slots;
+  const std::size_t capacity;
   std::atomic<std::size_t> head{0};     ///< published events
   std::atomic<std::uint64_t> dropped{0};
   std::size_t reserved = 0;  ///< writer-local; == head except mid-write
-  int tid;
-  std::string label;  ///< written at registration / SetCurrentThreadName,
-                      ///< under the registry mutex
+  const int tid;
+  std::string label;  ///< copy of the thread's label; written under the
+                      ///< registry mutex
 };
 
 struct Registry {
@@ -45,8 +54,9 @@ Registry& GlobalRegistry() {
 std::atomic<std::uint64_t> g_epoch{1};
 
 struct ThreadState {
-  std::shared_ptr<ThreadBuffer> buffer;
+  std::shared_ptr<ThreadBuffer> buffer;  ///< null until the first event
   std::uint64_t epoch = 0;
+  std::string label;  ///< SetCurrentThreadName; outlives Reset()
   VirtualClockFn virtual_clock = nullptr;
   void* virtual_clock_ctx = nullptr;
 };
@@ -56,14 +66,18 @@ ThreadState& Tls() {
   return state;
 }
 
+/// The calling thread's buffer for the current epoch, created (and
+/// registered under the thread's label) on first use. Reached only from
+/// Reserve(), so a thread that never records while tracing is enabled
+/// never allocates one.
 ThreadBuffer& LocalBuffer() {
   ThreadState& state = Tls();
   const std::uint64_t epoch = g_epoch.load(std::memory_order_relaxed);
   if (!state.buffer || state.epoch != epoch) {
     Registry& registry = GlobalRegistry();
     std::lock_guard<std::mutex> lock(registry.mutex);
-    state.buffer =
-        std::make_shared<ThreadBuffer>(registry.capacity, registry.next_tid++);
+    state.buffer = std::make_shared<ThreadBuffer>(
+        registry.capacity, registry.next_tid++, state.label);
     state.epoch = registry.epoch;
     registry.buffers.push_back(state.buffer);
   }
@@ -112,7 +126,7 @@ namespace detail {
 
 EventRecord* Reserve() {
   ThreadBuffer& buffer = LocalBuffer();
-  if (buffer.reserved >= buffer.slots.size()) {
+  if (buffer.reserved >= buffer.capacity) {
     buffer.dropped.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -183,10 +197,12 @@ void Reset() {
 }
 
 void SetCurrentThreadName(std::string name) {
-  ThreadBuffer& buffer = LocalBuffer();
+  ThreadState& state = Tls();
+  state.label = std::move(name);
+  if (!state.buffer) return;  // the first event's buffer copies the label
   Registry& registry = GlobalRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  buffer.label = std::move(name);
+  state.buffer->label = state.label;
 }
 
 void SetThreadVirtualClock(VirtualClockFn fn, void* ctx) {

@@ -12,17 +12,25 @@
 //  * Disabled (the default): every hook is one relaxed atomic load and a
 //    predictable branch — no clock reads, no stores, no allocation. The
 //    hooks are compiled in unconditionally; there is no build flavor.
+//    Naming a thread stores the label in the thread's own state and
+//    allocates no buffer: a thread gets one only when it first records
+//    an event with tracing on.
 //  * Enabled: recording a span is two steady_clock reads plus plain
 //    stores into a thread-local slot, then a release store publishing it.
-//    No locks anywhere on the publish path.
+//    No locks anywhere on the publish path (a thread's first event takes
+//    the registry mutex once, to create and register its buffer).
 //
-// Buffering: each thread owns a bounded event buffer (default 64Ki
-// events). Slots below the published head are immutable, so an exporter
-// can read them without synchronizing with the writer beyond one acquire
-// load. When a buffer fills, new events are counted as dropped rather
-// than overwriting old ones — published slots stay readable, and the
-// drop count is surfaced by the exporter. Buffers outlive their threads
-// (a joined shard worker's spans still export).
+// Buffering: each thread that records owns a bounded event buffer
+// (default 64Ki events). The capacity is a bound, not a preallocation:
+// slots are allocated uninitialised, so a buffer's resident size follows
+// the events written. Slots below the published head are immutable, so
+// an exporter can read them without synchronizing with the writer beyond
+// one acquire load. When a buffer fills, new events are counted as
+// dropped rather than overwriting old ones — published slots stay
+// readable, and the drop count is surfaced by the exporter. Buffers
+// outlive their threads (a joined shard worker's spans still export).
+// Labels belong to the thread, not the buffer: a thread named before
+// Reset() still carries its label on the buffer it records into after.
 //
 // Timestamps come in pairs: wall time from std::chrono::steady_clock and,
 // when the thread has registered a virtual clock source (gateway shard
@@ -46,17 +54,20 @@ namespace detail {
 
 inline std::atomic<bool> g_enabled{false};
 
+/// One recorded event. No default member initialisers: buffers allocate
+/// their slots uninitialised, and every writer assigns `EventRecord{}`
+/// (value-initialising every field) before it fills a slot.
 struct EventRecord {
-  const char* name = nullptr;
-  std::uint64_t mono_start_ns = 0;
-  std::uint64_t mono_dur_ns = 0;  ///< 0 for instant events
-  std::uint64_t virt_start_us = 0;
-  std::uint64_t virt_dur_us = 0;
-  const char* arg_name[2] = {nullptr, nullptr};
-  std::int64_t arg_value[2] = {0, 0};
-  std::uint8_t arg_count = 0;
-  bool instant = false;
-  bool has_virtual = false;
+  const char* name;
+  std::uint64_t mono_start_ns;
+  std::uint64_t mono_dur_ns;  ///< 0 for instant events
+  std::uint64_t virt_start_us;
+  std::uint64_t virt_dur_us;
+  const char* arg_name[2];
+  std::int64_t arg_value[2];
+  std::uint8_t arg_count;
+  bool instant;
+  bool has_virtual;
 };
 
 /// Reserve the calling thread's next slot; nullptr when the buffer is
@@ -80,8 +91,9 @@ void EmitInstant(const char* name, const char* k1, std::int64_t v1,
 
 void SetEnabled(bool on);
 
-/// Capacity (events) for buffers created after this call; existing
-/// buffers keep theirs. Call before the traced threads first record.
+/// Capacity bound (events) for buffers created after this call; existing
+/// buffers keep theirs. Memory is committed as events are written, not
+/// up front. Call before the traced threads first record.
 void SetPerThreadCapacity(std::size_t events);
 
 /// Detach every recorded buffer so the next export starts empty. Threads
@@ -89,7 +101,9 @@ void SetPerThreadCapacity(std::size_t events);
 /// events are discarded); call only while traced threads are quiescent.
 void Reset();
 
-/// Label the calling thread in exported traces (e.g. "shard-0").
+/// Label the calling thread in exported traces (e.g. "shard-0"). The
+/// label is kept with the thread, so it applies to every buffer the
+/// thread records into, before or after Reset(). Allocates no buffer.
 void SetCurrentThreadName(std::string name);
 
 /// Per-thread virtual clock source, sampled at span boundaries. Gateway

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <thread>
 
+#include "cluster/client.h"
+#include "gateway/gateway.h"
 #include "wire/client.h"
 
 namespace mobivine::cluster_testing {
@@ -175,6 +177,37 @@ bool WaitForMembers(std::uint16_t controller_port, std::size_t n,
         return plan.members.size() == n;
       },
       out, timeout_ms);
+}
+
+bool WaitForPlanAdopted(const cluster::PartitionPlan& plan, int timeout_ms) {
+  if (plan.members.size() < 2) return true;  // no id to bounce
+  const std::uint64_t deadline = NowMs() + static_cast<std::uint64_t>(timeout_ms);
+  const cluster::HashRing ring(plan);
+  for (const cluster::PlanMember& member : plan.members) {
+    // A client id the ring gives to some other member.
+    std::uint64_t client_id = 0;
+    while (ring.OwnerFor(client_id) == member.worker_id) ++client_id;
+    wire::WireRequest request;
+    request.client_id = client_id;
+    request.platform = gateway::Platform::kAndroid;
+    request.op = gateway::Op::kHttpGet;
+    request.target =
+        std::string("http://") + gateway::kGatewayHttpHost + "/ping";
+    while (true) {
+      // Until the member holds `plan`, it either owns the id (an older,
+      // smaller plan) or bounces it with an older epoch.
+      wire::WireClient client;
+      wire::WireResponse response;
+      if (client.Connect(member.data_port) && client.Call(request, &response) &&
+          response.status == wire::WireStatus::kWrongWorker &&
+          cluster::ParseWrongWorkerEpoch(response.body) == plan.epoch) {
+        break;
+      }
+      if (NowMs() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  return true;
 }
 
 }  // namespace mobivine::cluster_testing

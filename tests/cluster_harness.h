@@ -1,8 +1,8 @@
 // Multi-process harness for the M-Cluster tests: fork/exec the real
 // cluster_controller / cluster_worker binaries (paths injected by CMake
 // as compile definitions), parse their "PORT=<n>\nREADY\n" handshake,
-// and poll the controller's control port for plan convergence so tests
-// wait on STATE, not on sleeps.
+// and poll the controller's control port (and the workers' data ports)
+// for plan convergence so tests wait on STATE, not on sleeps.
 //
 // Processes are loopback-only children of the test process; Cluster
 // teardown SIGKILLs whatever a test left running, so a failing assertion
@@ -57,5 +57,12 @@ int AwaitExit(Process& process, int timeout_ms = 10'000);
 [[nodiscard]] bool WaitForMembers(std::uint16_t controller_port, std::size_t n,
                                   cluster::PartitionPlan* out,
                                   int timeout_ms = 10'000);
+
+/// Wait until every member of `plan` has adopted it, not just until the
+/// controller has published it. For each member, send a request for a
+/// client id the plan's ring gives to another member, and retry until
+/// the kWrongWorker reply carries `plan.epoch`. False on timeout.
+[[nodiscard]] bool WaitForPlanAdopted(const cluster::PartitionPlan& plan,
+                                      int timeout_ms = 10'000);
 
 }  // namespace mobivine::cluster_testing

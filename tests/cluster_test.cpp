@@ -89,6 +89,7 @@ TEST_F(ClusterEndToEnd, ThreeWorkersServeDirectRoutes) {
   StartWorker(3);
   PartitionPlan plan;
   ASSERT_TRUE(cluster_testing::WaitForMembers(controller_.port, 3, &plan));
+  ASSERT_TRUE(cluster_testing::WaitForPlanAdopted(plan));
 
   cluster::ClientConfig config;
   config.controller_port = controller_.port;
@@ -128,6 +129,7 @@ TEST_F(ClusterEndToEnd, BatchSubmitCoalescesPerOwnerAndCompletesEach) {
   StartWorker(3);
   PartitionPlan plan;
   ASSERT_TRUE(cluster_testing::WaitForMembers(controller_.port, 3, &plan));
+  ASSERT_TRUE(cluster_testing::WaitForPlanAdopted(plan));
 
   cluster::ClientConfig config;
   config.controller_port = controller_.port;

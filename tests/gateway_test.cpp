@@ -643,6 +643,11 @@ TEST(GatewayMetrics, ExportCoversEveryCounterTableRow) {
       EXPECT_NE(snapshot.Find(name), nullptr) << name;
     }
   }
+  for (const auto& counter : gateway::kPushCounters) {
+    EXPECT_NE(snapshot.Find(std::string("gateway.push.") + counter.metric),
+              nullptr)
+        << counter.metric;
+  }
   for (const char* tenant : {"default", "alpha"}) {
     const std::string base = std::string("gateway.tenant.") + tenant + ".";
     for (const auto& counter : gateway::kTenantCounters) {

@@ -6,6 +6,9 @@
 //    instants as "i" events, cross-thread intervals via CompleteEvent;
 //  * per-thread buffers survive their thread's join, fill by dropping
 //    new events (published slots are immutable), and Reset() discards;
+//  * a thread gets a buffer only when it records with tracing on: naming
+//    threads and running a gateway + wire server with tracing off leave
+//    nothing behind, and a thread's label outlives Reset();
 //  * a registered virtual clock attaches virtual-time attribution;
 //  * MetricsRegistry snapshots registered sources under their prefix,
 //    renders flat JSON, and RAII registrations unregister on destruction;
@@ -16,6 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +28,8 @@
 #include "gateway/gateway.h"
 #include "support/metrics.h"
 #include "support/trace.h"
+#include "wire/client.h"
+#include "wire/server.h"
 
 namespace mobivine {
 namespace {
@@ -155,6 +161,37 @@ TEST_F(TraceTest, ResetDiscardsRecordedEvents) {
   const std::string json = Export(&stats);
   EXPECT_EQ(stats.events, 0u);
   EXPECT_EQ(json.find("before-reset"), std::string::npos);
+}
+
+TEST_F(TraceTest, ThreadNameSurvivesReset) {
+  std::promise<void> named;
+  std::promise<void> reset;
+  std::thread worker([&] {
+    trace::SetCurrentThreadName("worker-reset");
+    named.set_value();
+    reset.get_future().wait();
+    trace::Span span("after-reset");
+  });
+  named.get_future().wait();
+  trace::Reset();
+  trace::SetEnabled(true);
+  reset.set_value();
+  worker.join();
+  trace::ExportStats stats;
+  const std::string json = Export(&stats);
+  EXPECT_EQ(stats.events, 1u);
+  EXPECT_NE(json.find("\"name\":\"after-reset\""), std::string::npos);
+  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
+  EXPECT_NE(json.find("\"worker-reset\""), std::string::npos);
+}
+
+TEST_F(TraceTest, NamingAThreadWhileDisabledAllocatesNoBuffer) {
+  std::thread worker([] { trace::SetCurrentThreadName("idle-worker"); });
+  worker.join();
+  trace::ExportStats stats;
+  const std::string json = Export(&stats);
+  EXPECT_EQ(stats.threads, 0u);
+  EXPECT_EQ(json.find("idle-worker"), std::string::npos);
 }
 
 std::uint64_t FakeVirtualClock(void* ctx) {
@@ -290,6 +327,43 @@ TEST_F(TraceTest, GatewayCallEmitsSpansFromBothLayers) {
   // The worker thread registered both its name and its virtual clock.
   EXPECT_NE(json.find("\"shard-0\""), std::string::npos);
   EXPECT_NE(json.find("\"virt_start_us\""), std::string::npos);
+}
+
+TEST_F(TraceTest, GatewayCyclesRetainNoBuffersWhenDisabled) {
+  const core::DescriptorStore store =
+      core::DescriptorStore::LoadDirectory(MOBIVINE_DESCRIPTOR_DIR);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    gateway::GatewayConfig gateway_config;
+    gateway_config.shards = 2;
+    gateway_config.store = &store;
+    gateway::Gateway gw(gateway_config);
+    wire::WireServerConfig wire_config;
+    wire_config.event_loops = 1;
+    wire::WireServer server(gw, wire_config);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+
+    wire::WireClient client;
+    ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+    wire::WireRequest request;
+    request.client_id = 1;
+    request.platform = gateway::Platform::kAndroid;
+    request.op = gateway::Op::kHttpGet;
+    request.target =
+        std::string("http://") + gateway::kGatewayHttpHost + "/ping";
+    wire::WireResponse response;
+    ASSERT_TRUE(client.Call(request, &response));
+    EXPECT_EQ(response.status, wire::WireStatus::kOk) << response.body;
+    client.Close();
+    server.Stop();
+    gw.Stop();
+  }
+  // Shard, wire-loop and acceptor threads all named themselves, but none
+  // recorded an event, so none holds a buffer.
+  trace::ExportStats stats;
+  Export(&stats);
+  EXPECT_EQ(stats.threads, 0u);
+  EXPECT_EQ(stats.events, 0u);
 }
 
 }  // namespace
