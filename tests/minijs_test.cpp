@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "minijs/interpreter.h"
 #include "minijs/lexer.h"
 #include "minijs/parser.h"
@@ -382,6 +387,173 @@ TEST(Interp, HostErrorsCatchableInScript) {
     code;
   )");
   EXPECT_DOUBLE_EQ(result.as_number(), 101);
+}
+
+// ---------------------------------------------------------------------------
+// Step accounting is pinned exactly
+// ---------------------------------------------------------------------------
+//
+// Steps are the sandbox's budget currency (one per AST node evaluated plus
+// the allocation charge), so a change to the AST or the interpreter must
+// not move them by a single step. Each program below records its exact
+// step count and result; none of the numbers may be re-recorded without a
+// deliberate change to the budget semantics.
+
+struct PinnedRun {
+  std::uint64_t steps;
+  std::string result;
+};
+
+// The perfbench composite (variant 0) against a stub `mobile` whose
+// getLocation returns a fixed fix and whose httpPost echoes its payload,
+// or answers "nope" when `mismatch` is set (the SMS fallback path).
+PinnedRun RunComposite(bool mismatch) {
+  const std::string source =
+      "var k = Number(args.k); var lat = 0; var lon = 0; var i = 0;\n"
+      "var fix = '';\n"
+      "while (i < k) {\n"
+      "  fix = mobile.invoke(args.src, 'getLocation');\n"
+      "  var c = fix.indexOf(',');\n"
+      "  lat = lat + Number(fix.substring(0, c));\n"
+      "  lon = lon + Number(fix.substring(c + 1, fix.length));\n"
+      "  i = i + 1;\n"
+      "}\n"
+      "lat = lat / k; lon = lon / k;\n"
+      "if (isNaN(lat) || isNaN(lon)) { throw 'bad fix ' + fix; }\n"
+      "var n = Number(args.n); var acc = 17; var j = 0;\n"
+      "while (j < n) { acc = (acc * 31 + j) % 1000003; j = j + 1; }\n"
+      "var report = 'id=' + args.id + ';k=' + k + ';lat=' + lat +\n"
+      "             ';lon=' + lon + ';acc=' + acc;\n"
+      "var via = 'post';\n"
+      "try {\n"
+      "  var echo = mobile.invoke(args.dst, 'httpPost', args.url, report,\n"
+      "                           'text/plain');\n"
+      "  if (echo != report) { throw 'echo mismatch'; }\n"
+      "} catch (e) {\n"
+      "  mobile.invoke(args.dst, 'sendSms', args.peer, report);\n"
+      "  via = 'sms';\n"
+      "}\n"
+      "args.id + ':' + via + ':' + acc;\n";
+  Interpreter interp;
+  auto mobile = Object::Make();
+  mobile->Set("invoke",
+              MakeHostFunction("invoke", [mismatch](Interpreter&, const Value&,
+                                                    std::vector<Value>& args) {
+                const std::string op = args[1].ToDisplayString();
+                if (op == "getLocation") return Value::String("12.5,-3.25");
+                if (op == "httpPost") {
+                  return mismatch ? Value::String("nope") : args[3];
+                }
+                return Value::String("sent");
+              }));
+  interp.SetGlobal("mobile", Value::Obj(mobile));
+  auto args = Object::Make();
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"id", "42"},
+           {"k", "3"},
+           {"n", "200"},
+           {"src", "android"},
+           {"dst", "s60"},
+           {"url", "http://ingest.example/post"},
+           {"peer", "+15550100"}}) {
+    args->Set(name, Value::String(value));
+  }
+  interp.SetGlobal("args", Value::Obj(args));
+  const Value value = interp.Run(source);
+  return {interp.steps(), value.ToDisplayString()};
+}
+
+PinnedRun RunPinned(const std::string& source) {
+  Interpreter interp;
+  const Value value = interp.Run(source);
+  return {interp.steps(), value.ToDisplayString()};
+}
+
+TEST(StepPin, PerfbenchComposite) {
+  const PinnedRun post = RunComposite(/*mismatch=*/false);
+  EXPECT_EQ(post.steps, 3824u);
+  EXPECT_EQ(post.result, "42:post:424023");
+  const PinnedRun sms = RunComposite(/*mismatch=*/true);
+  EXPECT_EQ(sms.steps, 3840u);
+  EXPECT_EQ(sms.result, "42:sms:424023");
+}
+
+TEST(StepPin, Recursion) {
+  const PinnedRun run = RunPinned(R"(
+    function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+    function fact(n) { return n <= 1 ? 1 : n * fact(n - 1); }
+    fib(12) + ':' + fact(10);
+  )");
+  EXPECT_EQ(run.steps, 5468u);
+  EXPECT_EQ(run.result, "144:3628800");
+}
+
+TEST(StepPin, TryCatchFinally) {
+  const PinnedRun run = RunPinned(R"(
+    var log = [];
+    function risky(n) {
+      var r = 'none';
+      try {
+        if (n % 3 == 0) { throw new Error('three:' + n); }
+        if (n % 3 == 1) { throw 'plain' + n; }
+        r = 'ok' + n;
+      } finally {
+        log.push('f' + n);
+      }
+      return r;
+    }
+    for (var i = 0; i < 6; i++) {
+      try { log.push(risky(i)); } catch (e) { log.push(typeof e == 'string' ? e : e.message); }
+    }
+    try { try { throw 1; } finally { log.push('inner'); } } catch (x) { log.push('outer' + x); }
+    log.join(',');
+  )");
+  EXPECT_EQ(run.steps, 320u);
+  EXPECT_EQ(run.result,
+            "f0,three:0,f1,plain1,f2,ok2,f3,three:3,f4,plain4,f5,ok5,inner,"
+            "outer1");
+}
+
+TEST(StepPin, ForBreakContinue) {
+  const PinnedRun run = RunPinned(R"(
+    var s = 0; var t = 0;
+    for (var i = 0; i < 50; i++) {
+      if (i % 4 == 1) { continue; }
+      if (i > 37) { break; }
+      s += i;
+      for (var j = 0; ; j++) { if (j >= i % 5) { break; } t -= -1; }
+    }
+    var w = 0;
+    while (true) { w++; if (w < 9) { continue; } break; }
+    s + '/' + t + '/' + w;
+  )");
+  EXPECT_EQ(run.steps, 1911u);
+  EXPECT_EQ(run.result, "513/53/9");
+}
+
+TEST(StepPin, ClosuresObjectsAndArrays) {
+  const PinnedRun run = RunPinned(R"(
+    function counter(start) {
+      var n = start;
+      return { inc: function() { n = n + 1; return n; }, get: function() { return n; } };
+    }
+    function Point(x, y) { this.x = x; this.y = y; }
+    var a = counter(10); var b = counter(100);
+    a.inc(); a.inc(); b.inc();
+    var p = new Point(3, -4);
+    var arr = [1, 'two', null, undefined, true];
+    arr[7] = a.get();
+    var o = {k: 'v', 'q': [arr.length, arr.pop()]};
+    o.k += '!'; o['z'] = !o.missing; --p.y; p.x++;
+    var f = function named(v) { return typeof v; };
+    [a.get(), b.get(), p.x, p.y, o.k, o.q.join('|'), o.z, f(arr), arr.join(';'),
+     'hello'.charAt(1) + 'HI'.toLowerCase() + Math.max(2, 7), 1 === 1 && null == undefined].join(' ');
+  )");
+  EXPECT_EQ(run.steps, 156u);
+  EXPECT_EQ(run.result,
+            "12 101 4 -5 v! 8|12 true object "
+            "1;two;null;undefined;true;undefined;undefined ehi7 true");
 }
 
 }  // namespace
