@@ -68,6 +68,8 @@
 #include "wire/protocol.h"
 #include "wire/server.h"
 
+#include "bench_io.h"
+
 using namespace mobivine;
 
 namespace {
@@ -448,13 +450,14 @@ void RunTraced(const std::string& trace_path,
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
     metrics.Snapshot().WriteJson(out);
+    bench::CloseOrDie(out, metrics_path);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   std::ofstream out(trace_path);
   const trace::ExportStats stats = trace::ExportChromeTrace(out);
-  out.close();
   trace::SetEnabled(false);
   controller.Stop();
+  bench::CloseOrDie(out, trace_path);
   std::printf("wrote %s (%zu events across %zu threads, %zu dropped)\n",
               trace_path.c_str(), stats.events, stats.threads, stats.dropped);
 }
@@ -489,6 +492,7 @@ void WriteJson(const std::string& path,
         << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+  bench::CloseOrDie(out, path);
   std::printf("wrote %s\n", path.c_str());
 }
 

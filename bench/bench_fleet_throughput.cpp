@@ -54,6 +54,8 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 
+#include "bench_io.h"
+
 using namespace mobivine;
 
 namespace {
@@ -301,12 +303,13 @@ void RunTraced(const std::string& trace_path,
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
     metrics.Snapshot().WriteJson(out);
+    bench::CloseOrDie(out, metrics_path);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   gw.Stop();
   std::ofstream out(trace_path);
   const trace::ExportStats stats = trace::ExportChromeTrace(out);
-  out.close();
+  bench::CloseOrDie(out, trace_path);
   trace::SetEnabled(false);
   std::printf("wrote %s (%zu events across %zu threads, %zu dropped)\n",
               trace_path.c_str(), stats.events, stats.threads,
@@ -472,7 +475,7 @@ int main(int argc, char** argv) {
        << (isolation.isolation_ok ? "true" : "false")
        << ",\n    \"reconcile_exact\": "
        << (isolation.reconcile_exact ? "true" : "false") << "\n  }\n}\n";
-  json.close();
+  bench::CloseOrDie(json, output);
   std::printf("\nwrote %s\n", output.c_str());
 
   if (!trace_path.empty()) {

@@ -53,6 +53,8 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 
+#include "bench_io.h"
+
 using namespace mobivine;
 
 namespace {
@@ -273,7 +275,7 @@ int RunFailoverMatrix(const std::vector<std::string>& plan_texts,
     }
   }
   json << "\n  ]\n}\n";
-  json.close();
+  bench::CloseOrDie(json, output);
   std::printf("\nwrote %s\n", output.c_str());
   return 0;
 }
@@ -340,11 +342,12 @@ void RunTraced(const std::string& trace_path,
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
     metrics.Snapshot().WriteJson(out);
+    bench::CloseOrDie(out, metrics_path);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   std::ofstream out(trace_path);
   const trace::ExportStats stats = trace::ExportChromeTrace(out);
-  out.close();
+  bench::CloseOrDie(out, trace_path);
   trace::SetEnabled(false);
   std::printf(
       "wrote %s (%zu events across %zu threads, %zu dropped)\n",
@@ -441,7 +444,7 @@ int main(int argc, char** argv) {
        << ", \"p99_us\": " << overload.p99
        << ", \"max_queue_depth\": " << overload.max_queue_depth << "\n"
        << "  }\n}\n";
-  json.close();
+  bench::CloseOrDie(json, output);
   std::printf("\nwrote %s\n", output.c_str());
 
   if (!trace_path.empty()) {

@@ -54,6 +54,8 @@
 #include "wire/protocol.h"
 #include "wire/server.h"
 
+#include "bench_io.h"
+
 using namespace mobivine;
 
 namespace {
@@ -394,11 +396,12 @@ void RunTraced(const std::string& trace_path,
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
     metrics.Snapshot().WriteJson(out);
+    bench::CloseOrDie(out, metrics_path);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   std::ofstream out(trace_path);
   const trace::ExportStats stats = trace::ExportChromeTrace(out);
-  out.close();
+  bench::CloseOrDie(out, trace_path);
   trace::SetEnabled(false);
   std::printf("wrote %s (%zu events across %zu threads, %zu dropped)\n",
               trace_path.c_str(), stats.events, stats.threads, stats.dropped);
@@ -524,7 +527,7 @@ int main(int argc, char** argv) {
          << ", \"poll_frames_out\": " << poll_at_scale->frames_out << "}";
   }
   json << "\n}\n";
-  json.close();
+  bench::CloseOrDie(json, output);
   std::printf("wrote %s\n", output.c_str());
 
   if (!trace_path.empty()) {

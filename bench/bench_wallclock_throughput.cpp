@@ -32,6 +32,8 @@
 #include "webview/notification_table.h"
 #include "webview/webview.h"
 
+#include "bench_io.h"
+
 using namespace mobivine;
 
 namespace {
@@ -280,7 +282,7 @@ int main(int argc, char** argv) {
          << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  json.close();
+  bench::CloseOrDie(json, output);
   std::printf("\nwrote %s\n", output.c_str());
   return 0;
 }

@@ -32,10 +32,6 @@ python3 scripts/check_docs.py
 PRESETS=${MOBIVINE_CI_PRESETS:-"default asan ubsan"}
 JOBS=${MOBIVINE_CI_JOBS:-$(nproc)}
 
-# Known-by-design shared_ptr cycles in the MiniJS interpreter (see the
-# comments in scripts/lsan.supp); everything else must stay leak-clean.
-export LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp${LSAN_OPTIONS:+:$LSAN_OPTIONS}"
-
 for preset in $PRESETS; do
   echo "==== [$preset] configure ===="
   cmake --preset "$preset"
@@ -128,6 +124,16 @@ echo "==== [script] traced script bench + export validation ===="
 python3 scripts/validate_mscope.py \
   "$MSCOPE_DIR/script_trace.json" "$MSCOPE_DIR/script_metrics.json" \
   scripts/mscope_schema.json --require-wire --require-script
+
+# Checked bench writes: every bench checks its JSON, trace and metrics
+# streams after writing, so one pointed at a path it cannot create must
+# exit non-zero instead of printing "wrote".
+echo "==== [script] bench with an unwritable output path must fail ===="
+if ./build/bench/bench_script_throughput --trace-only \
+    --trace "$MSCOPE_DIR/missing-dir/script_trace.json" >/dev/null 2>&1; then
+  echo "bench_script_throughput exited 0 for a missing output directory" >&2
+  exit 1
+fi
 
 # M-Fleet leg: the device-fleet simulator's traced scenario (two tenants
 # of flyweight devices driving the gateway open-loop) must export the

@@ -61,12 +61,12 @@ Op ParseOpName(const std::string& name) {
 }
 
 /// One cached parse: the source hash it is indexed under plus the
-/// immutable AST. The full source rides along so a hash collision can
-/// never execute the wrong program — on mismatch the entry is treated
-/// as a miss and replaced.
+/// immutable AST. The Program keeps its own copy of the source, which is
+/// what a lookup compares, so a hash collision can never execute the
+/// wrong program — on mismatch the entry is treated as a miss and
+/// replaced.
 struct ScriptEngine::CacheEntry {
   std::uint64_t hash = 0;
-  std::string source;
   std::shared_ptr<const minijs::Program> program;
 };
 
@@ -85,16 +85,17 @@ ScriptResponse ScriptEngine::Execute(const ScriptRequest& request) {
   const std::uint64_t result_cap =
       ClampBudget(request.max_result_bytes, limits_.max_result_bytes);
 
-  // Parse-cache lookup. The hash narrows to one candidate; the stored
-  // source is compared byte-wise before reuse, so an FNV collision is a
-  // miss (and a replacement), never a wrong program.
+  // Parse-cache lookup. The hash narrows to one candidate; the Program's
+  // own source copy is compared byte-wise before reuse, so an FNV
+  // collision is a miss (and a replacement), never a wrong program.
   const bool cache_enabled = limits_.parse_cache_entries > 0;
   const std::uint64_t source_hash =
       cache_enabled ? support::Fnv1a64(request.source) : 0;
   std::shared_ptr<const minijs::Program> program;
   if (cache_enabled) {
     const auto it = cache_index_.find(source_hash);
-    if (it != cache_index_.end() && it->second->source == request.source) {
+    if (it != cache_index_.end() &&
+        it->second->program->source() == request.source) {
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
       program = cache_lru_.front().program;
       response.cache_hit = true;
@@ -210,8 +211,7 @@ ScriptResponse ScriptEngine::Execute(const ScriptRequest& request) {
       program = std::make_shared<const minijs::Program>(
           minijs::ParseProgram(request.source));
       if (cache_enabled) {
-        cache_lru_.push_front(
-            CacheEntry{source_hash, request.source, program});
+        cache_lru_.push_front(CacheEntry{source_hash, program});
         cache_index_[source_hash] = cache_lru_.begin();
         if (cache_lru_.size() > limits_.parse_cache_entries) {
           const CacheEntry& oldest = cache_lru_.back();

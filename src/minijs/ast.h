@@ -1,21 +1,94 @@
 // MiniJS abstract syntax tree.
 //
-// Plain struct hierarchy with a `kind` discriminator; the interpreter
-// switches on kind and static_casts — no virtual evaluation methods, so
-// the AST stays a passive data structure.
+// A parsed Program is one self-contained block: a few bump-allocated arena
+// chunks that hold a copy of the program's source and every node, child
+// list and decoded string literal. Nodes are plain structs with a `kind`
+// discriminator and nothing to destroy — no vtable, no owning pointers:
+// children are `const Expr*` / `const Stmt*`, lists are spans, and
+// identifiers and property names are string_views into the Program's own
+// source copy. The interpreter switches on kind and static_casts.
 #pragma once
 
-#include <memory>
-#include <string>
-#include <vector>
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 namespace mobivine::minijs {
+
+// --------------------------------------------------------------------------
+// Arena
+// --------------------------------------------------------------------------
+
+/// Bump allocator that owns every byte of a parsed Program. Nothing
+/// allocated here is ever destroyed, only freed with its chunk, which is
+/// why New() accepts trivially destructible types only. Moving an Arena
+/// moves the chunk list; the chunks themselves never move, so pointers
+/// into them survive. Chunks start 16-byte aligned, and no allocation may
+/// ask for more.
+class Arena {
+ public:
+  Arena() = default;
+  Arena(Arena&& other) noexcept { *this = std::move(other); }
+  Arena& operator=(Arena&& other) noexcept;
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+  ~Arena() { Release(); }
+
+  /// Size the next chunk to hold at least `bytes` more, so a caller that
+  /// knows how much it will allocate gets exactly one chunk.
+  void Reserve(std::size_t bytes);
+
+  [[nodiscard]] void* Allocate(std::size_t bytes, std::size_t align);
+
+  template <typename T, typename... Args>
+  T* New(Args&&... args) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    return ::new (Allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(args)...);
+  }
+
+  template <typename T>
+  std::span<const T> Copy(std::span<const T> items) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (items.empty()) return {};
+    T* out = static_cast<T*>(Allocate(items.size_bytes(), alignof(T)));
+    std::copy(items.begin(), items.end(), out);
+    return {out, items.size()};
+  }
+
+  std::string_view CopyString(std::string_view text);
+
+  /// Bytes handed out so far, alignment padding included, counted as if
+  /// every allocation had come from one chunk. Replaying the same
+  /// allocations into an arena that Reserve()d this much from a 16-byte
+  /// aligned start fills it exactly.
+  [[nodiscard]] std::size_t used() const { return used_; }
+  /// Heap bytes held: every chunk, headers included.
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  struct Chunk {
+    Chunk* next;
+    std::size_t size;  // bytes, this header included
+  };
+  void Release();
+
+  Chunk* head_ = nullptr;  // newest first
+  char* cursor_ = nullptr;
+  char* end_ = nullptr;
+  std::size_t next_chunk_ = 0;
+  std::size_t used_ = 0;
+};
 
 // --------------------------------------------------------------------------
 // Expressions
 // --------------------------------------------------------------------------
 
-enum class ExprKind {
+enum class ExprKind : std::uint8_t {
   kNumber,
   kString,
   kBool,
@@ -38,18 +111,21 @@ enum class ExprKind {
   kPostfix,  // x++ x--
 };
 
+// The user-declared constructor keeps the base out of the ABI's "POD for
+// layout" class, so a derived node's one-byte operator packs into the
+// base's tail padding (BinaryExpr is 24 bytes, not 32).
 struct Expr {
-  ExprKind kind;
   int line;
-  virtual ~Expr() = default;
+  ExprKind kind;
 
  protected:
-  Expr(ExprKind k, int l) : kind(k), line(l) {}
+  constexpr Expr(ExprKind k, int l) : line(l), kind(k) {}
 };
-using ExprPtr = std::unique_ptr<Expr>;
+
+using ExprList = std::span<const Expr* const>;
 
 struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
+using StmtList = std::span<const Stmt* const>;
 
 struct NumberExpr : Expr {
   double value;
@@ -57,9 +133,9 @@ struct NumberExpr : Expr {
 };
 
 struct StringExpr : Expr {
-  std::string value;
-  StringExpr(std::string v, int l)
-      : Expr(ExprKind::kString, l), value(std::move(v)) {}
+  std::string_view value;  // decoded
+  StringExpr(std::string_view v, int l)
+      : Expr(ExprKind::kString, l), value(v) {}
 };
 
 struct BoolExpr : Expr {
@@ -76,9 +152,9 @@ struct UndefinedExpr : Expr {
 };
 
 struct IdentifierExpr : Expr {
-  std::string name;
-  IdentifierExpr(std::string n, int l)
-      : Expr(ExprKind::kIdentifier, l), name(std::move(n)) {}
+  std::string_view name;
+  IdentifierExpr(std::string_view n, int l)
+      : Expr(ExprKind::kIdentifier, l), name(n) {}
 };
 
 struct ThisExpr : Expr {
@@ -86,32 +162,46 @@ struct ThisExpr : Expr {
 };
 
 struct ArrayExpr : Expr {
-  std::vector<ExprPtr> elements;
-  explicit ArrayExpr(int l) : Expr(ExprKind::kArray, l) {}
+  ExprList elements;
+  ArrayExpr(ExprList e, int l) : Expr(ExprKind::kArray, l), elements(e) {}
+};
+
+struct Property {
+  std::string_view key;
+  const Expr* value;
 };
 
 struct ObjectLiteralExpr : Expr {
-  std::vector<std::pair<std::string, ExprPtr>> properties;
-  explicit ObjectLiteralExpr(int l) : Expr(ExprKind::kObjectLiteral, l) {}
+  std::span<const Property> properties;
+  ObjectLiteralExpr(std::span<const Property> p, int l)
+      : Expr(ExprKind::kObjectLiteral, l), properties(p) {}
 };
 
 struct FunctionExpr : Expr {
-  std::string name;  // empty for anonymous
-  std::vector<std::string> params;
-  std::vector<StmtPtr> body;
-  explicit FunctionExpr(int l) : Expr(ExprKind::kFunction, l) {}
+  std::string_view name;  // empty for anonymous
+  std::span<const std::string_view> params;
+  StmtList body;
+  FunctionExpr(std::string_view n, std::span<const std::string_view> p,
+               StmtList b, int l)
+      : Expr(ExprKind::kFunction, l), name(n), params(p), body(b) {}
 };
 
-enum class UnaryOp { kNot, kNegate, kTypeof, kPreIncrement, kPreDecrement };
+enum class UnaryOp : std::uint8_t {
+  kNot,
+  kNegate,
+  kTypeof,
+  kPreIncrement,
+  kPreDecrement
+};
 
 struct UnaryExpr : Expr {
   UnaryOp op;
-  ExprPtr operand;
-  UnaryExpr(UnaryOp o, ExprPtr e, int l)
-      : Expr(ExprKind::kUnary, l), op(o), operand(std::move(e)) {}
+  const Expr* operand;
+  UnaryExpr(UnaryOp o, const Expr* e, int l)
+      : Expr(ExprKind::kUnary, l), op(o), operand(e) {}
 };
 
-enum class BinaryOp {
+enum class BinaryOp : std::uint8_t {
   kAdd,
   kSubtract,
   kMultiply,
@@ -129,96 +219,85 @@ enum class BinaryOp {
 
 struct BinaryExpr : Expr {
   BinaryOp op;
-  ExprPtr left;
-  ExprPtr right;
-  BinaryExpr(BinaryOp o, ExprPtr a, ExprPtr b, int l)
-      : Expr(ExprKind::kBinary, l),
-        op(o),
-        left(std::move(a)),
-        right(std::move(b)) {}
+  const Expr* left;
+  const Expr* right;
+  BinaryExpr(BinaryOp o, const Expr* a, const Expr* b, int l)
+      : Expr(ExprKind::kBinary, l), op(o), left(a), right(b) {}
 };
 
-enum class LogicalOp { kAnd, kOr };
+enum class LogicalOp : std::uint8_t { kAnd, kOr };
 
 struct LogicalExpr : Expr {
   LogicalOp op;
-  ExprPtr left;
-  ExprPtr right;
-  LogicalExpr(LogicalOp o, ExprPtr a, ExprPtr b, int l)
-      : Expr(ExprKind::kLogical, l),
-        op(o),
-        left(std::move(a)),
-        right(std::move(b)) {}
+  const Expr* left;
+  const Expr* right;
+  LogicalExpr(LogicalOp o, const Expr* a, const Expr* b, int l)
+      : Expr(ExprKind::kLogical, l), op(o), left(a), right(b) {}
 };
 
 struct ConditionalExpr : Expr {
-  ExprPtr condition;
-  ExprPtr then_value;
-  ExprPtr else_value;
-  ConditionalExpr(ExprPtr c, ExprPtr t, ExprPtr e, int l)
+  const Expr* condition;
+  const Expr* then_value;
+  const Expr* else_value;
+  ConditionalExpr(const Expr* c, const Expr* t, const Expr* e, int l)
       : Expr(ExprKind::kConditional, l),
-        condition(std::move(c)),
-        then_value(std::move(t)),
-        else_value(std::move(e)) {}
+        condition(c),
+        then_value(t),
+        else_value(e) {}
 };
 
-enum class AssignOp { kAssign, kAddAssign, kSubtractAssign };
+enum class AssignOp : std::uint8_t { kAssign, kAddAssign, kSubtractAssign };
 
 struct AssignExpr : Expr {
   AssignOp op;
-  ExprPtr target;  // IdentifierExpr, MemberExpr or IndexExpr
-  ExprPtr value;
-  AssignExpr(AssignOp o, ExprPtr t, ExprPtr v, int l)
-      : Expr(ExprKind::kAssign, l),
-        op(o),
-        target(std::move(t)),
-        value(std::move(v)) {}
+  const Expr* target;  // IdentifierExpr, MemberExpr or IndexExpr
+  const Expr* value;
+  AssignExpr(AssignOp o, const Expr* t, const Expr* v, int l)
+      : Expr(ExprKind::kAssign, l), op(o), target(t), value(v) {}
 };
 
 struct CallExpr : Expr {
-  ExprPtr callee;
-  std::vector<ExprPtr> arguments;
-  CallExpr(ExprPtr c, int l) : Expr(ExprKind::kCall, l), callee(std::move(c)) {}
+  const Expr* callee;
+  ExprList arguments;
+  CallExpr(const Expr* c, ExprList a, int l)
+      : Expr(ExprKind::kCall, l), callee(c), arguments(a) {}
 };
 
 struct NewExpr : Expr {
-  ExprPtr callee;
-  std::vector<ExprPtr> arguments;
-  NewExpr(ExprPtr c, int l) : Expr(ExprKind::kNew, l), callee(std::move(c)) {}
+  const Expr* callee;
+  ExprList arguments;
+  NewExpr(const Expr* c, ExprList a, int l)
+      : Expr(ExprKind::kNew, l), callee(c), arguments(a) {}
 };
 
 struct MemberExpr : Expr {
-  ExprPtr object;
-  std::string property;
-  MemberExpr(ExprPtr o, std::string p, int l)
-      : Expr(ExprKind::kMember, l),
-        object(std::move(o)),
-        property(std::move(p)) {}
+  const Expr* object;
+  std::string_view property;
+  MemberExpr(const Expr* o, std::string_view p, int l)
+      : Expr(ExprKind::kMember, l), object(o), property(p) {}
 };
 
 struct IndexExpr : Expr {
-  ExprPtr object;
-  ExprPtr index;
-  IndexExpr(ExprPtr o, ExprPtr i, int l)
-      : Expr(ExprKind::kIndex, l),
-        object(std::move(o)),
-        index(std::move(i)) {}
+  const Expr* object;
+  const Expr* index;
+  IndexExpr(const Expr* o, const Expr* i, int l)
+      : Expr(ExprKind::kIndex, l), object(o), index(i) {}
 };
 
-enum class PostfixOp { kIncrement, kDecrement };
+enum class PostfixOp : std::uint8_t { kIncrement, kDecrement };
 
 struct PostfixExpr : Expr {
   PostfixOp op;
-  ExprPtr target;
-  PostfixExpr(PostfixOp o, ExprPtr t, int l)
-      : Expr(ExprKind::kPostfix, l), op(o), target(std::move(t)) {}
+  const Expr* target;
+  PostfixExpr(PostfixOp o, const Expr* t, int l)
+      : Expr(ExprKind::kPostfix, l), op(o), target(t) {}
 };
 
 // --------------------------------------------------------------------------
 // Statements
 // --------------------------------------------------------------------------
 
-enum class StmtKind {
+enum class StmtKind : std::uint8_t {
   kExpression,
   kVar,
   kFunctionDecl,
@@ -234,68 +313,69 @@ enum class StmtKind {
 };
 
 struct Stmt {
-  StmtKind kind;
   int line;
-  virtual ~Stmt() = default;
+  StmtKind kind;
 
  protected:
-  Stmt(StmtKind k, int l) : kind(k), line(l) {}
+  constexpr Stmt(StmtKind k, int l) : line(l), kind(k) {}
 };
 
 struct ExpressionStmt : Stmt {
-  ExprPtr expression;
-  ExpressionStmt(ExprPtr e, int l)
-      : Stmt(StmtKind::kExpression, l), expression(std::move(e)) {}
+  const Expr* expression;
+  ExpressionStmt(const Expr* e, int l)
+      : Stmt(StmtKind::kExpression, l), expression(e) {}
+};
+
+struct Declarator {
+  std::string_view name;
+  const Expr* init;  // may be null (var x;)
 };
 
 struct VarStmt : Stmt {
   /// One statement may declare several variables: var a = 1, b;
-  std::vector<std::pair<std::string, ExprPtr>> declarations;
-  explicit VarStmt(int l) : Stmt(StmtKind::kVar, l) {}
+  std::span<const Declarator> declarations;
+  VarStmt(std::span<const Declarator> d, int l)
+      : Stmt(StmtKind::kVar, l), declarations(d) {}
 };
 
 struct FunctionDeclStmt : Stmt {
-  std::unique_ptr<FunctionExpr> function;  // carries the name
-  FunctionDeclStmt(std::unique_ptr<FunctionExpr> f, int l)
-      : Stmt(StmtKind::kFunctionDecl, l), function(std::move(f)) {}
+  const FunctionExpr* function;  // carries the name
+  FunctionDeclStmt(const FunctionExpr* f, int l)
+      : Stmt(StmtKind::kFunctionDecl, l), function(f) {}
 };
 
 struct ReturnStmt : Stmt {
-  ExprPtr value;  // may be null (return;)
-  ReturnStmt(ExprPtr v, int l) : Stmt(StmtKind::kReturn, l), value(std::move(v)) {}
+  const Expr* value;  // may be null (return;)
+  ReturnStmt(const Expr* v, int l) : Stmt(StmtKind::kReturn, l), value(v) {}
 };
 
 struct IfStmt : Stmt {
-  ExprPtr condition;
-  StmtPtr then_branch;
-  StmtPtr else_branch;  // may be null
-  IfStmt(ExprPtr c, StmtPtr t, StmtPtr e, int l)
-      : Stmt(StmtKind::kIf, l),
-        condition(std::move(c)),
-        then_branch(std::move(t)),
-        else_branch(std::move(e)) {}
+  const Expr* condition;
+  const Stmt* then_branch;
+  const Stmt* else_branch;  // may be null
+  IfStmt(const Expr* c, const Stmt* t, const Stmt* e, int l)
+      : Stmt(StmtKind::kIf, l), condition(c), then_branch(t), else_branch(e) {}
 };
 
 struct WhileStmt : Stmt {
-  ExprPtr condition;
-  StmtPtr body;
-  WhileStmt(ExprPtr c, StmtPtr b, int l)
-      : Stmt(StmtKind::kWhile, l),
-        condition(std::move(c)),
-        body(std::move(b)) {}
+  const Expr* condition;
+  const Stmt* body;
+  WhileStmt(const Expr* c, const Stmt* b, int l)
+      : Stmt(StmtKind::kWhile, l), condition(c), body(b) {}
 };
 
 struct ForStmt : Stmt {
-  StmtPtr init;       // VarStmt or ExpressionStmt; may be null
-  ExprPtr condition;  // may be null (infinite)
-  ExprPtr update;     // may be null
-  StmtPtr body;
-  explicit ForStmt(int l) : Stmt(StmtKind::kFor, l) {}
+  const Stmt* init;       // VarStmt or ExpressionStmt; may be null
+  const Expr* condition;  // may be null (infinite)
+  const Expr* update;     // may be null
+  const Stmt* body;
+  ForStmt(const Stmt* i, const Expr* c, const Expr* u, const Stmt* b, int l)
+      : Stmt(StmtKind::kFor, l), init(i), condition(c), update(u), body(b) {}
 };
 
 struct BlockStmt : Stmt {
-  std::vector<StmtPtr> statements;
-  explicit BlockStmt(int l) : Stmt(StmtKind::kBlock, l) {}
+  StmtList statements;
+  BlockStmt(StmtList s, int l) : Stmt(StmtKind::kBlock, l), statements(s) {}
 };
 
 struct BreakStmt : Stmt {
@@ -307,21 +387,58 @@ struct ContinueStmt : Stmt {
 };
 
 struct ThrowStmt : Stmt {
-  ExprPtr value;
-  ThrowStmt(ExprPtr v, int l) : Stmt(StmtKind::kThrow, l), value(std::move(v)) {}
+  const Expr* value;
+  ThrowStmt(const Expr* v, int l) : Stmt(StmtKind::kThrow, l), value(v) {}
 };
 
 struct TryStmt : Stmt {
-  StmtPtr try_block;
-  std::string catch_name;  // empty when no catch clause
-  StmtPtr catch_block;     // may be null
-  StmtPtr finally_block;   // may be null
-  explicit TryStmt(int l) : Stmt(StmtKind::kTry, l) {}
+  const Stmt* try_block;
+  std::string_view catch_name;  // empty when no catch clause
+  const Stmt* catch_block;      // may be null
+  const Stmt* finally_block;    // may be null
+  TryStmt(const Stmt* t, std::string_view n, const Stmt* c, const Stmt* f,
+          int l)
+      : Stmt(StmtKind::kTry, l),
+        try_block(t),
+        catch_name(n),
+        catch_block(c),
+        finally_block(f) {}
 };
 
-/// A parsed program: top-level statements.
-struct Program {
-  std::vector<StmtPtr> statements;
+static_assert(sizeof(BinaryExpr) == 24 && sizeof(UnaryExpr) == 16,
+              "operators pack into the node header's padding");
+
+// --------------------------------------------------------------------------
+// Program
+// --------------------------------------------------------------------------
+
+/// A parsed program: its top-level statements plus the arena that holds
+/// them, every nested node and a copy of the source. Move-only; a moved
+/// Program's nodes and names stay valid, and none of them depend on the
+/// buffer it was parsed from.
+class Program {
+ public:
+  Program() = default;
+  Program(Program&& other) noexcept { *this = std::move(other); }
+  Program& operator=(Program&& other) noexcept {
+    arena_ = std::move(other.arena_);
+    source_ = std::exchange(other.source_, {});
+    statements_ = std::exchange(other.statements_, {});
+    return *this;
+  }
+
+  [[nodiscard]] StmtList statements() const { return statements_; }
+  /// The Program's own copy of the text it was parsed from.
+  [[nodiscard]] std::string_view source() const { return source_; }
+  /// Heap bytes the parse holds (arena chunks, headers included).
+  [[nodiscard]] std::size_t arena_bytes() const { return arena_.bytes(); }
+
+ private:
+  friend Program ParseProgram(std::string_view source);
+
+  Arena arena_;
+  std::string_view source_;
+  StmtList statements_;
 };
 
 }  // namespace mobivine::minijs

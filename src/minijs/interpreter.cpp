@@ -1,6 +1,7 @@
 #include "minijs/interpreter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <limits>
@@ -9,11 +10,46 @@
 
 namespace mobivine::minijs {
 
+namespace {
+
+/// Weakly hold `item` in `items`. Expired handles are dropped whenever the
+/// vector is full, and the vector then keeps at least as many free slots
+/// as live ones, so a long-lived interpreter stays O(live) in memory and
+/// amortised O(1) per call.
+template <typename T>
+void HoldWeakly(std::vector<std::weak_ptr<T>>& items,
+                const std::shared_ptr<T>& item) {
+  if (items.size() == items.capacity()) {
+    std::erase_if(items, [](const std::weak_ptr<T>& weak) {
+      return weak.expired();
+    });
+    items.reserve(std::max<std::size_t>(16, 2 * items.size()));
+  }
+  items.push_back(item);
+}
+
+std::uint32_t NextInterpreterId() {
+  static std::atomic<std::uint32_t> next{0};
+  std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed) + 1;
+  return id == 0 ? NextInterpreterId() : id;  // 0 means "untracked"
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Environment
 // ---------------------------------------------------------------------------
 
-bool Environment::Get(const std::string& name, Value& out) const {
+void Environment::Define(std::string_view name, Value value) {
+  auto it = variables_.lower_bound(name);
+  if (it != variables_.end() && it->first == name) {
+    it->second = std::move(value);
+  } else {
+    variables_.emplace_hint(it, std::string(name), std::move(value));
+  }
+}
+
+bool Environment::Get(std::string_view name, Value& out) const {
   auto it = variables_.find(name);
   if (it != variables_.end()) {
     out = it->second;
@@ -22,7 +58,7 @@ bool Environment::Get(const std::string& name, Value& out) const {
   return parent_ ? parent_->Get(name, out) : false;
 }
 
-bool Environment::Assign(const std::string& name, Value value) {
+bool Environment::Assign(std::string_view name, Value value) {
   auto it = variables_.find(name);
   if (it != variables_.end()) {
     it->second = std::move(value);
@@ -30,7 +66,7 @@ bool Environment::Assign(const std::string& name, Value value) {
   }
   if (parent_) return parent_->Assign(name, std::move(value));
   // Sloppy-mode global creation.
-  variables_[name] = std::move(value);
+  variables_.emplace(std::string(name), std::move(value));
   return false;
 }
 
@@ -38,8 +74,53 @@ bool Environment::Assign(const std::string& name, Value value) {
 // Interpreter
 // ---------------------------------------------------------------------------
 
-Interpreter::Interpreter() : globals_(std::make_shared<Environment>()) {
+Interpreter::Interpreter()
+    : id_(NextInterpreterId()), globals_(std::make_shared<Environment>()) {
   InstallBuiltins();
+}
+
+Interpreter::~Interpreter() {
+  // Every cycle a script can build closes through a captured scope or an
+  // object that had an object or function stored into it, and all of
+  // those are tracked. Emptying them frees the whole graph, including
+  // what hangs off the globals (`mobile`, `args`, ...). Each lock() keeps
+  // its target alive while it is emptied; whatever that frees just
+  // expires its own handle.
+  for (const std::weak_ptr<Object>& weak : tracked_objects_) {
+    if (std::shared_ptr<Object> object = weak.lock()) {
+      object->elements_.clear();
+      object->properties_.clear();
+    }
+  }
+  for (const std::weak_ptr<Environment>& weak : tracked_scopes_) {
+    if (std::shared_ptr<Environment> scope = weak.lock()) {
+      scope->variables_.clear();
+      scope->parent_.reset();
+    }
+  }
+  globals_->variables_.clear();
+}
+
+Value Interpreter::MakeClosure(const FunctionExpr& decl,
+                               const std::shared_ptr<Environment>& env) {
+  if (!env->tracked_) {
+    env->tracked_ = true;
+    HoldWeakly(tracked_scopes_, env);
+  }
+  auto function = std::make_shared<Function>();
+  function->name = decl.name;
+  function->decl = &decl;
+  function->closure = env;
+  return Value::Func(std::move(function));
+}
+
+void Interpreter::TrackStore(const std::shared_ptr<Object>& target,
+                             const Value& value) {
+  if ((value.is_object() || value.is_function()) &&
+      target->tracked_by_ != id_) {
+    target->tracked_by_ = id_;
+    HoldWeakly(tracked_objects_, target);
+  }
 }
 
 void Interpreter::Step(int line) {
@@ -87,12 +168,12 @@ Value Interpreter::Run(std::shared_ptr<const Program> program) {
   Value last;
   try {
     // Hoist top-level function declarations (JS semantics).
-    for (const StmtPtr& stmt : ref.statements) {
+    for (const Stmt* stmt : ref.statements()) {
       if (stmt->kind == StmtKind::kFunctionDecl) {
         Execute(*stmt, globals_, Value::Undefined());
       }
     }
-    for (const StmtPtr& stmt : ref.statements) {
+    for (const Stmt* stmt : ref.statements()) {
       if (stmt->kind == StmtKind::kFunctionDecl) continue;
       if (stmt->kind == StmtKind::kExpression) {
         last = Evaluate(*static_cast<const ExpressionStmt&>(*stmt).expression,
@@ -174,22 +255,18 @@ Value Interpreter::CallFunction(const std::shared_ptr<Function>& function,
   return Value::Undefined();
 }
 
-void Interpreter::ExecuteBlock(const std::vector<StmtPtr>& statements,
+void Interpreter::ExecuteBlock(StmtList statements,
                                const std::shared_ptr<Environment>& env,
                                const Value& this_value) {
   // Hoist function declarations first (JS semantics the proxy scripts use).
-  for (const StmtPtr& stmt : statements) {
+  for (const Stmt* stmt : statements) {
     if (stmt->kind == StmtKind::kFunctionDecl) {
-      const auto& decl = static_cast<const FunctionDeclStmt&>(*stmt);
-      auto function = std::make_shared<Function>();
-      function->name = decl.function->name;
-      function->decl = decl.function.get();
-      function->closure = env;
-      const std::string name = function->name;
-      env->Define(name, Value::Func(std::move(function)));
+      const FunctionExpr& decl =
+          *static_cast<const FunctionDeclStmt&>(*stmt).function;
+      env->Define(decl.name, MakeClosure(decl, env));
     }
   }
-  for (const StmtPtr& stmt : statements) {
+  for (const Stmt* stmt : statements) {
     if (stmt->kind == StmtKind::kFunctionDecl) continue;  // already hoisted
     Execute(*stmt, env, this_value);
   }
@@ -213,13 +290,9 @@ void Interpreter::Execute(const Stmt& stmt,
       return;
     }
     case StmtKind::kFunctionDecl: {
-      const auto& decl = static_cast<const FunctionDeclStmt&>(stmt);
-      auto function = std::make_shared<Function>();
-      function->name = decl.function->name;
-      function->decl = decl.function.get();
-      function->closure = env;
-      const std::string name = function->name;
-      env->Define(name, Value::Func(std::move(function)));
+      const FunctionExpr& decl =
+          *static_cast<const FunctionDeclStmt&>(stmt).function;
+      env->Define(decl.name, MakeClosure(decl, env));
       return;
     }
     case StmtKind::kReturn: {
@@ -323,7 +396,8 @@ Value Interpreter::Evaluate(const Expr& expr,
     case ExprKind::kNumber:
       return Value::Number(static_cast<const NumberExpr&>(expr).value);
     case ExprKind::kString:
-      return Value::String(static_cast<const StringExpr&>(expr).value);
+      return Value::String(
+          std::string(static_cast<const StringExpr&>(expr).value));
     case ExprKind::kBool:
       return Value::Boolean(static_cast<const BoolExpr&>(expr).value);
     case ExprKind::kNull:
@@ -337,13 +411,13 @@ Value Interpreter::Evaluate(const Expr& expr,
       Value out;
       if (env->Get(ident.name, out)) return out;
       throw ThrowSignal{Value::Obj(MakeErrorObject(
-          "ReferenceError", ident.name + " is not defined"))};
+          "ReferenceError", std::string(ident.name) + " is not defined"))};
     }
     case ExprKind::kArray: {
       const auto& array = static_cast<const ArrayExpr&>(expr);
       auto object = Object::MakeArray();
       object->elements().reserve(array.elements.size());
-      for (const ExprPtr& element : array.elements) {
+      for (const Expr* element : array.elements) {
         object->elements().push_back(Evaluate(*element, env, this_value));
       }
       return Value::Obj(object);
@@ -351,19 +425,13 @@ Value Interpreter::Evaluate(const Expr& expr,
     case ExprKind::kObjectLiteral: {
       const auto& literal = static_cast<const ObjectLiteralExpr&>(expr);
       auto object = Object::Make();
-      for (const auto& [key, value_expr] : literal.properties) {
-        object->Set(key, Evaluate(*value_expr, env, this_value));
+      for (const Property& property : literal.properties) {
+        object->Set(property.key, Evaluate(*property.value, env, this_value));
       }
       return Value::Obj(object);
     }
-    case ExprKind::kFunction: {
-      const auto& fn = static_cast<const FunctionExpr&>(expr);
-      auto function = std::make_shared<Function>();
-      function->name = fn.name;
-      function->decl = &fn;
-      function->closure = env;
-      return Value::Func(std::move(function));
-    }
+    case ExprKind::kFunction:
+      return MakeClosure(static_cast<const FunctionExpr&>(expr), env);
     case ExprKind::kUnary: {
       const auto& unary = static_cast<const UnaryExpr&>(expr);
       if (unary.op == UnaryOp::kPreIncrement ||
@@ -371,9 +439,6 @@ Value Interpreter::Evaluate(const Expr& expr,
         const double delta = unary.op == UnaryOp::kPreIncrement ? 1.0 : -1.0;
         Value current = Evaluate(*unary.operand, env, this_value);
         Value next = Value::Number(current.ToNumber() + delta);
-        // Write back through a synthetic assignment.
-        AssignExpr assign(AssignOp::kAssign, nullptr, nullptr, unary.line);
-        (void)assign;
         // Only identifier/member/index targets parse, so re-dispatch:
         if (unary.operand->kind == ExprKind::kIdentifier) {
           env->Assign(static_cast<const IdentifierExpr&>(*unary.operand).name,
@@ -455,9 +520,11 @@ Value Interpreter::Evaluate(const Expr& expr,
         Value object = Evaluate(*member.object, env, this_value);
         if (!object.is_object()) {
           throw ThrowSignal{Value::Obj(MakeErrorObject(
-              "TypeError", "cannot set property '" + member.property +
-                               "' of " + object.ToDisplayString()))};
+              "TypeError", "cannot set property '" +
+                               std::string(member.property) + "' of " +
+                               object.ToDisplayString()))};
         }
+        TrackStore(object.as_object(), value);
         object.as_object()->Set(member.property, value);
       } else {  // kIndex
         const auto& index = static_cast<const IndexExpr&>(*assign.target);
@@ -468,6 +535,7 @@ Value Interpreter::Evaluate(const Expr& expr,
               MakeErrorObject("TypeError", "cannot index non-object"))};
         }
         auto target = object.as_object();
+        TrackStore(target, value);
         if (target->is_array() && key.is_number()) {
           size_t i = static_cast<size_t>(key.as_number());
           if (i >= target->elements().size()) {
@@ -492,7 +560,8 @@ Value Interpreter::Evaluate(const Expr& expr,
           callee = receiver.as_object()->Get(member.property);
         } else if (!BuiltinMember(receiver, member.property, callee)) {
           throw ThrowSignal{Value::Obj(MakeErrorObject(
-              "TypeError", member.property + " is not a function on " +
+              "TypeError", std::string(member.property) +
+                               " is not a function on " +
                                receiver.ToDisplayString()))};
         }
       } else {
@@ -504,7 +573,7 @@ Value Interpreter::Evaluate(const Expr& expr,
       }
       std::vector<Value> arguments;
       arguments.reserve(call.arguments.size());
-      for (const ExprPtr& argument : call.arguments) {
+      for (const Expr* argument : call.arguments) {
         arguments.push_back(Evaluate(*argument, env, this_value));
       }
       return CallFunction(callee.as_function(), receiver, arguments);
@@ -518,7 +587,7 @@ Value Interpreter::Evaluate(const Expr& expr,
       }
       std::vector<Value> arguments;
       arguments.reserve(ctor.arguments.size());
-      for (const ExprPtr& argument : ctor.arguments) {
+      for (const Expr* argument : ctor.arguments) {
         arguments.push_back(Evaluate(*argument, env, this_value));
       }
       auto instance = Object::Make();
@@ -538,8 +607,9 @@ Value Interpreter::Evaluate(const Expr& expr,
       if (BuiltinMember(object, member.property, out)) return out;
       if (object.is_nullish()) {
         throw ThrowSignal{Value::Obj(MakeErrorObject(
-            "TypeError", "cannot read property '" + member.property +
-                             "' of " + object.ToDisplayString()))};
+            "TypeError", "cannot read property '" +
+                             std::string(member.property) + "' of " +
+                             object.ToDisplayString()))};
       }
       return Value::Undefined();
     }
@@ -635,7 +705,7 @@ Value Interpreter::EvaluateBinary(const BinaryExpr& expr, Value left,
   return Value::Undefined();
 }
 
-bool Interpreter::BuiltinMember(const Value& object, const std::string& name,
+bool Interpreter::BuiltinMember(const Value& object, std::string_view name,
                                 Value& out) {
   if (object.is_string()) {
     const std::string s = object.as_string();
@@ -685,7 +755,8 @@ bool Interpreter::BuiltinMember(const Value& object, const std::string& name,
     if (name == "toUpperCase" || name == "toLowerCase") {
       const bool upper = name == "toUpperCase";
       out = MakeHostFunction(
-          name, [s, upper](Interpreter&, const Value&, std::vector<Value>&) {
+          std::string(name),
+          [s, upper](Interpreter&, const Value&, std::vector<Value>&) {
             std::string copy = s;
             for (char& c : copy) {
               c = upper ? static_cast<char>(std::toupper(
@@ -707,8 +778,12 @@ bool Interpreter::BuiltinMember(const Value& object, const std::string& name,
     }
     if (name == "push") {
       out = MakeHostFunction(
-          "push", [array](Interpreter&, const Value&, std::vector<Value>& args) {
-            for (Value& value : args) array->elements().push_back(value);
+          "push", [array](Interpreter& interp, const Value&,
+                          std::vector<Value>& args) {
+            for (Value& value : args) {
+              interp.TrackStore(array, value);
+              array->elements().push_back(value);
+            }
             return Value::Number(static_cast<double>(array->elements().size()));
           });
       return true;

@@ -5,6 +5,11 @@
 // interpreter steps, which the WebView substrate converts to virtual time —
 // that is how the JS layer's extra cost shows up in Figure 10's WebView
 // column.
+//
+// Values are reference-counted, so a script can build a cycle (a closure
+// stored in the scope it captures, an object that holds itself). The
+// interpreter keeps a weak handle on every place such a cycle can close
+// and empties them all when it is destroyed; see ~Interpreter().
 #pragma once
 
 #include <cstdint>
@@ -41,26 +46,36 @@ class Environment {
       : parent_(std::move(parent)) {}
 
   /// Declare in THIS scope (var / parameter / function declaration).
-  void Define(const std::string& name, Value value) {
-    variables_[name] = std::move(value);
-  }
+  void Define(std::string_view name, Value value);
   /// Lookup through the chain; true if found.
-  bool Get(const std::string& name, Value& out) const;
+  bool Get(std::string_view name, Value& out) const;
   /// Assign through the chain; falls back to defining a global (sloppy-mode
   /// JS behaviour) and returns false in that case.
-  bool Assign(const std::string& name, Value value);
+  bool Assign(std::string_view name, Value value);
 
  private:
+  friend class Interpreter;
+
   // std::map (not unordered_map) on purpose: ordered iteration makes
   // global dumps and scope walks deterministic, which the golden-output
-  // tests and trace comparisons rely on.
-  std::map<std::string, Value> variables_;
+  // tests and trace comparisons rely on. Transparent, so a name viewed in
+  // a parsed Program is looked up without building a std::string.
+  std::map<std::string, Value, std::less<>> variables_;
   std::shared_ptr<Environment> parent_;
+  bool tracked_ = false;  // held by its interpreter for teardown
+  [[no_unique_address]] detail::CellCount cell_count_;
 };
 
 class Interpreter {
  public:
   Interpreter();
+  /// Teardown contract: every scope a closure captured and every object a
+  /// script stored an object or function into is emptied here, which
+  /// breaks any cycle the scripts built. A host must be done with the
+  /// values an execution produced before it destroys the interpreter.
+  ~Interpreter();
+  Interpreter(const Interpreter&) = delete;
+  Interpreter& operator=(const Interpreter&) = delete;
 
   // --- loading and calling ----------------------------------------------
   /// Parse + execute top-level statements in the global scope.
@@ -151,7 +166,7 @@ class Interpreter {
   /// `s = s + s` doubling loop would reach gigabytes in ~30 "steps" —
   /// memory growth must burn the step budget at the rate it allocates.
   void ChargeAllocation(std::size_t bytes);
-  void ExecuteBlock(const std::vector<StmtPtr>& statements,
+  void ExecuteBlock(StmtList statements,
                     const std::shared_ptr<Environment>& env,
                     const Value& this_value);
   void Execute(const Stmt& stmt, const std::shared_ptr<Environment>& env,
@@ -163,10 +178,22 @@ class Interpreter {
   Value EvaluateBinary(const BinaryExpr& expr, Value left, Value right);
   /// Built-in members on primitive values and arrays ("abc".length,
   /// arr.push, ...). Returns true when handled.
-  bool BuiltinMember(const Value& object, const std::string& name, Value& out);
+  bool BuiltinMember(const Value& object, std::string_view name, Value& out);
+
+  /// A script closure over `env`. The capture is one of the two edges a
+  /// reference cycle can close through, so `env` is tracked.
+  Value MakeClosure(const FunctionExpr& decl,
+                    const std::shared_ptr<Environment>& env);
+  /// Call before a script stores `value` into `target`: an object or
+  /// function stored into an object is the other edge a cycle can close
+  /// through, so `target` is tracked (numbers and strings cannot close one).
+  void TrackStore(const std::shared_ptr<Object>& target, const Value& value);
 
   void InstallBuiltins();
 
+  std::uint32_t id_;
+  std::vector<std::weak_ptr<Environment>> tracked_scopes_;
+  std::vector<std::weak_ptr<Object>> tracked_objects_;
   std::shared_ptr<Environment> globals_;
   std::vector<std::shared_ptr<const Program>> loaded_programs_;
   std::uint64_t steps_ = 0;

@@ -156,12 +156,14 @@ class Lexer {
     Token token;
     token.type = type;
     token.text = std::move(text);
+    token.offset = token_offset_;
     token.line = token_line_;
     token.column = token_column_;
     return token;
   }
 
   Token Next() {
+    token_offset_ = pos_;
     token_line_ = line_;
     token_column_ = column_;
     if (AtEnd()) return Make(TokenType::kEof);
@@ -292,6 +294,7 @@ class Lexer {
   size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  size_t token_offset_ = 0;
   int token_line_ = 1;
   int token_column_ = 1;
 };

@@ -1,24 +1,51 @@
 #include "minijs/parser.h"
 
+#include <vector>
+
 #include "minijs/lexer.h"
 
 namespace mobivine::minijs {
 
 namespace {
 
+using ExprPtr = const Expr*;
+using StmtPtr = const Stmt*;
+
+/// Builds nodes into `arena`. Names are views into `source`, the text the
+/// tokens were lexed from (for a Program: the arena's own copy of it).
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(const std::vector<Token>& tokens, std::string_view source,
+         Arena& arena)
+      : tokens_(tokens), source_(source), arena_(arena) {}
 
-  Program Run() {
-    Program program;
-    while (!Check(TokenType::kEof)) {
-      program.statements.push_back(ParseStatement());
-    }
-    return program;
+  StmtList Run() {
+    std::vector<StmtPtr> statements;
+    while (!Check(TokenType::kEof)) statements.push_back(ParseStatement());
+    return List(statements);
   }
 
  private:
+  template <typename T, typename... Args>
+  const T* New(Args&&... args) {
+    return arena_.New<T>(std::forward<Args>(args)...);
+  }
+  template <typename T>
+  std::span<const T> List(const std::vector<T>& items) {
+    return arena_.Copy(std::span<const T>(items));
+  }
+  /// An identifier or property name: the lexeme's bytes in the source copy.
+  std::string_view Name(const Token& token) const {
+    return source_.substr(token.offset, token.text.size());
+  }
+  /// A string literal: a view between the quotes when the decoded text is
+  /// byte-identical to them (no escapes), otherwise an arena copy.
+  std::string_view Literal(const Token& token) {
+    const std::string_view raw =
+        source_.substr(token.offset + 1, token.text.size());
+    return raw == token.text ? raw : arena_.CopyString(token.text);
+  }
+
   // --- token plumbing ----------------------------------------------------
   const Token& Peek(size_t ahead = 0) const {
     size_t index = pos_ + ahead;
@@ -32,7 +59,7 @@ class Parser {
     Advance();
     return true;
   }
-  const Token& Expect(TokenType type, const std::string& context) {
+  const Token& Expect(TokenType type, const char* context) {
     if (!Check(type)) {
       Fail("expected '" + std::string(ToString(type)) + "' " + context +
            ", found '" +
@@ -66,34 +93,33 @@ class Parser {
         int line = Line();
         Advance();
         Expect(TokenType::kSemicolon, "after 'break'");
-        return std::make_unique<BreakStmt>(line);
+        return New<BreakStmt>(line);
       }
       case TokenType::kContinue: {
         int line = Line();
         Advance();
         Expect(TokenType::kSemicolon, "after 'continue'");
-        return std::make_unique<ContinueStmt>(line);
+        return New<ContinueStmt>(line);
       }
       case TokenType::kThrow: {
         int line = Line();
         Advance();
         ExprPtr value = ParseExpression();
         Expect(TokenType::kSemicolon, "after 'throw' expression");
-        return std::make_unique<ThrowStmt>(std::move(value), line);
+        return New<ThrowStmt>(value, line);
       }
       case TokenType::kTry:
         return ParseTry();
       case TokenType::kSemicolon: {  // empty statement
         int line = Line();
         Advance();
-        auto block = std::make_unique<BlockStmt>(line);
-        return block;
+        return New<BlockStmt>(StmtList{}, line);
       }
       default: {
         int line = Line();
         ExprPtr expression = ParseExpression();
         Expect(TokenType::kSemicolon, "after expression statement");
-        return std::make_unique<ExpressionStmt>(std::move(expression), line);
+        return New<ExpressionStmt>(expression, line);
       }
     }
   }
@@ -101,71 +127,73 @@ class Parser {
   StmtPtr ParseBlock() {
     int line = Line();
     Expect(TokenType::kLeftBrace, "to open block");
-    auto block = std::make_unique<BlockStmt>(line);
+    std::vector<StmtPtr> statements;
     while (!Check(TokenType::kRightBrace)) {
       if (Check(TokenType::kEof)) Fail("unterminated block");
-      block->statements.push_back(ParseStatement());
+      statements.push_back(ParseStatement());
     }
     Expect(TokenType::kRightBrace, "to close block");
-    return block;
+    return New<BlockStmt>(List(statements), line);
   }
 
   StmtPtr ParseVar() {
     int line = Line();
     Expect(TokenType::kVar, "");
-    auto stmt = std::make_unique<VarStmt>(line);
+    std::vector<Declarator> declarations;
     while (true) {
-      std::string name =
-          Expect(TokenType::kIdentifier, "in var declaration").text;
-      ExprPtr init;
+      const std::string_view name =
+          Name(Expect(TokenType::kIdentifier, "in var declaration"));
+      ExprPtr init = nullptr;
       if (Match(TokenType::kAssign)) init = ParseAssignment();
-      stmt->declarations.emplace_back(std::move(name), std::move(init));
+      declarations.push_back(Declarator{name, init});
       if (!Match(TokenType::kComma)) break;
     }
     Expect(TokenType::kSemicolon, "after var declaration");
-    return stmt;
+    return New<VarStmt>(List(declarations), line);
   }
 
-  std::unique_ptr<FunctionExpr> ParseFunctionRest(bool require_name) {
+  const FunctionExpr* ParseFunctionRest(bool require_name) {
     int line = Line();
-    auto function = std::make_unique<FunctionExpr>(line);
+    std::string_view name;
     if (Check(TokenType::kIdentifier)) {
-      function->name = Advance().text;
+      name = Name(Advance());
     } else if (require_name) {
       Fail("function declaration requires a name");
     }
     Expect(TokenType::kLeftParen, "after function name");
+    std::vector<std::string_view> params;
     if (!Check(TokenType::kRightParen)) {
       while (true) {
-        function->params.push_back(
-            Expect(TokenType::kIdentifier, "in parameter list").text);
+        params.push_back(
+            Name(Expect(TokenType::kIdentifier, "in parameter list")));
         if (!Match(TokenType::kComma)) break;
       }
     }
     Expect(TokenType::kRightParen, "after parameter list");
     Expect(TokenType::kLeftBrace, "to open function body");
+    std::vector<StmtPtr> body;
     while (!Check(TokenType::kRightBrace)) {
       if (Check(TokenType::kEof)) Fail("unterminated function body");
-      function->body.push_back(ParseStatement());
+      body.push_back(ParseStatement());
     }
     Expect(TokenType::kRightBrace, "to close function body");
-    return function;
+    return New<FunctionExpr>(name, List(params), List(body), line);
   }
 
   StmtPtr ParseFunctionDecl() {
     int line = Line();
     Expect(TokenType::kFunction, "");
-    auto function = ParseFunctionRest(/*require_name=*/true);
-    return std::make_unique<FunctionDeclStmt>(std::move(function), line);
+    return New<FunctionDeclStmt>(ParseFunctionRest(/*require_name=*/true),
+                                 line);
   }
 
   StmtPtr ParseReturn() {
     int line = Line();
     Expect(TokenType::kReturn, "");
-    ExprPtr value;
+    ExprPtr value = nullptr;
     if (!Check(TokenType::kSemicolon)) value = ParseExpression();
     Expect(TokenType::kSemicolon, "after return");
-    return std::make_unique<ReturnStmt>(std::move(value), line);
+    return New<ReturnStmt>(value, line);
   }
 
   StmtPtr ParseIf() {
@@ -175,11 +203,9 @@ class Parser {
     ExprPtr condition = ParseExpression();
     Expect(TokenType::kRightParen, "after if condition");
     StmtPtr then_branch = ParseStatement();
-    StmtPtr else_branch;
+    StmtPtr else_branch = nullptr;
     if (Match(TokenType::kElse)) else_branch = ParseStatement();
-    return std::make_unique<IfStmt>(std::move(condition),
-                                    std::move(then_branch),
-                                    std::move(else_branch), line);
+    return New<IfStmt>(condition, then_branch, else_branch, line);
   }
 
   StmtPtr ParseWhile() {
@@ -189,52 +215,53 @@ class Parser {
     ExprPtr condition = ParseExpression();
     Expect(TokenType::kRightParen, "after while condition");
     StmtPtr body = ParseStatement();
-    return std::make_unique<WhileStmt>(std::move(condition), std::move(body),
-                                       line);
+    return New<WhileStmt>(condition, body, line);
   }
 
   StmtPtr ParseFor() {
     int line = Line();
     Expect(TokenType::kFor, "");
     Expect(TokenType::kLeftParen, "after 'for'");
-    auto stmt = std::make_unique<ForStmt>(line);
+    StmtPtr init = nullptr;
     if (Check(TokenType::kVar)) {
-      stmt->init = ParseVar();  // consumes its ';'
+      init = ParseVar();  // consumes its ';'
     } else if (Match(TokenType::kSemicolon)) {
       // no init
     } else {
       int init_line = Line();
-      ExprPtr init = ParseExpression();
+      ExprPtr expression = ParseExpression();
       Expect(TokenType::kSemicolon, "after for-init");
-      stmt->init = std::make_unique<ExpressionStmt>(std::move(init), init_line);
+      init = New<ExpressionStmt>(expression, init_line);
     }
-    if (!Check(TokenType::kSemicolon)) stmt->condition = ParseExpression();
+    ExprPtr condition = nullptr;
+    if (!Check(TokenType::kSemicolon)) condition = ParseExpression();
     Expect(TokenType::kSemicolon, "after for-condition");
-    if (!Check(TokenType::kRightParen)) stmt->update = ParseExpression();
+    ExprPtr update = nullptr;
+    if (!Check(TokenType::kRightParen)) update = ParseExpression();
     Expect(TokenType::kRightParen, "after for clauses");
-    stmt->body = ParseStatement();
-    return stmt;
+    StmtPtr body = ParseStatement();
+    return New<ForStmt>(init, condition, update, body, line);
   }
 
   StmtPtr ParseTry() {
     int line = Line();
     Expect(TokenType::kTry, "");
-    auto stmt = std::make_unique<TryStmt>(line);
-    stmt->try_block = ParseBlock();
+    StmtPtr try_block = ParseBlock();
+    std::string_view catch_name;
+    StmtPtr catch_block = nullptr;
     if (Match(TokenType::kCatch)) {
       Expect(TokenType::kLeftParen, "after 'catch'");
-      stmt->catch_name =
-          Expect(TokenType::kIdentifier, "as catch binding").text;
+      catch_name = Name(Expect(TokenType::kIdentifier, "as catch binding"));
       Expect(TokenType::kRightParen, "after catch binding");
-      stmt->catch_block = ParseBlock();
+      catch_block = ParseBlock();
     }
-    if (Match(TokenType::kFinally)) {
-      stmt->finally_block = ParseBlock();
-    }
-    if (!stmt->catch_block && !stmt->finally_block) {
+    StmtPtr finally_block = nullptr;
+    if (Match(TokenType::kFinally)) finally_block = ParseBlock();
+    if (!catch_block && !finally_block) {
       Fail("try requires catch or finally");
     }
-    return stmt;
+    return New<TryStmt>(try_block, catch_name, catch_block, finally_block,
+                        line);
   }
 
   // --- expressions ----------------------------------------------------
@@ -259,8 +286,7 @@ class Parser {
     int line = Line();
     Advance();
     ExprPtr value = ParseAssignment();
-    return std::make_unique<AssignExpr>(op, std::move(left), std::move(value),
-                                        line);
+    return New<AssignExpr>(op, left, value, line);
   }
 
   ExprPtr ParseConditional() {
@@ -270,9 +296,7 @@ class Parser {
     ExprPtr then_value = ParseAssignment();
     Expect(TokenType::kColon, "in conditional expression");
     ExprPtr else_value = ParseAssignment();
-    return std::make_unique<ConditionalExpr>(std::move(condition),
-                                             std::move(then_value),
-                                             std::move(else_value), line);
+    return New<ConditionalExpr>(condition, then_value, else_value, line);
   }
 
   ExprPtr ParseLogicalOr() {
@@ -281,8 +305,7 @@ class Parser {
       int line = Line();
       Advance();
       ExprPtr right = ParseLogicalAnd();
-      left = std::make_unique<LogicalExpr>(LogicalOp::kOr, std::move(left),
-                                           std::move(right), line);
+      left = New<LogicalExpr>(LogicalOp::kOr, left, right, line);
     }
     return left;
   }
@@ -293,8 +316,7 @@ class Parser {
       int line = Line();
       Advance();
       ExprPtr right = ParseEquality();
-      left = std::make_unique<LogicalExpr>(LogicalOp::kAnd, std::move(left),
-                                           std::move(right), line);
+      left = New<LogicalExpr>(LogicalOp::kAnd, left, right, line);
     }
     return left;
   }
@@ -317,8 +339,7 @@ class Parser {
       int line = Line();
       Advance();
       ExprPtr right = ParseRelational();
-      left = std::make_unique<BinaryExpr>(op, std::move(left),
-                                          std::move(right), line);
+      left = New<BinaryExpr>(op, left, right, line);
     }
   }
 
@@ -340,8 +361,7 @@ class Parser {
       int line = Line();
       Advance();
       ExprPtr right = ParseAdditive();
-      left = std::make_unique<BinaryExpr>(op, std::move(left),
-                                          std::move(right), line);
+      left = New<BinaryExpr>(op, left, right, line);
     }
   }
 
@@ -353,8 +373,7 @@ class Parser {
       int line = Line();
       Advance();
       ExprPtr right = ParseMultiplicative();
-      left = std::make_unique<BinaryExpr>(op, std::move(left),
-                                          std::move(right), line);
+      left = New<BinaryExpr>(op, left, right, line);
     }
     return left;
   }
@@ -370,8 +389,7 @@ class Parser {
       int line = Line();
       Advance();
       ExprPtr right = ParseUnary();
-      left = std::make_unique<BinaryExpr>(op, std::move(left),
-                                          std::move(right), line);
+      left = New<BinaryExpr>(op, left, right, line);
     }
     return left;
   }
@@ -379,21 +397,19 @@ class Parser {
   ExprPtr ParseUnary() {
     int line = Line();
     if (Match(TokenType::kBang)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::kNot, ParseUnary(), line);
+      return New<UnaryExpr>(UnaryOp::kNot, ParseUnary(), line);
     }
     if (Match(TokenType::kMinus)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::kNegate, ParseUnary(), line);
+      return New<UnaryExpr>(UnaryOp::kNegate, ParseUnary(), line);
     }
     if (Match(TokenType::kTypeof)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::kTypeof, ParseUnary(), line);
+      return New<UnaryExpr>(UnaryOp::kTypeof, ParseUnary(), line);
     }
     if (Match(TokenType::kPlusPlus)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::kPreIncrement, ParseUnary(),
-                                         line);
+      return New<UnaryExpr>(UnaryOp::kPreIncrement, ParseUnary(), line);
     }
     if (Match(TokenType::kMinusMinus)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::kPreDecrement, ParseUnary(),
-                                         line);
+      return New<UnaryExpr>(UnaryOp::kPreDecrement, ParseUnary(), line);
     }
     return ParsePostfix();
   }
@@ -410,8 +426,7 @@ class Parser {
         Fail("invalid increment/decrement target");
       }
       Advance();
-      expression =
-          std::make_unique<PostfixExpr>(op, std::move(expression), line);
+      expression = New<PostfixExpr>(op, expression, line);
     }
     return expression;
   }
@@ -421,29 +436,20 @@ class Parser {
       if (Check(TokenType::kLeftParen)) {
         int line = Line();
         Advance();
-        auto call = std::make_unique<CallExpr>(std::move(base), line);
-        if (!Check(TokenType::kRightParen)) {
-          while (true) {
-            call->arguments.push_back(ParseAssignment());
-            if (!Match(TokenType::kComma)) break;
-          }
-        }
-        Expect(TokenType::kRightParen, "after call arguments");
-        base = std::move(call);
+        ExprList arguments = ParseArguments("after call arguments");
+        base = New<CallExpr>(base, arguments, line);
       } else if (Check(TokenType::kDot)) {
         int line = Line();
         Advance();
-        std::string name =
-            Expect(TokenType::kIdentifier, "after '.'").text;
-        base = std::make_unique<MemberExpr>(std::move(base), std::move(name),
-                                            line);
+        const std::string_view name =
+            Name(Expect(TokenType::kIdentifier, "after '.'"));
+        base = New<MemberExpr>(base, name, line);
       } else if (Check(TokenType::kLeftBracket)) {
         int line = Line();
         Advance();
         ExprPtr index = ParseExpression();
         Expect(TokenType::kRightBracket, "after index expression");
-        base = std::make_unique<IndexExpr>(std::move(base), std::move(index),
-                                           line);
+        base = New<IndexExpr>(base, index, line);
       } else {
         return base;
       }
@@ -456,33 +462,27 @@ class Parser {
       case TokenType::kNumber: {
         double value = Peek().number;
         Advance();
-        return std::make_unique<NumberExpr>(value, line);
+        return New<NumberExpr>(value, line);
       }
-      case TokenType::kString: {
-        std::string value = Peek().text;
-        Advance();
-        return std::make_unique<StringExpr>(std::move(value), line);
-      }
+      case TokenType::kString:
+        return New<StringExpr>(Literal(Advance()), line);
       case TokenType::kTrue:
         Advance();
-        return std::make_unique<BoolExpr>(true, line);
+        return New<BoolExpr>(true, line);
       case TokenType::kFalse:
         Advance();
-        return std::make_unique<BoolExpr>(false, line);
+        return New<BoolExpr>(false, line);
       case TokenType::kNull:
         Advance();
-        return std::make_unique<NullExpr>(line);
+        return New<NullExpr>(line);
       case TokenType::kUndefined:
         Advance();
-        return std::make_unique<UndefinedExpr>(line);
+        return New<UndefinedExpr>(line);
       case TokenType::kThis:
         Advance();
-        return std::make_unique<ThisExpr>(line);
-      case TokenType::kIdentifier: {
-        std::string name = Peek().text;
-        Advance();
-        return std::make_unique<IdentifierExpr>(std::move(name), line);
-      }
+        return New<ThisExpr>(line);
+      case TokenType::kIdentifier:
+        return New<IdentifierExpr>(Name(Advance()), line);
       case TokenType::kLeftParen: {
         Advance();
         ExprPtr inner = ParseExpression();
@@ -491,35 +491,36 @@ class Parser {
       }
       case TokenType::kLeftBracket: {
         Advance();
-        auto array = std::make_unique<ArrayExpr>(line);
+        std::vector<ExprPtr> elements;
         if (!Check(TokenType::kRightBracket)) {
           while (true) {
-            array->elements.push_back(ParseAssignment());
+            elements.push_back(ParseAssignment());
             if (!Match(TokenType::kComma)) break;
           }
         }
         Expect(TokenType::kRightBracket, "after array literal");
-        return array;
+        return New<ArrayExpr>(List(elements), line);
       }
       case TokenType::kLeftBrace: {
         Advance();
-        auto object = std::make_unique<ObjectLiteralExpr>(line);
+        std::vector<Property> properties;
         if (!Check(TokenType::kRightBrace)) {
           while (true) {
-            std::string key;
-            if (Check(TokenType::kIdentifier) || Check(TokenType::kString)) {
-              key = Peek().text;
-              Advance();
+            std::string_view key;
+            if (Check(TokenType::kIdentifier)) {
+              key = Name(Advance());
+            } else if (Check(TokenType::kString)) {
+              key = Literal(Advance());
             } else {
               Fail("expected property name in object literal");
             }
             Expect(TokenType::kColon, "after property name");
-            object->properties.emplace_back(std::move(key), ParseAssignment());
+            properties.push_back(Property{key, ParseAssignment()});
             if (!Match(TokenType::kComma)) break;
           }
         }
         Expect(TokenType::kRightBrace, "after object literal");
-        return object;
+        return New<ObjectLiteralExpr>(List(properties), line);
       }
       case TokenType::kFunction: {
         Advance();
@@ -533,21 +534,15 @@ class Parser {
         while (Check(TokenType::kDot)) {
           int member_line = Line();
           Advance();
-          std::string name = Expect(TokenType::kIdentifier, "after '.'").text;
-          callee = std::make_unique<MemberExpr>(std::move(callee),
-                                                std::move(name), member_line);
+          const std::string_view name =
+              Name(Expect(TokenType::kIdentifier, "after '.'"));
+          callee = New<MemberExpr>(callee, name, member_line);
         }
-        auto expr = std::make_unique<NewExpr>(std::move(callee), line);
+        ExprList arguments;
         if (Match(TokenType::kLeftParen)) {
-          if (!Check(TokenType::kRightParen)) {
-            while (true) {
-              expr->arguments.push_back(ParseAssignment());
-              if (!Match(TokenType::kComma)) break;
-            }
-          }
-          Expect(TokenType::kRightParen, "after constructor arguments");
+          arguments = ParseArguments("after constructor arguments");
         }
-        return expr;
+        return New<NewExpr>(callee, arguments, line);
       }
       default:
         Fail(std::string("unexpected token '") +
@@ -556,14 +551,49 @@ class Parser {
     }
   }
 
-  std::vector<Token> tokens_;
+  /// The comma-separated list after an already-consumed '('.
+  ExprList ParseArguments(const char* context) {
+    std::vector<ExprPtr> arguments;
+    if (!Check(TokenType::kRightParen)) {
+      while (true) {
+        arguments.push_back(ParseAssignment());
+        if (!Match(TokenType::kComma)) break;
+      }
+    }
+    Expect(TokenType::kRightParen, context);
+    return List(arguments);
+  }
+
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
+  std::string_view source_;
+  Arena& arena_;
 };
+
+/// Generous bound on the node bytes one token produces (a top-level
+/// `new F;` is the worst case, at about 27); sizes the throwaway arena of
+/// the sizing pass so it almost never needs a second chunk.
+constexpr std::size_t kMaxNodeBytesPerToken = 32;
 
 }  // namespace
 
 Program ParseProgram(std::string_view source) {
-  return Parser(Tokenize(source)).Run();
+  const std::vector<Token> tokens = Tokenize(source);
+  auto build = [&](Program& program) {
+    program.source_ = program.arena_.CopyString(source);
+    program.statements_ = Parser(tokens, program.source_, program.arena_).Run();
+  };
+  // Pass 1 builds the Program in a throwaway arena: it raises any
+  // SyntaxError and measures the exact bytes the source copy and nodes
+  // take. Pass 2 builds it again into one chunk of exactly that size, so
+  // a cached Program is a single heap block with no slack.
+  Program sizing;
+  sizing.arena_.Reserve(source.size() + tokens.size() * kMaxNodeBytesPerToken);
+  build(sizing);
+  Program program;
+  program.arena_.Reserve(sizing.arena_.used());
+  build(program);
+  return program;
 }
 
 }  // namespace mobivine::minijs

@@ -2,6 +2,7 @@
 // hosts the WebView proxy scripts.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace mobivine::minijs {
@@ -74,6 +75,7 @@ struct Token {
   TokenType type = TokenType::kEof;
   std::string text;     // raw lexeme (decoded for strings)
   double number = 0.0;  // value for kNumber
+  std::size_t offset = 0;  // byte offset of the lexeme in the source
   int line = 1;
   int column = 1;
 };

@@ -1,12 +1,62 @@
 #include "minijs/value.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <mutex>
 #include <sstream>
 
 #include "support/strings.h"
 
 namespace mobivine::minijs {
+
+namespace {
+
+// One counter per thread that ever built a cell. Only its thread writes
+// it, so a relaxed load + store is enough and no cache line is shared
+// between shards; LiveHeapCells() sums them all. Counters outlive their
+// threads (a cell may die on a different thread than it was born on),
+// which is why the registry never shrinks and is never destroyed.
+struct CellCounter {
+  std::atomic<std::int64_t> live{0};
+};
+
+std::mutex& RegistryMutex() {
+  static auto* mutex = new std::mutex();
+  return *mutex;
+}
+
+std::deque<CellCounter>& Registry() {
+  static auto* registry = new std::deque<CellCounter>();
+  return *registry;
+}
+
+CellCounter& LocalCounter() {
+  thread_local CellCounter* counter = nullptr;
+  if (counter == nullptr) {
+    std::lock_guard<std::mutex> lock(RegistryMutex());
+    counter = &Registry().emplace_back();
+  }
+  return *counter;
+}
+
+}  // namespace
+
+void detail::CellCount::Add(int delta) {
+  std::atomic<std::int64_t>& live = LocalCounter().live;
+  live.store(live.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+}
+
+std::int64_t LiveHeapCells() {
+  std::lock_guard<std::mutex> lock(RegistryMutex());
+  std::int64_t total = 0;
+  for (const CellCounter& counter : Registry()) {
+    total += counter.live.load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 bool Value::Truthy() const {
   switch (type()) {

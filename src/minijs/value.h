@@ -6,10 +6,12 @@
 // are host functions, which keeps the bridge surface uniform.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -20,6 +22,23 @@ class Object;
 struct Function;
 struct FunctionExpr;
 class Environment;
+
+/// Objects and scopes alive in the process. Each thread counts the ones
+/// it builds and frees, and this sums them all. Leak tests compare it
+/// before and after a batch of scripts: once every interpreter that ran
+/// them is gone, the count is back where it started.
+[[nodiscard]] std::int64_t LiveHeapCells();
+
+namespace detail {
+/// A member that counts its owner in LiveHeapCells().
+struct CellCount {
+  CellCount() { Add(1); }
+  CellCount(const CellCount&) { Add(1); }
+  CellCount& operator=(const CellCount&) { return *this; }
+  ~CellCount() { Add(-1); }
+  static void Add(int delta);
+};
+}  // namespace detail
 
 class Value {
  public:
@@ -137,19 +156,26 @@ class Object {
   std::vector<Value>& elements() { return elements_; }
   const std::vector<Value>& elements() const { return elements_; }
 
-  [[nodiscard]] bool Has(const std::string& name) const {
-    return properties_.count(name) > 0;
+  /// Ordered (deterministic dumps) and transparent: lookups by a
+  /// string_view into a parsed Program allocate nothing.
+  using PropertyMap = std::map<std::string, Value, std::less<>>;
+
+  [[nodiscard]] bool Has(std::string_view name) const {
+    return properties_.find(name) != properties_.end();
   }
-  [[nodiscard]] Value Get(const std::string& name) const {
+  [[nodiscard]] Value Get(std::string_view name) const {
     auto it = properties_.find(name);
     return it == properties_.end() ? Value::Undefined() : it->second;
   }
-  void Set(const std::string& name, Value value) {
-    properties_[name] = std::move(value);
+  void Set(std::string_view name, Value value) {
+    auto it = properties_.lower_bound(name);
+    if (it != properties_.end() && it->first == name) {
+      it->second = std::move(value);
+    } else {
+      properties_.emplace_hint(it, std::string(name), std::move(value));
+    }
   }
-  const std::map<std::string, Value>& properties() const {
-    return properties_;
-  }
+  const PropertyMap& properties() const { return properties_; }
 
   /// Diagnostic tag ("SmsWrapper", "Error", ...) set by constructors and
   /// the host bridge.
@@ -157,10 +183,15 @@ class Object {
   void set_class_name(std::string name) { class_name_ = std::move(name); }
 
  private:
+  friend class Interpreter;
+
   bool is_array_ = false;
+  /// Id of the interpreter that holds this object for teardown (0: none).
+  std::uint32_t tracked_by_ = 0;
   std::vector<Value> elements_;
-  std::map<std::string, Value> properties_;
+  PropertyMap properties_;
   std::string class_name_;
+  [[no_unique_address]] detail::CellCount cell_count_;
 };
 
 /// Host function signature: (interpreter, this, args) -> value.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,6 +78,38 @@ TEST(Lexer, NumberForms) {
 // Parser
 // ---------------------------------------------------------------------------
 
+// The perfbench script composite (variant 0): k location fixes, a
+// checksum loop, then a post with an SMS fallback. StepPin below runs the
+// same text.
+std::string CompositeSource() {
+  return
+      "var k = Number(args.k); var lat = 0; var lon = 0; var i = 0;\n"
+      "var fix = '';\n"
+      "while (i < k) {\n"
+      "  fix = mobile.invoke(args.src, 'getLocation');\n"
+      "  var c = fix.indexOf(',');\n"
+      "  lat = lat + Number(fix.substring(0, c));\n"
+      "  lon = lon + Number(fix.substring(c + 1, fix.length));\n"
+      "  i = i + 1;\n"
+      "}\n"
+      "lat = lat / k; lon = lon / k;\n"
+      "if (isNaN(lat) || isNaN(lon)) { throw 'bad fix ' + fix; }\n"
+      "var n = Number(args.n); var acc = 17; var j = 0;\n"
+      "while (j < n) { acc = (acc * 31 + j) % 1000003; j = j + 1; }\n"
+      "var report = 'id=' + args.id + ';k=' + k + ';lat=' + lat +\n"
+      "             ';lon=' + lon + ';acc=' + acc;\n"
+      "var via = 'post';\n"
+      "try {\n"
+      "  var echo = mobile.invoke(args.dst, 'httpPost', args.url, report,\n"
+      "                           'text/plain');\n"
+      "  if (echo != report) { throw 'echo mismatch'; }\n"
+      "} catch (e) {\n"
+      "  mobile.invoke(args.dst, 'sendSms', args.peer, report);\n"
+      "  via = 'sms';\n"
+      "}\n"
+      "args.id + ':' + via + ':' + acc;\n";
+}
+
 TEST(Parser, SyntaxErrorsCarryLocation) {
   try {
     (void)ParseProgram("var = 3;");
@@ -92,10 +126,58 @@ TEST(Parser, SyntaxErrorsCarryLocation) {
 TEST(Parser, PrecedenceShape) {
   // 1 + 2 * 3 parses as 1 + (2 * 3).
   Program program = ParseProgram("1 + 2 * 3;");
-  const auto& stmt = static_cast<const ExpressionStmt&>(*program.statements[0]);
+  ASSERT_EQ(program.statements().size(), 1u);
+  ASSERT_EQ(program.statements()[0]->kind, StmtKind::kExpression);
+  const auto& stmt =
+      static_cast<const ExpressionStmt&>(*program.statements()[0]);
+  ASSERT_EQ(stmt.expression->kind, ExprKind::kBinary);
   const auto& add = static_cast<const BinaryExpr&>(*stmt.expression);
   EXPECT_EQ(add.op, BinaryOp::kAdd);
-  EXPECT_EQ(add.right->kind, ExprKind::kBinary);
+  ASSERT_EQ(add.left->kind, ExprKind::kNumber);
+  EXPECT_DOUBLE_EQ(static_cast<const NumberExpr&>(*add.left).value, 1);
+  ASSERT_EQ(add.right->kind, ExprKind::kBinary);
+  EXPECT_EQ(static_cast<const BinaryExpr&>(*add.right).op,
+            BinaryOp::kMultiply);
+}
+
+TEST(Parser, ProgramDoesNotDependOnTheCallersBuffer) {
+  // The short source fits a std::string's inline buffer, so a Program that
+  // kept views into the caller's string (or into an SSO member of its own)
+  // would dangle once that string or the Program moves.
+  const std::string shapes[] = {
+      "var a='bc';a;",
+      "var greeting = 'hello'; var o = {name: greeting, 'tag': 'x\\ty'};"
+      " function show(p) { return p.name + '/' + p.tag + '/' + typeof p; }"
+      " show(o);",
+  };
+  const std::string expected[] = {"bc", "hello/x\ty/object"};
+  for (int i = 0; i < 2; ++i) {
+    Program moved;
+    {
+      auto buffer = std::make_unique<std::string>(shapes[i]);
+      Program parsed = ParseProgram(*buffer);
+      std::fill(buffer->begin(), buffer->end(), '#');
+      buffer.reset();
+      moved = std::move(parsed);
+      EXPECT_TRUE(parsed.statements().empty());
+    }
+    EXPECT_EQ(moved.source(), shapes[i]);
+    auto program = std::make_shared<const Program>(std::move(moved));
+    Interpreter interp;
+    EXPECT_EQ(interp.Run(program).ToDisplayString(), expected[i]);
+  }
+}
+
+TEST(Parser, ParsedCompositeStaysInItsMemoryBudget) {
+  // The budget behind the parse cache's memory: the perfbench composite
+  // (885 bytes of source) parses into one arena chunk that holds the
+  // source copy and every node with no slack.
+  const std::string source = CompositeSource();
+  ASSERT_EQ(source.size(), 885u);
+  const Program program = ParseProgram(source);
+  EXPECT_LE(program.arena_bytes(), 6'300u);
+  EXPECT_EQ(program.source(), source);
+  EXPECT_NE(program.source().data(), source.data());
 }
 
 // ---------------------------------------------------------------------------

@@ -679,5 +679,36 @@ TEST(ScriptCache, ParseFailuresAreNeverCached) {
   EXPECT_EQ(totals.script_cache_misses, 2u);
 }
 
+// ---------------------------------------------------------------------------
+// Teardown: reference cycles a script builds are freed with its sandbox
+// ---------------------------------------------------------------------------
+
+TEST(ScriptLeak, CycleFormingScriptsReturnToTheLiveBaseline) {
+  Gateway gateway(BaseConfig());
+  const char* const shapes[] = {
+      // A closure stored on a global object it reads back: the cycle runs
+      // through the global scope (and pins `mobile` and `args` with it).
+      "var o = {n: 1}; o.f = function() { return o.n; }; o.f();",
+      // A closure stored in the function scope it captures.
+      "function make() { var self = {}; var g = function() { return self; };"
+      " self.g = g; return 1; } make();",
+      // An object that holds itself, directly and through an array.
+      "var o = {}; o.self = o; o.list = [o]; 1;",
+      // An array that contains itself, by push and by index.
+      "var a = [1]; a.push(a); a[2] = a; a.length;",
+      // Host objects a script ties into knots.
+      "args.me = args; mobile.me = mobile; args.m = mobile; 1;",
+  };
+  for (const char* shape : shapes) {
+    ASSERT_TRUE(gateway.CallScript(MakeScript(shape)).ok) << shape;
+    const std::int64_t baseline = minijs::LiveHeapCells();
+    for (int i = 0; i < 10'000; ++i) {
+      const ScriptResponse response = gateway.CallScript(MakeScript(shape));
+      ASSERT_TRUE(response.ok) << shape << ": " << response.message;
+    }
+    EXPECT_EQ(minijs::LiveHeapCells(), baseline) << shape;
+  }
+}
+
 }  // namespace
 }  // namespace mobivine

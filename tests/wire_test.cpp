@@ -25,11 +25,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -1252,25 +1254,41 @@ TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
 // Server: backpressure
 // ---------------------------------------------------------------------------
 
+/// Largest send buffer the kernel autotunes a TCP socket to (tcp_wmem's
+/// third field; the server never sets SO_SNDBUF).
+std::size_t KernelSendBufferMax() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t min = 0;
+  std::size_t initial = 0;
+  std::size_t max = 0;
+  if (in >> min >> initial >> max && max > 0) return max;
+  return std::size_t{4} << 20;  // the Linux default
+}
+
 TEST_F(WireServerTest, OutputBackpressurePausesAndEveryResponseArrives) {
   WireServerConfig wire_config;
   wire_config.output_high_watermark = 8 * 1024;
   wire_config.output_low_watermark = 2 * 1024;
   StartAll(BaseConfig(2), wire_config);
 
-  // Big echoes, tiny client receive buffer, and no reading until every
-  // request is on the wire: the server must hit the watermark, pause,
-  // and still deliver everything once we drain.
-  constexpr int kPosts = 16;
+  // Big echoes, tiny client receive buffer, and no reading until the
+  // server has paused: it must hit the watermark, pause, and still
+  // deliver everything once we drain. The kernel absorbs up to a whole
+  // autotuned send buffer of unsent output (several MiB on loopback)
+  // before the server's own queue grows at all, so the echoes must
+  // outweigh that buffer — a fixed 768 KiB sometimes fit in it entirely.
   const std::string body(48 * 1024, 'e');
+  const int posts = std::max<int>(
+      16, static_cast<int>((KernelSendBufferMax() + 256 * 1024) /
+                           body.size()) + 1);
   RawConn conn;
-  // Generous receive timeout: 768 KiB drains through a 4 KiB receive
+  // Generous receive timeout: megabytes drain through a 4 KiB receive
   // buffer in many small reads, and a saturated CI host (the full suite
   // under ctest -j) can starve this thread between them.
   ASSERT_TRUE(
       conn.Connect(server_->port(), /*rcvbuf=*/4096, /*rcvtimeo_ms=*/60000));
   std::vector<std::uint8_t> bytes;
-  for (int i = 0; i < kPosts; ++i) {
+  for (int i = 0; i < posts; ++i) {
     WireRequest post;
     post.request_id = static_cast<std::uint64_t>(i) + 1;
     post.client_id = 1;
@@ -1281,18 +1299,33 @@ TEST_F(WireServerTest, OutputBackpressurePausesAndEveryResponseArrives) {
     post.content_type = "text/plain";
     EncodeRequest(post, bytes);
   }
-  ASSERT_TRUE(conn.Send(bytes));
+  // A paused server stops reading too, so the requests go out from
+  // their own thread: the tail of a multi-MiB send may only fit once the
+  // drain below resumes the connection.
+  std::atomic<bool> sent{false};
+  std::thread sender([&] { sent = conn.Send(bytes); });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server_->Stats().backpressure_stalls == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t stalls_before_draining =
+      server_->Stats().backpressure_stalls;
 
   int received = 0;
-  for (; received < kPosts; ++received) {
+  for (; received < posts; ++received) {
     WireResponse response;
     if (!conn.RecvResponse(&response)) break;
     EXPECT_EQ(response.status, WireStatus::kOk);
     EXPECT_EQ(response.body, body) << "echo body mangled under backpressure";
   }
-  EXPECT_EQ(received, kPosts);
-  EXPECT_GE(server_->Stats().backpressure_stalls, 1u)
-      << "48 KiB x 16 echoes through a 4 KiB receive buffer must stall";
+  sender.join();
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(received, posts);
+  EXPECT_GE(stalls_before_draining, 1u)
+      << posts << " x 48 KiB echoes to a connection nobody reads must stall";
 }
 
 // ---------------------------------------------------------------------------
