@@ -2,10 +2,17 @@
 // XML parsing, schema validation, plane assembly and full store loading —
 // the design-time machinery of the M-Proxy model.
 //
+// BM_LoadFullDescriptorStore also reports `allocs`, the heap allocations
+// one load makes, counted by the operator new replacement below.
+//
 //   ./build/bench/bench_a2_descriptor
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 #include "core/descriptor/proxy_descriptor.h"
@@ -14,6 +21,40 @@
 #include "xml/xml_writer.h"
 
 using namespace mobivine;
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Counting replacements for the global allocation functions; every other
+// form of operator new and delete forwards to these. Kept out of line so
+// the compiler never pairs an inlined free() with a new-expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t al) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(al);
+  const std::size_t rounded = (std::max<std::size_t>(size, 1) + align - 1) /
+                              align * align;  // aligned_alloc's contract
+  if (void* block = std::aligned_alloc(align, rounded)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(block);
+}
 
 namespace {
 
@@ -78,18 +119,23 @@ void BM_SerializeSemanticPlane(benchmark::State& state) {
   xml::Document doc = xml::Parse(SemanticSource());
   core::SemanticPlane plane = core::ParseSemantic(*doc.root);
   for (auto _ : state) {
-    std::string out = xml::WriteNode(*core::ToXml(plane));
+    std::string out = xml::WriteNode(*core::ToXml(plane).root);
     benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_SerializeSemanticPlane);
 
 void BM_LoadFullDescriptorStore(benchmark::State& state) {
+  const long before = g_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::DescriptorStore store =
         core::DescriptorStore::LoadDirectory(MOBIVINE_DESCRIPTOR_DIR);
     benchmark::DoNotOptimize(store.size());
   }
+  state.counters["allocs"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_LoadFullDescriptorStore)->Unit(benchmark::kMicrosecond);
 

@@ -148,6 +148,15 @@ python3 scripts/validate_mscope.py \
   "$MSCOPE_DIR/fleet_trace.json" "$MSCOPE_DIR/fleet_metrics.json" \
   scripts/mscope_schema.json --require-fleet
 
+# Descriptor leg: the A2 bench drives the XML parser, DOM, schema
+# validator and DescriptorStore::LoadDirectory on the shipped store. One
+# short run as a smoke test: it must load every document and exit 0.
+# There is no timing gate.
+echo "==== [descriptor] A2 descriptor bench smoke ===="
+./build/bench/bench_a2_descriptor \
+  --benchmark_filter='LoadFullDescriptorStore|XmlParse' \
+  --benchmark_min_time=0.05
+
 if [[ "${MOBIVINE_CI_WIRE_TSAN:-1}" != "0" ]]; then
   echo "==== [wire] tsan: Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace suites ===="
   cmake --preset tsan
@@ -157,4 +166,4 @@ if [[ "${MOBIVINE_CI_WIRE_TSAN:-1}" != "0" ]]; then
     --output-on-failure
 fi
 
-echo "==== all presets green: $PRESETS (+ docs, mscope, wire, cluster, push, script, fleet) ===="
+echo "==== all presets green: $PRESETS (+ docs, mscope, wire, cluster, push, script, fleet, descriptor) ===="

@@ -113,7 +113,8 @@ SyntacticPlane ParseSyntactic(const xml::Node& root) {
     method.method = method_node->GetAttributeOr("name", "");
     method.return_type = method_node->GetAttributeOr("returnType", "void");
     for (const xml::Node* param_node : method_node->Children("param")) {
-      method.parameter_types.push_back(param_node->GetAttributeOr("type", ""));
+      method.parameter_types.emplace_back(
+          param_node->GetAttributeOr("type", ""));
     }
     if (const xml::Node* callback = method_node->FirstChild("callback")) {
       method.callback_type = callback->GetAttributeOr("type", "");
@@ -162,101 +163,106 @@ BindingPlane ParseBinding(const xml::Node& root) {
 // ---------------------------------------------------------------------------
 
 namespace {
-void AppendAllowedValues(xml::Node& parent,
+void AppendAllowedValues(xml::Document& doc, xml::Node& parent,
                          const std::vector<std::string>& values) {
   for (const std::string& value : values) {
-    parent.AppendElement("allowedValue", value);
+    doc.AppendElement(parent, "allowedValue", value);
   }
+}
+
+xml::Node& NewRoot(xml::Document& doc, std::string_view name) {
+  doc.root = doc.NewElement(name);
+  return *doc.root;
 }
 }  // namespace
 
-xml::NodePtr ToXml(const SemanticPlane& plane) {
-  auto root = xml::Node::Element("proxy");
-  root->SetAttribute("name", plane.interface_name);
-  root->SetAttribute("category", plane.category);
+xml::Document ToXml(const SemanticPlane& plane) {
+  xml::Document doc;
+  xml::Node& root = NewRoot(doc, "proxy");
+  doc.SetAttribute(root, "name", plane.interface_name);
+  doc.SetAttribute(root, "category", plane.category);
   if (!plane.description.empty()) {
-    root->AppendElement("description", plane.description);
+    doc.AppendElement(root, "description", plane.description);
   }
   for (const MethodSpec& method : plane.methods) {
-    xml::Node& method_node = root->AppendChild(xml::Node::Element("method"));
-    method_node.SetAttribute("name", method.name);
+    xml::Node& method_node = doc.AppendElement(root, "method");
+    doc.SetAttribute(method_node, "name", method.name);
     if (!method.description.empty()) {
-      method_node.AppendElement("description", method.description);
+      doc.AppendElement(method_node, "description", method.description);
     }
     for (const ParameterSpec& param : method.parameters) {
-      xml::Node& param_node =
-          method_node.AppendChild(xml::Node::Element("parameter"));
-      param_node.SetAttribute("name", param.name);
-      param_node.SetAttribute("dimension", param.dimension);
+      xml::Node& param_node = doc.AppendElement(method_node, "parameter");
+      doc.SetAttribute(param_node, "name", param.name);
+      doc.SetAttribute(param_node, "dimension", param.dimension);
       if (!param.description.empty()) {
-        param_node.AppendElement("description", param.description);
+        doc.AppendElement(param_node, "description", param.description);
       }
-      AppendAllowedValues(param_node, param.allowed_values);
+      AppendAllowedValues(doc, param_node, param.allowed_values);
     }
     if (!method.callback_name.empty()) {
-      xml::Node& callback =
-          method_node.AppendChild(xml::Node::Element("callback"));
-      callback.SetAttribute("name", method.callback_name);
+      xml::Node& callback = doc.AppendElement(method_node, "callback");
+      doc.SetAttribute(callback, "name", method.callback_name);
     }
-    xml::Node& returns = method_node.AppendChild(xml::Node::Element("returns"));
-    returns.SetAttribute("dimension", method.return_dimension);
+    xml::Node& returns = doc.AppendElement(method_node, "returns");
+    doc.SetAttribute(returns, "dimension", method.return_dimension);
   }
-  return root;
+  return doc;
 }
 
-xml::NodePtr ToXml(const SyntacticPlane& plane) {
-  auto root = xml::Node::Element("syntax");
-  root->SetAttribute("proxy", plane.proxy);
-  root->SetAttribute("language", plane.language);
+xml::Document ToXml(const SyntacticPlane& plane) {
+  xml::Document doc;
+  xml::Node& root = NewRoot(doc, "syntax");
+  doc.SetAttribute(root, "proxy", plane.proxy);
+  doc.SetAttribute(root, "language", plane.language);
   for (const MethodSyntax& method : plane.methods) {
-    xml::Node& method_node = root->AppendChild(xml::Node::Element("method"));
-    method_node.SetAttribute("name", method.method);
-    method_node.SetAttribute("returnType", method.return_type);
+    xml::Node& method_node = doc.AppendElement(root, "method");
+    doc.SetAttribute(method_node, "name", method.method);
+    doc.SetAttribute(method_node, "returnType", method.return_type);
     for (const std::string& type : method.parameter_types) {
-      xml::Node& param = method_node.AppendChild(xml::Node::Element("param"));
-      param.SetAttribute("type", type);
+      xml::Node& param = doc.AppendElement(method_node, "param");
+      doc.SetAttribute(param, "type", type);
     }
     if (!method.callback_type.empty() || !method.callback_method.empty()) {
-      xml::Node& callback =
-          method_node.AppendChild(xml::Node::Element("callback"));
-      callback.SetAttribute("type", method.callback_type);
-      callback.SetAttribute("method", method.callback_method);
+      xml::Node& callback = doc.AppendElement(method_node, "callback");
+      doc.SetAttribute(callback, "type", method.callback_type);
+      doc.SetAttribute(callback, "method", method.callback_method);
     }
   }
-  return root;
+  return doc;
 }
 
-xml::NodePtr ToXml(const BindingPlane& plane) {
-  auto root = xml::Node::Element("binding");
-  root->SetAttribute("proxy", plane.proxy);
-  root->SetAttribute("platform", plane.platform);
-  root->SetAttribute("language", plane.language);
+xml::Document ToXml(const BindingPlane& plane) {
+  xml::Document doc;
+  xml::Node& root = NewRoot(doc, "binding");
+  doc.SetAttribute(root, "proxy", plane.proxy);
+  doc.SetAttribute(root, "platform", plane.platform);
+  doc.SetAttribute(root, "language", plane.language);
   if (!plane.implementation_class.empty()) {
-    xml::Node& impl = root->AppendChild(xml::Node::Element("implementation"));
-    impl.SetAttribute("class", plane.implementation_class);
+    xml::Node& impl = doc.AppendElement(root, "implementation");
+    doc.SetAttribute(impl, "class", plane.implementation_class);
   }
   for (const std::string& artifact : plane.artifacts) {
-    root->AppendElement("artifact", artifact);
+    doc.AppendElement(root, "artifact", artifact);
   }
   for (const ExceptionSpec& exception : plane.exceptions) {
-    xml::Node& node = root->AppendChild(xml::Node::Element("exception"));
-    node.SetAttribute("native", exception.native_type);
-    node.SetAttribute("code", exception.mapped_code);
+    xml::Node& node = doc.AppendElement(root, "exception");
+    doc.SetAttribute(node, "native", exception.native_type);
+    doc.SetAttribute(node, "code", exception.mapped_code);
   }
   for (const PropertySpec& property : plane.properties) {
-    xml::Node& node = root->AppendChild(xml::Node::Element("property"));
-    node.SetAttribute("name", property.name);
-    node.SetAttribute("type", property.type);
+    xml::Node& node = doc.AppendElement(root, "property");
+    doc.SetAttribute(node, "name", property.name);
+    doc.SetAttribute(node, "type", property.type);
     if (!property.default_value.empty()) {
-      node.SetAttribute("default", property.default_value);
+      doc.SetAttribute(node, "default", property.default_value);
     }
-    if (property.required) node.SetAttribute("required", "true");
+    if (property.required) doc.SetAttribute(node, "required", "true");
     if (!property.description.empty()) {
-      node.AppendElement("description", property.description);
+      doc.AppendElement(node, "description", property.description);
     }
-    AppendAllowedValues(node, property.allowed_values);
+    AppendAllowedValues(doc, node, property.allowed_values);
   }
-  return root;
+  return doc;
 }
 
 }  // namespace mobivine::core

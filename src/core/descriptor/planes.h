@@ -166,8 +166,9 @@ inline const PropertySpec* BindingPlane::FindProperty(
 [[nodiscard]] SyntacticPlane ParseSyntactic(const xml::Node& root);
 [[nodiscard]] BindingPlane ParseBinding(const xml::Node& root);
 
-[[nodiscard]] xml::NodePtr ToXml(const SemanticPlane& plane);
-[[nodiscard]] xml::NodePtr ToXml(const SyntacticPlane& plane);
-[[nodiscard]] xml::NodePtr ToXml(const BindingPlane& plane);
+/// Each returns a Document whose root is the plane's element.
+[[nodiscard]] xml::Document ToXml(const SemanticPlane& plane);
+[[nodiscard]] xml::Document ToXml(const SyntacticPlane& plane);
+[[nodiscard]] xml::Document ToXml(const BindingPlane& plane);
 
 }  // namespace mobivine::core

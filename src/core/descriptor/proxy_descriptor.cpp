@@ -1,7 +1,12 @@
 #include "core/descriptor/proxy_descriptor.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <filesystem>
+#include <cerrno>
 #include <stdexcept>
 
 #include "core/descriptor/schemas.h"
@@ -65,15 +70,10 @@ std::vector<std::string> ProxyDescriptor::Platforms() const {
 }
 
 namespace {
-bool IsKnownErrorCode(const std::string& name) {
-  static const char* kNames[] = {
-      "security",  "illegal-argument", "location-unavailable",
-      "timeout",   "unreachable",      "radio-failure",
-      "unsupported", "invalid-state",  "network",
-      "overloaded", "deadline-exceeded",
-      "unknown"};
-  return std::any_of(std::begin(kNames), std::end(kNames),
-                     [&name](const char* known) { return name == known; });
+/// Every ErrorCode's canonical name, "unknown" included.
+bool IsKnownErrorCode(std::string_view name) {
+  return ErrorCodeFromName(name) != ErrorCode::kUnknown ||
+         name == ToString(ErrorCode::kUnknown);
 }
 }  // namespace
 
@@ -164,7 +164,7 @@ void DescriptorStore::AddDocument(const xml::Node& root,
   const xml::Schema* schema = SchemaFor(root);
   if (schema == nullptr) {
     throw std::runtime_error(origin + ": unrecognized descriptor document <" +
-                             root.name() + ">");
+                             std::string(root.name()) + ">");
   }
   auto violations = schema->Validate(root);
   if (!violations.empty()) {
@@ -251,23 +251,114 @@ void DescriptorStore::Finalize() {
   finalized_ = true;
 }
 
-DescriptorStore DescriptorStore::LoadDirectory(const std::string& directory) {
-  namespace fs = std::filesystem;
-  DescriptorStore store;
-  if (!fs::exists(directory)) {
-    throw std::runtime_error("descriptor directory does not exist: " +
+namespace {
+
+bool IsXmlFile(std::string_view name) {
+  return name.size() > 4 && name.ends_with(".xml");
+}
+
+/// Append the *.xml regular files and the subdirectories of `directory`,
+/// by name (symlinks are followed).
+void ListDirectory(const std::string& directory,
+                   std::vector<std::string>& xml_files,
+                   std::vector<std::string>& subdirectories) {
+  DIR* dir = ::opendir(directory.c_str());
+  if (dir == nullptr) {
+    throw std::runtime_error((errno == ENOENT
+                                  ? "descriptor directory does not exist: "
+                                  : "cannot read descriptor directory: ") +
                              directory);
   }
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::recursive_directory_iterator(directory)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".xml") {
-      files.push_back(entry.path());
+  while (const dirent* entry = ::readdir(dir)) {
+    const std::string_view name = entry->d_name;
+    if (name == "." || name == "..") continue;
+    unsigned char type = entry->d_type;
+    if (type == DT_UNKNOWN || type == DT_LNK) {
+      struct stat info;
+      const std::string path = directory + "/" + entry->d_name;
+      if (::stat(path.c_str(), &info) != 0) continue;
+      type = S_ISREG(info.st_mode) ? DT_REG
+             : S_ISDIR(info.st_mode) ? DT_DIR
+                                     : DT_UNKNOWN;
+    }
+    if (type == DT_REG && IsXmlFile(name)) xml_files.emplace_back(name);
+    if (type == DT_DIR) subdirectories.emplace_back(name);
+  }
+  ::closedir(dir);
+}
+
+/// Orders relative paths component by component, the way
+/// std::filesystem::path compares: '/' sorts below every other byte.
+bool ComponentLess(std::string_view a, std::string_view b) {
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(), [](char x, char y) {
+        auto key = [](char c) {
+          return c == '/' ? 0 : static_cast<unsigned char>(c) + 1;
+        };
+        return key(x) < key(y);
+      });
+}
+
+/// The contents of `path`, read into `buffer` (reused across files, grown
+/// when a file fills it) with one open, one read and one close. The
+/// listing admits regular files only, and a regular file reads short only
+/// at its end.
+std::string_view ReadFile(const std::string& path, std::vector<char>& buffer) {
+  constexpr std::size_t kInitialBuffer = 16 * 1024;
+  if (buffer.empty()) buffer.resize(kInitialBuffer);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open XML file: " + path);
+  std::size_t length = 0;
+  while (true) {
+    const ssize_t got =
+        ::read(fd, buffer.data() + length, buffer.size() - length);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      throw std::runtime_error("cannot read XML file: " + path);
+    }
+    length += static_cast<std::size_t>(got);
+    if (length < buffer.size()) break;
+    buffer.resize(buffer.size() * 2);
+  }
+  ::close(fd);
+  return {buffer.data(), length};
+}
+
+}  // namespace
+
+DescriptorStore DescriptorStore::LoadDirectory(const std::string& directory) {
+  const std::string prefix =
+      directory.ends_with('/') ? directory : directory + "/";
+  // Relative paths of every document: `directory`'s own *.xml files plus
+  // those of each immediate subdirectory.
+  std::vector<std::string> files;
+  std::vector<std::string> subdirectories;
+  ListDirectory(directory, files, subdirectories);
+  std::vector<std::string> nested;
+  std::vector<std::string> too_deep;  // not loaded
+  for (const std::string& subdirectory : subdirectories) {
+    nested.clear();
+    ListDirectory(prefix + subdirectory, nested, too_deep);
+    for (const std::string& name : nested) {
+      files.push_back(subdirectory + "/" + name);
     }
   }
-  std::sort(files.begin(), files.end());
-  for (const fs::path& file : files) {
-    xml::Document document = xml::ParseFile(file.string());
-    store.AddDocument(*document.root, file.string());
+  std::sort(files.begin(), files.end(), ComponentLess);
+
+  DescriptorStore store;
+  std::string path;
+  std::vector<char> buffer;  // reused for every file
+  for (const std::string& file : files) {
+    path = prefix + file;
+    const std::string_view source = ReadFile(path, buffer);
+    xml::Document document;
+    try {
+      document = xml::Parse(source);
+    } catch (const xml::ParseError& error) {
+      throw std::runtime_error(path + ": " + error.what());
+    }
+    store.AddDocument(*document.root, path);
   }
   store.Finalize();
   MOBIVINE_LOG_INFO << "loaded " << store.size() << " proxy descriptors from "

@@ -72,10 +72,15 @@ class ProxyDescriptor {
 /// Loads and owns a set of proxy descriptors.
 class DescriptorStore {
  public:
-  /// Load every *.xml under `directory` (one level of proxy subdirectories,
-  /// e.g. descriptors/location/semantic.xml). Each document is validated
-  /// against its schema; schema violations or cross-plane inconsistencies
-  /// throw std::runtime_error with a full report.
+  /// Load the *.xml files in `directory` and in each of its immediate
+  /// subdirectories (one per proxy, e.g. descriptors/location/semantic.xml);
+  /// deeper directories and other files are ignored, and symlinks are
+  /// followed. Documents load in path order, compared component by
+  /// component, so the result does not depend on directory listing order.
+  /// Each document is validated against its schema. A missing directory,
+  /// an unreadable file, a malformed document ("<file>: XML parse error at
+  /// <line>:<column>: ..."), schema violations or cross-plane
+  /// inconsistencies throw std::runtime_error with a full report.
   static DescriptorStore LoadDirectory(const std::string& directory);
 
   /// Assemble from in-memory XML documents (tests).

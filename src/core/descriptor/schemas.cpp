@@ -104,14 +104,14 @@ const xml::Schema& BindingObjCSchema() {
 const xml::Schema* SchemaFor(const xml::Node& root) {
   if (root.name() == "proxy") return &SemanticSchema();
   if (root.name() == "syntax") {
-    const std::string language = root.GetAttributeOr("language", "");
+    const std::string_view language = root.GetAttributeOr("language", "");
     if (language == "java") return &SyntacticJavaSchema();
     if (language == "javascript") return &SyntacticJavaScriptSchema();
     if (language == "objc") return &SyntacticObjCSchema();
     return nullptr;
   }
   if (root.name() == "binding") {
-    const std::string language = root.GetAttributeOr("language", "");
+    const std::string_view language = root.GetAttributeOr("language", "");
     if (language == "java") return &BindingJavaSchema();
     if (language == "javascript") return &BindingJavaScriptSchema();
     if (language == "objc") return &BindingObjCSchema();

@@ -16,7 +16,7 @@ using StmtPtr = const Stmt*;
 class Parser {
  public:
   Parser(const std::vector<Token>& tokens, std::string_view source,
-         Arena& arena)
+         support::Arena& arena)
       : tokens_(tokens), source_(source), arena_(arena) {}
 
   StmtList Run() {
@@ -567,7 +567,7 @@ class Parser {
   const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   std::string_view source_;
-  Arena& arena_;
+  support::Arena& arena_;
 };
 
 /// Generous bound on the node bytes one token produces (a top-level

@@ -1,11 +1,11 @@
-#include "minijs/ast.h"
+#include "support/arena.h"
 
 #include <cassert>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <new>
 
-namespace mobivine::minijs {
+namespace mobivine::support {
 
 namespace {
 
@@ -19,8 +19,8 @@ std::size_t RoundUp(std::size_t value, std::size_t align) {
 
 }  // namespace
 
-static_assert(alignof(std::max_align_t) >= kChunkAlign,
-              "malloc must return chunk-aligned blocks");
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= kChunkAlign,
+              "operator new must return chunk-aligned blocks");
 
 Arena& Arena::operator=(Arena&& other) noexcept {
   if (this != &other) {
@@ -37,7 +37,7 @@ Arena& Arena::operator=(Arena&& other) noexcept {
 void Arena::Release() {
   while (head_ != nullptr) {
     Chunk* next = head_->next;
-    std::free(head_);
+    ::operator delete(head_, head_->size);
     head_ = next;
   }
   cursor_ = end_ = nullptr;
@@ -61,8 +61,8 @@ void* Arena::Allocate(std::size_t bytes, std::size_t align) {
     // padding in front of this allocation.
     const std::size_t payload = std::max(
         next_chunk_ != 0 ? next_chunk_ : kDefaultChunkBytes, bytes);
-    auto* chunk = static_cast<Chunk*>(std::malloc(sizeof(Chunk) + payload));
-    if (chunk == nullptr) throw std::bad_alloc();
+    auto* chunk =
+        static_cast<Chunk*>(::operator new(sizeof(Chunk) + payload));
     *chunk = Chunk{head_, sizeof(Chunk) + payload};
     head_ = chunk;
     cursor_ = reinterpret_cast<char*>(chunk + 1);
@@ -89,4 +89,4 @@ std::size_t Arena::bytes() const {
   return total;
 }
 
-}  // namespace mobivine::minijs
+}  // namespace mobivine::support

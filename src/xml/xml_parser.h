@@ -1,10 +1,14 @@
-// Recursive-descent parser for the XML subset used by MobiVine descriptors.
+// Parser for the XML subset used by MobiVine descriptors.
 //
 // Supported: XML declaration, elements with attributes (single- or
 // double-quoted), nested elements, text content, comments, CDATA sections,
 // the five predefined entities and numeric character references (&#NN; and
 // &#xNN;, ASCII range). Not supported (rejected with a ParseError): DTDs,
 // processing instructions other than the declaration, and mismatched tags.
+//
+// The parsed Document copies the input into its arena; names, values and
+// text are views into that copy, except runs with entities, which are
+// decoded into the arena next to it.
 #pragma once
 
 #include <stdexcept>
@@ -15,7 +19,8 @@
 
 namespace mobivine::xml {
 
-/// Thrown on malformed input; carries 1-based line/column of the failure.
+/// Thrown on malformed input; carries 1-based line/column of the failure
+/// (columns count bytes).
 class ParseError : public std::runtime_error {
  public:
   ParseError(std::string message, int line, int column);
@@ -29,9 +34,5 @@ class ParseError : public std::runtime_error {
 
 /// Parse a complete document. Throws ParseError on malformed input.
 [[nodiscard]] Document Parse(std::string_view input);
-
-/// Parse a file from disk. Throws ParseError (malformed) or
-/// std::runtime_error (I/O failure).
-[[nodiscard]] Document ParseFile(const std::string& path);
 
 }  // namespace mobivine::xml

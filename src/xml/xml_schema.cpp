@@ -1,10 +1,34 @@
 #include "xml/xml_schema.h"
 
-#include <sstream>
-
-#include "support/strings.h"
+#include "support/small_vector.h"
 
 namespace mobivine::xml {
+
+/// One step of an element's location, linked to its parent's. The
+/// location string is only assembled when a violation is recorded.
+struct Schema::PathFrame {
+  const PathFrame* parent;
+  std::string_view name;
+  int index;  // 1-based among same-named siblings; 0 prints no index
+
+  std::string ToString() const {
+    std::string out = parent ? parent->ToString() : std::string();
+    out += '/';
+    out += name;
+    if (index > 0) out += "[" + std::to_string(index) + "]";
+    return out;
+  }
+};
+
+namespace {
+
+/// Occurrences of one child element name under the element being checked.
+struct ChildCount {
+  std::string_view name;
+  int count;
+};
+
+}  // namespace
 
 Schema& Schema::Rule(std::string element, ElementRule rule) {
   rules_[std::move(element)] = std::move(rule);
@@ -17,38 +41,41 @@ std::vector<Violation> Schema::Validate(const Node& root) const {
     out.push_back({"/", "root node is not an element"});
     return out;
   }
-  if (root.name() != root_element_) {
-    out.push_back({"/" + root.name(), "expected root element <" +
-                                          root_element_ + ">, found <" +
-                                          root.name() + ">"});
+  const std::string name(root.name());
+  if (name != root_element_) {
+    out.push_back({"/" + name, "expected root element <" + root_element_ +
+                                   ">, found <" + name + ">"});
     return out;
   }
-  ValidateElement(root, "/" + root.name(), out);
+  ValidateElement(root, PathFrame{nullptr, root.name(), 0}, out);
   return out;
 }
 
-void Schema::ValidateElement(const Node& element, const std::string& path,
+void Schema::ValidateElement(const Node& element, const PathFrame& path,
                              std::vector<Violation>& out) const {
   auto it = rules_.find(element.name());
   if (it == rules_.end()) {
     // No rule: nothing to check here, but still descend into children that
     // do have rules so nested violations are not masked.
     for (const Node* child : element.Children()) {
-      if (rules_.count(child->name())) {
-        ValidateElement(*child, path + "/" + child->name(), out);
+      if (rules_.contains(child->name())) {
+        ValidateElement(*child, PathFrame{&path, child->name(), 0}, out);
       }
     }
     return;
   }
   const ElementRule& rule = it->second;
+  auto report = [&](std::string message) {
+    out.push_back({path.ToString(), std::move(message)});
+  };
 
   // Attributes.
   for (const auto& required : rule.required_attributes) {
     if (!element.HasAttribute(required)) {
-      out.push_back({path, "missing required attribute '" + required + "'"});
+      report("missing required attribute '" + required + "'");
     }
   }
-  for (const auto& attr : element.attributes()) {
+  for (const Attribute& attr : element.attributes()) {
     bool known = false;
     for (const auto& name : rule.required_attributes) {
       if (name == attr.name) known = true;
@@ -57,65 +84,69 @@ void Schema::ValidateElement(const Node& element, const std::string& path,
       if (name == attr.name) known = true;
     }
     if (!known) {
-      out.push_back({path, "unexpected attribute '" + attr.name + "'"});
+      report("unexpected attribute '" + std::string(attr.name) + "'");
     }
   }
 
   // Text content.
-  const std::string text = element.InnerText();
-  if (rule.text == TextPolicy::kForbidden && !text.empty()) {
-    out.push_back({path, "text content not allowed"});
-  }
-  if (rule.text == TextPolicy::kRequired && text.empty()) {
-    out.push_back({path, "text content required"});
+  if (rule.text != TextPolicy::kAllowed) {
+    const bool has_text = element.HasInnerText();
+    if (rule.text == TextPolicy::kForbidden && has_text) {
+      report("text content not allowed");
+    }
+    if (rule.text == TextPolicy::kRequired && !has_text) {
+      report("text content required");
+    }
   }
 
-  // Children: count occurrences, check bounds and unknown names.
-  std::map<std::string, int> counts;
-  std::map<std::string, int> ordinal;  // per-name index for paths
+  // Children: count occurrences per name (the count so far is also the
+  // child's index in its path), check bounds and unknown names.
+  support::SmallVector<ChildCount, 8> counts;
+  auto count_of = [&counts](std::string_view name) -> int* {
+    for (ChildCount& entry : counts) {
+      if (entry.name == name) return &entry.count;
+    }
+    return nullptr;
+  };
   for (const Node* child : element.Children()) {
-    ++counts[child->name()];
-    int index = ++ordinal[child->name()];
-    auto allowed = rule.children.find(child->name());
-    if (allowed == rule.children.end()) {
+    int* count = count_of(child->name());
+    if (count == nullptr) {
+      count = &counts.emplace_back(ChildCount{child->name(), 0}).count;
+    }
+    const PathFrame child_path{&path, child->name(), ++*count};
+    if (!rule.children.contains(child->name())) {
       if (!rule.open_content) {
-        out.push_back(
-            {path, "unexpected child element <" + child->name() + ">"});
+        report("unexpected child element <" + std::string(child->name()) +
+               ">");
       }
       // Descend anyway if the child has a rule of its own.
-      if (rules_.count(child->name())) {
-        ValidateElement(*child,
-                        path + "/" + child->name() + "[" +
-                            std::to_string(index) + "]",
-                        out);
-      }
-      continue;
+      if (!rules_.contains(child->name())) continue;
     }
-    ValidateElement(
-        *child,
-        path + "/" + child->name() + "[" + std::to_string(index) + "]", out);
+    ValidateElement(*child, child_path, out);
   }
   for (const auto& [name, occurs] : rule.children) {
-    int count = counts.count(name) ? counts[name] : 0;
+    const int* found = count_of(name);
+    const int count = found ? *found : 0;
     if (count < occurs.min) {
-      out.push_back({path, "element <" + name + "> occurs " +
-                               std::to_string(count) + " time(s), minimum " +
-                               std::to_string(occurs.min)});
+      report("element <" + name + "> occurs " + std::to_string(count) +
+             " time(s), minimum " + std::to_string(occurs.min));
     }
     if (occurs.max >= 0 && count > occurs.max) {
-      out.push_back({path, "element <" + name + "> occurs " +
-                               std::to_string(count) + " time(s), maximum " +
-                               std::to_string(occurs.max)});
+      report("element <" + name + "> occurs " + std::to_string(count) +
+             " time(s), maximum " + std::to_string(occurs.max));
     }
   }
 }
 
 std::string FormatViolations(const std::vector<Violation>& violations) {
-  std::ostringstream out;
+  std::string out;
   for (const auto& violation : violations) {
-    out << violation.path << ": " << violation.message << '\n';
+    out += violation.path;
+    out += ": ";
+    out += violation.message;
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace mobivine::xml

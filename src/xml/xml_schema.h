@@ -5,9 +5,12 @@
 // planes). This module provides the validation machinery: a Schema is a set
 // of per-element rules (required/optional attributes, child cardinalities,
 // whether text content is allowed), and Validate() walks a DOM tree and
-// reports every violation with an XPath-like location.
+// reports every violation with an XPath-like location. A valid document
+// is checked without touching the heap: locations are built, and child
+// counts spill out of their inline table, only when needed.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,7 +38,7 @@ struct ElementRule {
   std::vector<std::string> optional_attributes;
   /// Allowed child element name -> cardinality. Children not listed are
   /// violations unless `open_content` is set.
-  std::map<std::string, Occurs> children;
+  std::map<std::string, Occurs, std::less<>> children;
   TextPolicy text = TextPolicy::kForbidden;
   /// Accept child elements that are not listed (they are skipped, not
   /// descended into unless they have their own rule).
@@ -65,12 +68,13 @@ class Schema {
   [[nodiscard]] std::vector<Violation> Validate(const Node& root) const;
 
  private:
-  void ValidateElement(const Node& element, const std::string& path,
+  struct PathFrame;
+  void ValidateElement(const Node& element, const PathFrame& path,
                        std::vector<Violation>& out) const;
 
   std::string name_;
   std::string root_element_;
-  std::map<std::string, ElementRule> rules_;
+  std::map<std::string, ElementRule, std::less<>> rules_;
 };
 
 /// Render violations as a single human-readable report.

@@ -23,8 +23,4 @@ struct WriteOptions {
 [[nodiscard]] std::string WriteDocument(const Document& doc,
                                         const WriteOptions& options = {});
 
-/// Escape text content (&, <, >) or attribute values (also " and ').
-[[nodiscard]] std::string EscapeText(std::string_view text);
-[[nodiscard]] std::string EscapeAttribute(std::string_view value);
-
 }  // namespace mobivine::xml

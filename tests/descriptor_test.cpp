@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <fstream>
 
 #include "core/descriptor/proxy_descriptor.h"
 #include "core/descriptor/schemas.h"
+#include "core/errors.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -121,9 +127,9 @@ TEST(ShippedDescriptors, ExceptionSetsDifferPerPlatform) {
 
 TEST(DescriptorRoundTrip, SemanticPlane) {
   const SemanticPlane& original = ShippedStore().Find("Location")->semantic();
-  xml::NodePtr serialized = ToXml(original);
-  EXPECT_TRUE(SemanticSchema().Validate(*serialized).empty());
-  SemanticPlane reparsed = ParseSemantic(*serialized);
+  xml::Document serialized = ToXml(original);
+  EXPECT_TRUE(SemanticSchema().Validate(*serialized.root).empty());
+  SemanticPlane reparsed = ParseSemantic(*serialized.root);
   EXPECT_EQ(reparsed.interface_name, original.interface_name);
   ASSERT_EQ(reparsed.methods.size(), original.methods.size());
   for (size_t i = 0; i < original.methods.size(); ++i) {
@@ -140,10 +146,10 @@ TEST(DescriptorRoundTrip, SemanticPlane) {
 TEST(DescriptorRoundTrip, BindingPlane) {
   const BindingPlane* original =
       ShippedStore().Find("Location")->FindBinding("s60");
-  xml::NodePtr serialized = ToXml(*original);
-  EXPECT_TRUE(BindingJavaSchema().Validate(*serialized).empty())
-      << xml::WriteNode(*serialized);
-  BindingPlane reparsed = ParseBinding(*serialized);
+  xml::Document serialized = ToXml(*original);
+  EXPECT_TRUE(BindingJavaSchema().Validate(*serialized.root).empty())
+      << xml::WriteNode(*serialized.root);
+  BindingPlane reparsed = ParseBinding(*serialized.root);
   EXPECT_EQ(reparsed.platform, "s60");
   EXPECT_EQ(reparsed.implementation_class, original->implementation_class);
   EXPECT_EQ(reparsed.exceptions.size(), original->exceptions.size());
@@ -154,9 +160,9 @@ TEST(DescriptorRoundTrip, SyntacticPlane) {
   const SyntacticPlane* original =
       ShippedStore().Find("Sms")->FindSyntactic("javascript");
   ASSERT_NE(original, nullptr);
-  xml::NodePtr serialized = ToXml(*original);
-  EXPECT_TRUE(SyntacticJavaScriptSchema().Validate(*serialized).empty());
-  SyntacticPlane reparsed = ParseSyntactic(*serialized);
+  xml::Document serialized = ToXml(*original);
+  EXPECT_TRUE(SyntacticJavaScriptSchema().Validate(*serialized.root).empty());
+  SyntacticPlane reparsed = ParseSyntactic(*serialized.root);
   EXPECT_EQ(reparsed.language, "javascript");
   ASSERT_EQ(reparsed.methods.size(), original->methods.size());
   EXPECT_EQ(reparsed.methods[0].parameter_types,
@@ -213,6 +219,31 @@ TEST(DescriptorValidation, UnknownErrorCodeRejected) {
       std::runtime_error);
 }
 
+TEST(DescriptorValidation, EveryErrorCodeNameIsAcceptedInBindings) {
+  const std::string semantic = R"(<proxy name="P"><method name="m"/></proxy>)";
+  const std::string syntax =
+      R"(<syntax proxy="P" language="java"><method name="m"/></syntax>)";
+  auto binding = [](std::string_view code) {
+    return R"(<binding proxy="P" platform="android" language="java">
+        <implementation class="X"/>
+        <exception native="N" code=")" +
+           std::string(code) + R"("/></binding>)";
+  };
+  for (int i = 0; i <= static_cast<int>(ErrorCode::kUnknown); ++i) {
+    const char* name = ToString(static_cast<ErrorCode>(i));
+    EXPECT_NO_THROW(StoreFromDocs({semantic, syntax, binding(name)})) << name;
+  }
+  try {
+    (void)StoreFromDocs({semantic, syntax, binding("not-a-code")});
+    FAIL() << "expected the unknown code to be rejected";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("maps to unknown code 'not-a-code'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(DescriptorValidation, BindingWithoutSyntacticPlaneRejected) {
   EXPECT_THROW(StoreFromDocs({
                    R"(<proxy name="P"><method name="m"/></proxy>)",
@@ -263,6 +294,133 @@ TEST(Schemas, SchemaForDispatch) {
   EXPECT_EQ(SchemaFor(*binding.root), &BindingJavaSchema());
   xml::Document unknown = xml::Parse("<wat/>");
   EXPECT_EQ(SchemaFor(*unknown.root), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// LoadDirectory: layout and error reporting
+// ---------------------------------------------------------------------------
+
+/// A fresh directory under the system temp dir, removed on destruction.
+class TempDescriptorDir {
+ public:
+  TempDescriptorDir() {
+    static std::atomic<int> counter{0};
+    path_ = std::filesystem::temp_directory_path() /
+            ("mobivine-descriptors-" + std::to_string(::getpid()) + "-" +
+             std::to_string(counter++));
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDescriptorDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+
+  void Write(const std::string& relative, const std::string& contents) const {
+    const std::filesystem::path file = path_ / relative;
+    std::filesystem::create_directories(file.parent_path());
+    std::ofstream(file, std::ios::binary) << contents;
+  }
+  std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+constexpr const char* kSemanticP =
+    R"(<proxy name="P"><method name="m"/></proxy>)";
+constexpr const char* kSyntaxP =
+    R"(<syntax proxy="P" language="java"><method name="m"/></syntax>)";
+constexpr const char* kBindingP =
+    R"(<binding proxy="P" platform="android" language="java">
+  <implementation class="X"/></binding>)";
+
+std::string LoadError(const std::string& directory) {
+  try {
+    (void)DescriptorStore::LoadDirectory(directory);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(DescriptorDirectory, MissingDirectoryThrows) {
+  TempDescriptorDir dir;
+  const std::string missing = dir.path() + "/absent";
+  EXPECT_EQ(LoadError(missing),
+            "descriptor directory does not exist: " + missing);
+}
+
+TEST(DescriptorDirectory, LoadsTopLevelAndProxyDirectoryDocuments) {
+  TempDescriptorDir dir;
+  dir.Write("semantic.xml", kSemanticP);
+  dir.Write("p/syntactic-java.xml", kSyntaxP);
+  dir.Write("p/binding-android.xml", kBindingP);
+  const DescriptorStore store = DescriptorStore::LoadDirectory(dir.path());
+  ASSERT_NE(store.Find("P"), nullptr);
+  EXPECT_TRUE(store.Find("P")->SupportsPlatform("android"));
+}
+
+TEST(DescriptorDirectory, IgnoresFilesThatAreNotXml) {
+  TempDescriptorDir dir;
+  dir.Write("p/semantic.xml", kSemanticP);
+  dir.Write("p/syntactic-java.xml", kSyntaxP);
+  dir.Write("p/binding-android.xml", kBindingP);
+  dir.Write("README.md", "<not xml");
+  dir.Write("p/binding-android.xml.bak", "<not xml");
+  dir.Write("p/.xml", "<not xml");
+  EXPECT_EQ(DescriptorStore::LoadDirectory(dir.path()).size(), 1u);
+}
+
+TEST(DescriptorDirectory, IgnoresDirectoriesNestedDeeperThanOneLevel) {
+  TempDescriptorDir dir;
+  dir.Write("p/semantic.xml", kSemanticP);
+  dir.Write("p/syntactic-java.xml", kSyntaxP);
+  dir.Write("p/binding-android.xml", kBindingP);
+  dir.Write("p/old/semantic.xml", "<proxy name=\"P\"><broken></proxy>");
+  dir.Write("p/old/deeper/binding.xml", "not even xml");
+  EXPECT_EQ(DescriptorStore::LoadDirectory(dir.path()).size(), 1u);
+}
+
+TEST(DescriptorDirectory, MalformedDocumentErrorNamesFileLineAndColumn) {
+  TempDescriptorDir dir;
+  dir.Write("p/semantic.xml",
+            "<proxy name=\"P\">\n  <method name=\"m\">\n</proxy>\n");
+  EXPECT_EQ(LoadError(dir.path()),
+            dir.path() +
+                "/p/semantic.xml: XML parse error at 3:8: mismatched end "
+                "tag: expected </method>, got </proxy>");
+}
+
+TEST(DescriptorDirectory, OrphanPlaneIsReported) {
+  TempDescriptorDir dir;
+  dir.Write("p/semantic.xml", kSemanticP);
+  dir.Write("p/syntactic-java.xml", kSyntaxP);
+  dir.Write("ghost/binding-android.xml",
+            R"(<binding proxy="Ghost" platform="android" language="java">
+  <implementation class="X"/></binding>)");
+  EXPECT_EQ(LoadError(dir.path()),
+            "descriptor planes reference proxies with no semantic plane: "
+            "'Ghost'");
+}
+
+TEST(DescriptorDirectory, LoadOrderComparesPathsComponentByComponent) {
+  // Documents load in path order, compared per component: "a/..." before
+  // "a-b/..." (a plain string compare would put '-' before '/'), and
+  // both before the top-level "a.xml". The second copy of the semantic
+  // plane in that order is the one reported as the duplicate, whatever
+  // order the files were created in.
+  TempDescriptorDir dir;
+  dir.Write("a.xml", kSemanticP);
+  dir.Write("a-b/semantic.xml", kSemanticP);
+  dir.Write("a/semantic.xml", kSemanticP);
+  EXPECT_EQ(LoadError(dir.path()),
+            dir.path() + "/a-b/semantic.xml: duplicate semantic plane for 'P'");
+
+  TempDescriptorDir two;
+  two.Write("a.xml", kSemanticP);
+  two.Write("a/semantic.xml", kSemanticP);
+  EXPECT_EQ(LoadError(two.path()),
+            two.path() + "/a.xml: duplicate semantic plane for 'P'");
 }
 
 }  // namespace

@@ -73,29 +73,29 @@ INSTANTIATE_TEST_SUITE_P(Grid, GeoInverseProperty,
 
 class XmlRoundTripProperty : public ::testing::TestWithParam<int> {};
 
-xml::NodePtr RandomTree(sim::Rng& rng, int depth) {
+xml::Node* RandomTree(xml::Document& doc, sim::Rng& rng, int depth) {
   static const char* kNames[] = {"proxy", "method", "parameter", "binding",
                                  "property", "item", "cfg"};
   static const char* kTexts[] = {"plain",       "with <angle>",
                                  "amp & quote\"", "'apos'",
                                  "  spaced  ",  "42"};
-  auto node = xml::Node::Element(
-      kNames[rng.UniformInt(0, std::size(kNames) - 1)]);
+  xml::Node* node =
+      doc.NewElement(kNames[rng.UniformInt(0, std::size(kNames) - 1)]);
   const int attr_count = static_cast<int>(rng.UniformInt(0, 3));
   for (int i = 0; i < attr_count; ++i) {
-    node->SetAttribute("a" + std::to_string(i),
-                       kTexts[rng.UniformInt(0, std::size(kTexts) - 1)]);
+    doc.SetAttribute(*node, "a" + std::to_string(i),
+                     kTexts[rng.UniformInt(0, std::size(kTexts) - 1)]);
   }
   const int child_count =
       depth > 0 ? static_cast<int>(rng.UniformInt(0, 3)) : 0;
   bool last_was_text = false;  // adjacent text nodes would merge on reparse
   for (int i = 0; i < child_count; ++i) {
     if (!last_was_text && rng.Bernoulli(0.3)) {
-      node->AppendChild(xml::Node::Text(
-          kTexts[rng.UniformInt(0, std::size(kTexts) - 1)]));
+      doc.AppendChild(*node, doc.NewText(kTexts[rng.UniformInt(
+                                 0, std::size(kTexts) - 1)]));
       last_was_text = true;
     } else {
-      node->AppendChild(RandomTree(rng, depth - 1));
+      doc.AppendChild(*node, RandomTree(doc, rng, depth - 1));
       last_was_text = false;
     }
   }
@@ -104,7 +104,8 @@ xml::NodePtr RandomTree(sim::Rng& rng, int depth) {
 
 TEST_P(XmlRoundTripProperty, WriteParseWriteIsStable) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
-  xml::NodePtr original = RandomTree(rng, 4);
+  xml::Document built;
+  const xml::Node* original = RandomTree(built, rng, 4);
 
   // Pretty-printed output re-parses to a structurally equal tree.
   const std::string pretty = xml::WriteNode(*original);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "xml/xml_node.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_schema.h"
@@ -30,10 +33,11 @@ TEST(XmlParser, AttributesBothQuoteStyles) {
 
 TEST(XmlParser, NestedElementsAndText) {
   Document doc = Parse("<a><b>hello</b><b>world</b></a>");
-  auto children = doc.root->Children("b");
-  ASSERT_EQ(children.size(), 2u);
-  EXPECT_EQ(children[0]->InnerText(), "hello");
-  EXPECT_EQ(children[1]->InnerText(), "world");
+  std::vector<std::string> texts;
+  for (const Node* child : doc.root->Children("b")) {
+    texts.push_back(child->InnerText());
+  }
+  EXPECT_EQ(texts, (std::vector<std::string>{"hello", "world"}));
 }
 
 TEST(XmlParser, EntitiesDecoded) {
@@ -93,9 +97,10 @@ TEST(XmlParser, DoctypeRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(XmlWriter, EscapesSpecials) {
-  auto node = Node::Element("a");
-  node->SetAttribute("x", "<\"&'>");
-  node->AppendChild(Node::Text("a<b&c"));
+  Document built;
+  Node* node = built.NewElement("a");
+  built.SetAttribute(*node, "x", "<\"&'>");
+  built.AppendChild(*node, built.NewText("a<b&c"));
   const std::string written = WriteNode(*node);
   Document reparsed = Parse(written);
   EXPECT_EQ(reparsed.root->GetAttributeOr("x", ""), "<\"&'>");
@@ -121,8 +126,13 @@ TEST(XmlWriter, RoundTripStructurallyEqual) {
 
 TEST(XmlWriter, CloneEqualsOriginal) {
   Document doc = Parse("<a x=\"1\"><b>t</b><!--c--></a>");
-  NodePtr clone = doc.root->Clone();
+  Document other;
+  const Node* clone = other.Clone(*doc.root);
   EXPECT_TRUE(doc.root->StructurallyEquals(*clone));
+  // The clone's document owns copies of every string.
+  const std::string written = WriteNode(*clone, {.indent = 0});
+  doc = Document();
+  EXPECT_EQ(WriteNode(*clone, {.indent = 0}), written);
 }
 
 TEST(XmlNode, ChildTextHelpers) {
