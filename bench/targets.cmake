@@ -1,8 +1,14 @@
 # Table/figure reproduction harnesses (E*) print paper-style tables and run
 # as plain executables; the ablation microbenches (A2, A3) use
 # google-benchmark. Included from the top-level CMakeLists (see note there).
+# Sources are relative to bench/; the default is <name>.cpp.
 function(mobivine_bench name)
-  add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
+  set(sources ${ARGN})
+  if(NOT sources)
+    set(sources ${name}.cpp)
+  endif()
+  list(TRANSFORM sources PREPEND ${CMAKE_SOURCE_DIR}/bench/)
+  add_executable(${name} ${sources})
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
   target_link_libraries(${name} PRIVATE mobivine_core mobivine_plugin)
@@ -20,23 +26,12 @@ mobivine_bench(bench_a5_detection)
 
 mobivine_bench(bench_wallclock_throughput)
 
-mobivine_bench(bench_gateway_throughput)
-target_link_libraries(bench_gateway_throughput PRIVATE mobivine_gateway)
-
-mobivine_bench(bench_wire_throughput)
-target_link_libraries(bench_wire_throughput PRIVATE mobivine_wire)
-
-mobivine_bench(bench_fleet_throughput)
-target_link_libraries(bench_fleet_throughput PRIVATE mobivine_fleet)
-
-mobivine_bench(bench_cluster_throughput)
-target_link_libraries(bench_cluster_throughput PRIVATE mobivine_cluster)
-
-mobivine_bench(bench_push_throughput)
-target_link_libraries(bench_push_throughput PRIVATE mobivine_wire)
-
-mobivine_bench(bench_script_throughput)
-target_link_libraries(bench_script_throughput PRIVATE mobivine_wire)
+# The serving-plane scenario driver: one subcommand per plane.
+mobivine_bench(bench_scenarios
+  scenarios/main.cpp scenarios/common.cpp scenarios/gateway.cpp
+  scenarios/failover.cpp scenarios/wire.cpp scenarios/cluster.cpp
+  scenarios/push.cpp scenarios/script.cpp scenarios/fleet.cpp)
+target_link_libraries(bench_scenarios PRIVATE mobivine_cluster mobivine_fleet)
 
 mobivine_bench(bench_a2_descriptor)
 target_link_libraries(bench_a2_descriptor PRIVATE benchmark::benchmark)

@@ -4,7 +4,7 @@
 Usage:
     python3 scripts/check_wire_perf.py BENCH.json [FLOOR.json]
 
-BENCH.json is bench_wire_throughput output (usually from a --smoke run);
+BENCH.json is `bench_scenarios wire` output (usually from a --smoke run);
 FLOOR.json defaults to scripts/wire_perf_floor.json. Stdlib-only (CI
 must not install packages).
 

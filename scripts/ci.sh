@@ -52,7 +52,7 @@ done
 echo "==== [mscope] traced gateway bench + export validation ===="
 MSCOPE_DIR=$(mktemp -d)
 trap 'rm -rf "$MSCOPE_DIR"' EXIT
-./build/bench/bench_gateway_throughput "$MSCOPE_DIR/bench.json" \
+./build/bench/bench_scenarios gateway "$MSCOPE_DIR/bench.json" \
   --trace-only --trace "$MSCOPE_DIR/trace.json" \
   --metrics "$MSCOPE_DIR/metrics.json"
 python3 scripts/validate_mscope.py \
@@ -66,7 +66,7 @@ python3 scripts/validate_mscope.py \
 # pass is filtered to the wire/gateway suites so it stays fast; skip it
 # with MOBIVINE_CI_WIRE_TSAN=0 (e.g. when the full tsan preset already ran).
 echo "==== [wire] traced wire bench + export validation ===="
-./build/bench/bench_wire_throughput "$MSCOPE_DIR/wire_bench.json" \
+./build/bench/bench_scenarios wire "$MSCOPE_DIR/wire_bench.json" \
   --trace-only --trace "$MSCOPE_DIR/wire_trace.json" \
   --metrics "$MSCOPE_DIR/wire_metrics.json"
 python3 scripts/validate_mscope.py \
@@ -80,7 +80,7 @@ python3 scripts/validate_mscope.py \
 # too noisy to bench (the floor assumes a mostly-idle machine).
 if [[ "${MOBIVINE_CI_WIRE_PERF:-1}" != "0" ]]; then
   echo "==== [wire] perf smoke vs checked-in floor ===="
-  ./build/bench/bench_wire_throughput "$MSCOPE_DIR/wire_perf.json" --smoke
+  ./build/bench/bench_scenarios wire "$MSCOPE_DIR/wire_perf.json" --smoke
   python3 scripts/check_wire_perf.py "$MSCOPE_DIR/wire_perf.json" \
     scripts/wire_perf_floor.json
 fi
@@ -91,7 +91,7 @@ fi
 # (epoch >= 1), live heartbeats, labeled cluster-ctrl/cluster-agent
 # threads — alongside the usual gateway.* and wire.* planes.
 echo "==== [cluster] traced cluster bench + export validation ===="
-./build/bench/bench_cluster_throughput "$MSCOPE_DIR/cluster_bench.json" \
+./build/bench/bench_scenarios cluster "$MSCOPE_DIR/cluster_bench.json" \
   --trace-only --trace "$MSCOPE_DIR/cluster_trace.json" \
   --metrics "$MSCOPE_DIR/cluster_metrics.json"
 python3 scripts/validate_mscope.py \
@@ -104,7 +104,7 @@ python3 scripts/validate_mscope.py \
 # subscription counters — at least one subscription opened, events
 # published, and events delivered — alongside the request plane.
 echo "==== [push] traced push bench + export validation ===="
-./build/bench/bench_push_throughput "$MSCOPE_DIR/push_bench.json" \
+./build/bench/bench_scenarios push "$MSCOPE_DIR/push_bench.json" \
   --trace-only --trace "$MSCOPE_DIR/push_trace.json" \
   --metrics "$MSCOPE_DIR/push_metrics.json"
 python3 scripts/validate_mscope.py \
@@ -118,7 +118,7 @@ python3 scripts/validate_mscope.py \
 # one budget kill proving the sandbox fires — and the wire dispatch
 # reconcile must still balance with scripts in the mix.
 echo "==== [script] traced script bench + export validation ===="
-./build/bench/bench_script_throughput "$MSCOPE_DIR/script_bench.json" \
+./build/bench/bench_scenarios script "$MSCOPE_DIR/script_bench.json" \
   --trace-only --trace "$MSCOPE_DIR/script_trace.json" \
   --metrics "$MSCOPE_DIR/script_metrics.json"
 python3 scripts/validate_mscope.py \
@@ -129,9 +129,23 @@ python3 scripts/validate_mscope.py \
 # streams after writing, so one pointed at a path it cannot create must
 # exit non-zero instead of printing "wrote".
 echo "==== [script] bench with an unwritable output path must fail ===="
-if ./build/bench/bench_script_throughput --trace-only \
+if ./build/bench/bench_scenarios script --trace-only \
     --trace "$MSCOPE_DIR/missing-dir/script_trace.json" >/dev/null 2>&1; then
-  echo "bench_script_throughput exited 0 for a missing output directory" >&2
+  echo "bench_scenarios exited 0 for a missing output directory" >&2
+  exit 1
+fi
+
+# Checked flags: a misspelt flag must exit 2 with usage, not become the
+# output path while the run silently skips what the flag asked for.
+echo "==== [script] bench with a misspelt flag must fail ===="
+set +e
+./build/bench/bench_scenarios script --trace-only \
+  --trace "$MSCOPE_DIR/flag_trace.json" \
+  --metrcs "$MSCOPE_DIR/flag_metrics.json" >/dev/null 2>&1
+status=$?
+set -e
+if [[ "$status" != "2" ]]; then
+  echo "bench_scenarios exited $status, not 2, for a misspelt flag" >&2
   exit 1
 fi
 
@@ -141,7 +155,7 @@ fi
 # counters (quiescent: completed == submitted), and per-tenant
 # gateway.tenant.<name>.* rows that each reconcile exactly.
 echo "==== [fleet] traced fleet bench + export validation ===="
-./build/bench/bench_fleet_throughput "$MSCOPE_DIR/fleet_bench.json" \
+./build/bench/bench_scenarios fleet "$MSCOPE_DIR/fleet_bench.json" \
   --trace-only --trace "$MSCOPE_DIR/fleet_trace.json" \
   --metrics "$MSCOPE_DIR/fleet_metrics.json"
 python3 scripts/validate_mscope.py \

@@ -6,7 +6,7 @@
 //     waiting, and fires the callback from the client's reader thread
 //     when the matching response frame arrives. Many requests can be in
 //     flight at once (the server pipelines freely), which is what the
-//     bench_wire_throughput closed-loop windows are built on.
+//     `bench_scenarios wire` closed-loop windows are built on.
 //
 // Request ids are client-side correlation tokens, assigned monotonically
 // here; any id already present in `request.request_id` is ignored (the
