@@ -40,6 +40,22 @@ for preset in $PRESETS; do
   echo "==== [$preset] test ===="
   ctest --preset "$preset" -j "$JOBS" --output-on-failure
   if [[ "$preset" == "default" ]]; then
+    # Repeat leg: the tests that race the wire and cluster frame paths
+    # (teardown vs in-flight sends, stop with busy clients, connection
+    # death, plan repair of subscriptions, requests and scripts) run 50
+    # times over, so a rare interleaving fails here, not in the field.
+    echo "==== [default] wire/cluster frame-path races x50 ===="
+    race_tests=(
+      'WireClientTeardown.*'
+      'WireServerTest.StopWithBusyClients*'
+      'WireServerTest.ClientSurfacesTransportError*'
+      'PushServerTest.ConnectionDeath*'
+      'ClusterEndToEnd.PushSubscriptionFollowsPlan*'
+      'ClusterEndToEnd.KillWorker*'
+      'ClusterEndToEnd.ScriptFollowsPlan*'
+    )
+    ./build/tests/mobivine_tests --gtest_repeat=50 --gtest_brief=1 \
+      --gtest_filter="$(IFS=:; echo "${race_tests[*]}")"
     # perfbench builds its own tree (.bench_build/) from the same src/.
     echo "==== [default] perfbench tests ===="
     python3 perfbench/run.py --test

@@ -3,9 +3,11 @@
 #include <chrono>
 #include <limits>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "support/trace.h"
+#include "wire/await.h"
 
 namespace mobivine::cluster {
 
@@ -221,55 +223,115 @@ void Client::DrainGraveyard() {
   for (auto& conn : dead) conn->Close();  // joins reader threads
 }
 
-bool Client::Call(const wire::WireRequest& request,
-                  wire::WireResponse* response) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  DrainGraveyard();
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    if (closing_.load(std::memory_order_acquire)) break;
-    if (attempt > 0) {
+bool Client::RouteAttempt(std::uint64_t client_id, int* attempt,
+                          Route* route) {
+  for (;; ++*attempt) {
+    if (closing_.load(std::memory_order_acquire)) return false;
+    if (*attempt >= config_.max_attempts) {
+      exhausted_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    if (*attempt > 0) {
+      // This can run on a reader thread, delaying that connection's
+      // other callbacks by one backoff — acceptable: retries only happen
+      // mid-plan-change, when that connection's responses are stalled
+      // anyway.
       std::this_thread::sleep_for(
           std::chrono::microseconds(config_.retry_backoff_us));
     }
-    Route route;
-    if (!Resolve(request.client_id, &route)) {
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      (void)RefreshPlanAtLeast(0);
-      continue;
-    }
-    wire::WireResponse reply;
-    if (!route.conn->Call(request, &reply)) {
-      // Transport death: drop the conn, refresh (the controller may
-      // already know), try again.
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_transport_retry");
-      DropConn(route.worker_id, route.conn);
-      DrainGraveyard();
-      (void)RefreshPlanAtLeast(0);
-      continue;
-    }
-    if (reply.status == wire::WireStatus::kWrongWorker) {
-      // Refresh past the epoch the worker stamped; when we already hold
-      // it (a fenced worker whose leave the controller has not processed
-      // yet), force a real fetch for the NEXT epoch — retrying the same
-      // plan would just bounce off the same fence.
-      wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_wrong_worker");
-      std::uint64_t want = ParseWrongWorkerEpoch(reply.body);
-      const std::uint64_t held = plan_epoch_.load(std::memory_order_acquire);
-      if (want <= held) want = held + 1;
-      (void)RefreshPlanAtLeast(want);
-      continue;
-    }
-    *response = std::move(reply);
+    if (Resolve(client_id, route)) return true;
+    transport_retries_.fetch_add(1, std::memory_order_relaxed);
+    (void)RefreshPlanAtLeast(0);
+  }
+}
+
+bool Client::Repaired(wire::WireStatus status, std::uint64_t epoch,
+                      const Route& route) {
+  if (closing_.load(std::memory_order_acquire)) return false;
+  if (status == wire::WireStatus::kWrongWorker) {
+    // Refresh past the epoch the worker stamped; when we already hold it
+    // (a fenced worker whose leave the controller has not processed
+    // yet), force a real fetch for the NEXT epoch — retrying the same
+    // plan would just bounce off the same fence.
+    wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
+    support::trace::Instant("cluster.client_wrong_worker");
+    const std::uint64_t held = plan_epoch_.load(std::memory_order_acquire);
+    const std::uint64_t want = epoch > held ? epoch : held + 1;
+    (void)RefreshPlanAtLeast(want);
     return true;
   }
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  if (response != nullptr) {
-    response->status = wire::WireStatus::kTransportError;
-    response->body = "cluster route attempts exhausted";
+  if (status == wire::WireStatus::kTransportError) {
+    // Transport death: drop the conn (the next attempt re-dials) and
+    // refresh — the controller may already know.
+    transport_retries_.fetch_add(1, std::memory_order_relaxed);
+    support::trace::Instant("cluster.client_transport_retry");
+    DropConn(route.worker_id, route.conn);
+    (void)RefreshPlanAtLeast(0);
+    return true;
   }
   return false;
+}
+
+namespace {
+
+void FailRoute(std::uint64_t request_id, const Client::Callback& callback) {
+  wire::WireResponse failure;
+  failure.request_id = request_id;
+  failure.status = wire::WireStatus::kTransportError;
+  failure.body = "cluster route attempts exhausted";
+  callback(failure);
+}
+
+}  // namespace
+
+template <typename Frame>
+void Client::SubmitAttempt(const Frame& frame, int attempt,
+                           Callback callback) {
+  Route route;
+  if (!RouteAttempt(frame.client_id, &attempt, &route)) {
+    FailRoute(frame.request_id, callback);
+    return;
+  }
+  // A failed send fires the retry callback with kTransportError, which
+  // re-routes; nothing more to do here.
+  wire::WireClient& conn = *route.conn;
+  Callback retry = RetryCallback(frame, attempt, std::move(callback), route);
+  if constexpr (std::is_same_v<Frame, wire::WireScriptRequest>) {
+    (void)conn.SubmitScript(frame, std::move(retry));
+  } else {
+    (void)conn.Submit(frame, std::move(retry));
+  }
+}
+
+template <typename Frame>
+Client::Callback Client::RetryCallback(const Frame& frame, int attempt,
+                                       Callback callback, Route route) {
+  // This wrapper runs on the connection's reader thread. Re-routing from
+  // there is allowed — RefreshPlanAtLeast and Resolve touch the control
+  // channel and OTHER connections; the one thing forbidden is Close()ing
+  // this connection, which is why failures park it in the graveyard
+  // instead (drained later from user threads). Every status but the two
+  // routing failures is terminal — kScriptError included: the sandbox
+  // spoke.
+  return [this, frame, attempt, route = std::move(route),
+          callback =
+              std::move(callback)](const wire::WireResponse& reply) mutable {
+    const std::uint64_t epoch =
+        reply.status == wire::WireStatus::kWrongWorker
+            ? ParseWrongWorkerEpoch(reply.body)
+            : 0;
+    if (Repaired(reply.status, epoch, route)) {
+      SubmitAttempt(frame, attempt + 1, std::move(callback));
+      return;
+    }
+    callback(reply);
+  };
+}
+
+bool Client::Call(const wire::WireRequest& request,
+                  wire::WireResponse* response) {
+  return wire::AwaitResponse(
+      [&](Callback done) { Submit(request, std::move(done)); }, response);
 }
 
 bool Client::Submit(const wire::WireRequest& request, Callback callback) {
@@ -279,196 +341,18 @@ bool Client::Submit(const wire::WireRequest& request, Callback callback) {
   return true;
 }
 
-void Client::SubmitAttempt(const wire::WireRequest& request, int attempt,
-                           Callback callback) {
-  if (attempt >= config_.max_attempts ||
-      closing_.load(std::memory_order_acquire)) {
-    if (attempt >= config_.max_attempts) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    wire::WireResponse failure;
-    failure.request_id = request.request_id;
-    failure.status = wire::WireStatus::kTransportError;
-    failure.body = "cluster route attempts exhausted";
-    callback(failure);
-    return;
-  }
-  if (attempt > 0) {
-    // Same pacing as Call(). This can run on a reader thread, delaying
-    // that connection's other callbacks by one backoff — acceptable:
-    // retries only happen mid-plan-change, when that connection's
-    // responses are stalled anyway.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.retry_backoff_us));
-  }
-  Route route;
-  if (!Resolve(request.client_id, &route)) {
-    transport_retries_.fetch_add(1, std::memory_order_relaxed);
-    (void)RefreshPlanAtLeast(0);
-    SubmitAttempt(request, attempt + 1, std::move(callback));
-    return;
-  }
-  auto conn = route.conn;
-  const bool sent =
-      conn->Submit(request, RetryCallback(request, attempt, std::move(callback),
-                                          route.worker_id, conn));
-  if (!sent) {
-    // Submit already fired the callback (with kTransportError), which
-    // re-routed above; nothing more to do here.
-  }
-}
-
-Client::Callback Client::RetryCallback(const wire::WireRequest& request,
-                                       int attempt, Callback callback,
-                                       std::uint64_t worker_id,
-                                       std::shared_ptr<wire::WireClient> conn) {
-  // This wrapper runs on conn's reader thread. Re-routing from there is
-  // allowed — RefreshPlanAtLeast and Resolve touch the control channel
-  // and OTHER connections; the one thing forbidden is Close()ing conn
-  // itself, which is why failures park it in the graveyard instead
-  // (drained later from user threads).
-  return [this, request, attempt, worker_id, conn = std::move(conn),
-          callback =
-              std::move(callback)](const wire::WireResponse& reply) mutable {
-    if (reply.status == wire::WireStatus::kWrongWorker &&
-        !closing_.load(std::memory_order_acquire)) {
-      wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_wrong_worker");
-      std::uint64_t want = ParseWrongWorkerEpoch(reply.body);
-      const std::uint64_t held = plan_epoch_.load(std::memory_order_acquire);
-      if (want <= held) want = held + 1;
-      (void)RefreshPlanAtLeast(want);
-      SubmitAttempt(request, attempt + 1, std::move(callback));
-      return;
-    }
-    if (reply.status == wire::WireStatus::kTransportError &&
-        !closing_.load(std::memory_order_acquire)) {
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_transport_retry");
-      DropConn(worker_id, conn);
-      (void)RefreshPlanAtLeast(0);
-      SubmitAttempt(request, attempt + 1, std::move(callback));
-      return;
-    }
-    callback(reply);
-  };
-}
-
 bool Client::CallScript(const wire::WireScriptRequest& script,
                         wire::WireResponse* response) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  DrainGraveyard();
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    if (closing_.load(std::memory_order_acquire)) break;
-    if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.retry_backoff_us));
-    }
-    Route route;
-    if (!Resolve(script.client_id, &route)) {
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      (void)RefreshPlanAtLeast(0);
-      continue;
-    }
-    wire::WireResponse reply;
-    if (!route.conn->CallScript(script, &reply)) {
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_transport_retry");
-      DropConn(route.worker_id, route.conn);
-      DrainGraveyard();
-      (void)RefreshPlanAtLeast(0);
-      continue;
-    }
-    if (reply.status == wire::WireStatus::kWrongWorker) {
-      wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_wrong_worker");
-      std::uint64_t want = ParseWrongWorkerEpoch(reply.body);
-      const std::uint64_t held = plan_epoch_.load(std::memory_order_acquire);
-      if (want <= held) want = held + 1;
-      (void)RefreshPlanAtLeast(want);
-      continue;
-    }
-    *response = std::move(reply);
-    return true;
-  }
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  if (response != nullptr) {
-    response->status = wire::WireStatus::kTransportError;
-    response->body = "cluster route attempts exhausted";
-  }
-  return false;
+  return wire::AwaitResponse(
+      [&](Callback done) { SubmitScript(script, std::move(done)); }, response);
 }
 
 bool Client::SubmitScript(const wire::WireScriptRequest& script,
                           Callback callback) {
   calls_.fetch_add(1, std::memory_order_relaxed);
   DrainGraveyard();
-  SubmitScriptAttempt(script, 0, std::move(callback));
+  SubmitAttempt(script, 0, std::move(callback));
   return true;
-}
-
-void Client::SubmitScriptAttempt(const wire::WireScriptRequest& script,
-                                 int attempt, Callback callback) {
-  if (attempt >= config_.max_attempts ||
-      closing_.load(std::memory_order_acquire)) {
-    if (attempt >= config_.max_attempts) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    wire::WireResponse failure;
-    failure.request_id = script.request_id;
-    failure.status = wire::WireStatus::kTransportError;
-    failure.body = "cluster route attempts exhausted";
-    callback(failure);
-    return;
-  }
-  if (attempt > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.retry_backoff_us));
-  }
-  Route route;
-  if (!Resolve(script.client_id, &route)) {
-    transport_retries_.fetch_add(1, std::memory_order_relaxed);
-    (void)RefreshPlanAtLeast(0);
-    SubmitScriptAttempt(script, attempt + 1, std::move(callback));
-    return;
-  }
-  auto conn = route.conn;
-  (void)conn->SubmitScript(
-      script, ScriptRetryCallback(script, attempt, std::move(callback),
-                                  route.worker_id, conn));
-}
-
-Client::Callback Client::ScriptRetryCallback(
-    const wire::WireScriptRequest& script, int attempt, Callback callback,
-    std::uint64_t worker_id, std::shared_ptr<wire::WireClient> conn) {
-  // Same reader-thread contract as RetryCallback. kScriptError is a
-  // terminal, typed outcome (the sandbox spoke) — only routing and
-  // transport failures repair.
-  return [this, script, attempt, worker_id, conn = std::move(conn),
-          callback =
-              std::move(callback)](const wire::WireResponse& reply) mutable {
-    if (reply.status == wire::WireStatus::kWrongWorker &&
-        !closing_.load(std::memory_order_acquire)) {
-      wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_wrong_worker");
-      std::uint64_t want = ParseWrongWorkerEpoch(reply.body);
-      const std::uint64_t held = plan_epoch_.load(std::memory_order_acquire);
-      if (want <= held) want = held + 1;
-      (void)RefreshPlanAtLeast(want);
-      SubmitScriptAttempt(script, attempt + 1, std::move(callback));
-      return;
-    }
-    if (reply.status == wire::WireStatus::kTransportError &&
-        !closing_.load(std::memory_order_acquire)) {
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      support::trace::Instant("cluster.client_transport_retry");
-      DropConn(worker_id, conn);
-      (void)RefreshPlanAtLeast(0);
-      SubmitScriptAttempt(script, attempt + 1, std::move(callback));
-      return;
-    }
-    callback(reply);
-  };
 }
 
 /// Everything one routed subscription needs to survive repairs: the
@@ -521,25 +405,9 @@ void Client::FailSubscription(const std::shared_ptr<PushSub>& sub,
 }
 
 void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
-  if (attempt >= config_.max_attempts ||
-      closing_.load(std::memory_order_acquire)) {
-    if (attempt >= config_.max_attempts) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    FailSubscription(sub, wire::WireStatus::kTransportError);
-    return;
-  }
-  if (attempt > 0) {
-    // Same pacing rationale as SubmitAttempt: this may run on a reader
-    // thread, and mid-plan-change that connection is stalled anyway.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.retry_backoff_us));
-  }
   Route route;
-  if (!Resolve(sub->client_id, &route)) {
-    transport_retries_.fetch_add(1, std::memory_order_relaxed);
-    (void)RefreshPlanAtLeast(0);
-    SubscribeAttempt(std::move(sub), attempt + 1);
+  if (!RouteAttempt(sub->client_id, &attempt, &route)) {
+    FailSubscription(sub, wire::WireStatus::kTransportError);
     return;
   }
   wire::WireSubscribe request;
@@ -547,9 +415,8 @@ void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
   request.topic = sub->topic;
   request.mode = wire::SubscribeMode::kFromCursor;
   request.cursor = sub->last_cursor.load(std::memory_order_acquire);
-  auto conn = route.conn;
-  const std::uint64_t worker_id = route.worker_id;
-  (void)conn->Subscribe(
+  wire::WireClient& conn = *route.conn;
+  (void)conn.Subscribe(
       request,
       // Event path (reader thread). Tracks the resume cursor and spots
       // the wire client's synthetic death marker (kEventsDropped with
@@ -576,9 +443,10 @@ void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
         sub->on_event(event);
       },
       // Ack path (reader thread): kOk settles the user's latch; the two
-      // retriable statuses re-route exactly like request traffic.
-      [this, sub, attempt, worker_id,
-       conn](const wire::WireSubscribeAck& ack) {
+      // routing failures repair exactly like request traffic, except
+      // that the epoch rides the ack's start_cursor varint — there is no
+      // decimal body to parse.
+      [this, sub, attempt, route](const wire::WireSubscribeAck& ack) {
         if (ack.status == wire::WireStatus::kOk) {
           if (ack.start_cursor >
               sub->last_cursor.load(std::memory_order_relaxed)) {
@@ -594,34 +462,12 @@ void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
           }
           return;
         }
-        if (closing_.load(std::memory_order_acquire)) {
-          FailSubscription(sub, ack.status);
-          return;
-        }
-        if (ack.status == wire::WireStatus::kWrongWorker) {
-          wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
+        if (Repaired(ack.status, ack.start_cursor, route)) {
           push_resubscribes_.fetch_add(1, std::memory_order_relaxed);
-          support::trace::Instant("cluster.client_wrong_worker");
-          // The epoch rides the ack's start_cursor varint — unlike
-          // request traffic there is no decimal body to parse.
-          std::uint64_t want = ack.start_cursor;
-          const std::uint64_t held =
-              plan_epoch_.load(std::memory_order_acquire);
-          if (want <= held) want = held + 1;
-          (void)RefreshPlanAtLeast(want);
           SubscribeAttempt(sub, attempt + 1);
           return;
         }
-        if (ack.status == wire::WireStatus::kTransportError) {
-          transport_retries_.fetch_add(1, std::memory_order_relaxed);
-          push_resubscribes_.fetch_add(1, std::memory_order_relaxed);
-          support::trace::Instant("cluster.client_transport_retry");
-          DropConn(worker_id, conn);
-          (void)RefreshPlanAtLeast(0);
-          SubscribeAttempt(sub, attempt + 1);
-          return;
-        }
-        // Typed rejection (malformed subscribe etc.): terminal.
+        // Typed rejection (malformed subscribe etc.), or stopping.
         FailSubscription(sub, ack.status);
       });
   // A failed send already fired the ack callback with kTransportError,
@@ -633,9 +479,7 @@ std::size_t Client::SubmitBatch(const std::vector<wire::WireRequest>& requests,
   calls_.fetch_add(requests.size(), std::memory_order_relaxed);
   DrainGraveyard();
   // Group by owning worker so each connection gets one contiguous
-  // write. Requests whose owner cannot be resolved right now skip the
-  // batch and enter the normal retry path (attempt 1: the failed
-  // resolve was their first).
+  // write; every request keeps its own retry wrapper.
   struct Group {
     std::shared_ptr<wire::WireClient> conn;
     std::vector<wire::WireRequest> requests;
@@ -647,21 +491,20 @@ std::size_t Client::SubmitBatch(const std::vector<wire::WireRequest>& requests,
     Callback once = [shared](const wire::WireResponse& reply) {
       (*shared)(reply);
     };
+    int attempt = 0;
     Route route;
-    if (!Resolve(request.client_id, &route)) {
-      transport_retries_.fetch_add(1, std::memory_order_relaxed);
-      (void)RefreshPlanAtLeast(0);
-      SubmitAttempt(request, 1, std::move(once));
+    if (!RouteAttempt(request.client_id, &attempt, &route)) {
+      FailRoute(request.request_id, once);
       continue;
     }
     Group& group = groups[route.worker_id];
     if (!group.conn) group.conn = route.conn;
-    group.callbacks.push_back(RetryCallback(request, 0, std::move(once),
-                                            route.worker_id, route.conn));
+    group.callbacks.push_back(
+        RetryCallback(request, attempt, std::move(once), std::move(route)));
     group.requests.push_back(request);
   }
   for (auto& [worker_id, group] : groups) {
-    // A failed write fires the parked RetryCallbacks with
+    // A failed write fires the parked retry callbacks with
     // kTransportError, which re-route — every request's callback still
     // fires exactly once.
     (void)group.conn->SubmitBatch(group.requests, std::move(group.callbacks));

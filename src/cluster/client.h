@@ -184,24 +184,29 @@ class Client {
                 const std::shared_ptr<wire::WireClient>& conn);
   /// Close + destroy parked connections. User threads only.
   void DrainGraveyard();
-  /// One asynchronous attempt; re-routes from the callback on
-  /// kWrongWorker / kTransportError until attempts run out.
-  void SubmitAttempt(const wire::WireRequest& request, int attempt,
-                     Callback callback);
-  /// The completion wrapper SubmitAttempt parks on a connection: passes
-  /// terminal replies through to `callback`, re-routes kWrongWorker /
-  /// kTransportError via SubmitAttempt(attempt + 1).
-  Callback RetryCallback(const wire::WireRequest& request, int attempt,
-                         Callback callback, std::uint64_t worker_id,
-                         std::shared_ptr<wire::WireClient> conn);
-  /// Script twins of SubmitAttempt/RetryCallback (scripts route and
-  /// repair identically; only the frame type and send entry differ).
-  void SubmitScriptAttempt(const wire::WireScriptRequest& script, int attempt,
-                           Callback callback);
-  Callback ScriptRetryCallback(const wire::WireScriptRequest& script,
-                               int attempt, Callback callback,
-                               std::uint64_t worker_id,
-                               std::shared_ptr<wire::WireClient> conn);
+  /// Begin routed attempt `*attempt` for `client_id`: pace a retry,
+  /// then resolve the owner, counting each failed resolve as a transport
+  /// retry (after a plan refresh) and moving on to the next attempt.
+  /// False when the client is stopping or attempts ran out (counted in
+  /// `exhausted`).
+  bool RouteAttempt(std::uint64_t client_id, int* attempt, Route* route);
+  /// The repair decision every routed frame shares after an attempt on
+  /// `route` failed with `status`: kWrongWorker refreshes the plan past
+  /// `epoch`, kTransportError drops the connection and refreshes. True
+  /// when the frame should be retried; false for any other status and
+  /// while stopping.
+  bool Repaired(wire::WireStatus status, std::uint64_t epoch,
+                const Route& route);
+  /// One asynchronous attempt for a request or script frame; re-routes
+  /// from the callback until Repaired says stop or attempts run out.
+  template <typename Frame>
+  void SubmitAttempt(const Frame& frame, int attempt, Callback callback);
+  /// The completion wrapper SubmitAttempt parks on `route`'s connection:
+  /// passes terminal replies through to `callback`, re-enters
+  /// SubmitAttempt(attempt + 1) when Repaired.
+  template <typename Frame>
+  Callback RetryCallback(const Frame& frame, int attempt, Callback callback,
+                         Route route);
 
   /// One routed subscription's cross-repair state.
   struct PushSub;

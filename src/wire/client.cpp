@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "support/buffer_pool.h"
+#include "wire/await.h"
 
 namespace mobivine::wire {
 
@@ -190,45 +191,73 @@ void WireClient::ReclaimDeadConnection() {
   FailAllOutstanding();
 }
 
-bool WireClient::Submit(const WireRequest& request, Callback callback) {
-  if (!connected_.load(std::memory_order_acquire)) {
-    WireResponse dead;
-    dead.request_id = request.request_id;
-    dead.status = WireStatus::kTransportError;
-    callback(dead);
-    return false;
-  }
-  const std::uint64_t id =
-      next_id_.fetch_add(1, std::memory_order_relaxed);
-  // Encode straight from the caller's struct into a pooled frame buffer,
-  // stamping the id into the frame only — no request copy, no fresh
-  // allocation at steady state.
-  support::PooledBuffer buffer =
-      support::BufferPool::WirePool().Acquire(EncodedSizeHint(request));
-  std::vector<std::uint8_t>& bytes = buffer.bytes();
-  EncodeRequest(request, id, bytes);
+template <typename Park>
+bool WireClient::Send(const std::vector<std::uint8_t>& frames,
+                      std::uint64_t first, std::size_t count, Park&& park,
+                      std::size_t* failed) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    EmplacePendingLocked(id, std::move(callback));
+    park();
   }
   bool sent = false;
   {
     std::lock_guard<std::mutex> lock(send_mutex_);
     const int fd = fd_.load(std::memory_order_relaxed);
     sent = fd >= 0 && connected_.load(std::memory_order_acquire) &&
-           WriteAll(fd, bytes.data(), bytes.size());
+           WriteAll(fd, frames.data(), frames.size());
   }
   if (sent) return true;
-  // Send failed: complete this request with a transport error — unless
-  // the reader noticed the dead socket first and already failed it.
-  Callback mine = TakePending(id);
-  if (mine) {
-    WireResponse dead;
-    dead.request_id = id;
-    dead.status = WireStatus::kTransportError;
-    mine(dead);
+  // A failed write leaves an unknown prefix delivered: responses that do
+  // arrive complete their parked entries, the rest fail here — unless
+  // the reader noticed the dead socket first and already failed them.
+  std::size_t failed_here = 0;
+  for (std::uint64_t id = first; id < first + count; ++id) {
+    if (Callback callback = TakePending(id)) {
+      FailRequest(id, callback);
+      ++failed_here;
+      continue;
+    }
+    PendingSub sub;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = pending_subs_.find(id);
+      if (it == pending_subs_.end()) continue;
+      sub = std::move(it->second);
+      pending_subs_.erase(it);
+    }
+    FailAck(id, sub);
+    ++failed_here;
   }
+  if (failed != nullptr) *failed = failed_here;
   return false;
+}
+
+void WireClient::FailRequest(std::uint64_t id, const Callback& callback) {
+  WireResponse dead;
+  dead.request_id = id;
+  dead.status = WireStatus::kTransportError;
+  callback(dead);
+}
+
+void WireClient::FailAck(std::uint64_t id, const PendingSub& pending) {
+  if (!pending.ack) return;
+  WireSubscribeAck dead;
+  dead.request_id = id;
+  dead.subscription_id = pending.subscription_id;
+  dead.status = WireStatus::kTransportError;
+  pending.ack(dead);
+}
+
+bool WireClient::Submit(const WireRequest& request, Callback callback) {
+  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  // Encode straight from the caller's struct into a pooled frame buffer,
+  // stamping the id into the frame only — no request copy, no fresh
+  // allocation at steady state.
+  support::PooledBuffer buffer =
+      support::BufferPool::WirePool().Acquire(EncodedSizeHint(request));
+  EncodeRequest(request, id, buffer.bytes());
+  return Send(buffer.bytes(), id, 1,
+              [&] { EmplacePendingLocked(id, std::move(callback)); });
 }
 
 std::size_t WireClient::SubmitBatch(const std::vector<WireRequest>& requests,
@@ -263,164 +292,61 @@ std::size_t WireClient::SubmitBatchImpl(
     const std::vector<WireRequest>& requests,
     const std::function<Callback(std::size_t)>& callback_at) {
   if (requests.empty()) return 0;
-  if (!connected_.load(std::memory_order_acquire)) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      WireResponse dead;
-      dead.request_id = requests[i].request_id;
-      dead.status = WireStatus::kTransportError;
-      callback_at(i)(dead);
-    }
-    return 0;
-  }
+  // One contiguous id block: request i goes out as first + i.
+  const std::uint64_t first =
+      next_id_.fetch_add(requests.size(), std::memory_order_relaxed);
   std::size_t size_hint = 0;
   for (const WireRequest& request : requests) {
     size_hint += EncodedSizeHint(request);
   }
-  std::vector<std::uint64_t> ids;
-  ids.reserve(requests.size());
   // One pooled buffer holds the whole batch; requests are encoded in
   // place from the caller's structs (no per-request copy), ids stamped
   // into the frames only.
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(size_hint);
-  std::vector<std::uint8_t>& bytes = buffer.bytes();
-  for (const WireRequest& request : requests) {
-    const std::uint64_t id =
-        next_id_.fetch_add(1, std::memory_order_relaxed);
-    ids.push_back(id);
-    EncodeRequest(request, id, bytes);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EncodeRequest(requests[i], first + i, buffer.bytes());
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      EmplacePendingLocked(ids[i], callback_at(i));
+  std::size_t failed = 0;
+  (void)Send(buffer.bytes(), first, requests.size(), [&] {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EmplacePendingLocked(first + i, callback_at(i));
     }
-  }
-  bool sent = false;
-  {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const int fd = fd_.load(std::memory_order_relaxed);
-    sent = fd >= 0 && connected_.load(std::memory_order_acquire) &&
-           WriteAll(fd, bytes.data(), bytes.size());
-  }
-  if (sent) return ids.size();
-  // A failed batch write leaves an unknown prefix delivered; responses
-  // that do arrive match their pending entries, the rest fail here.
-  std::vector<Callback> orphans;
-  for (std::uint64_t id : ids) {
-    Callback orphan = TakePending(id);
-    if (orphan) orphans.push_back(std::move(orphan));
-  }
-  for (std::size_t i = 0; i < orphans.size(); ++i) {
-    WireResponse dead;
-    dead.status = WireStatus::kTransportError;
-    orphans[i](dead);
-  }
-  return ids.size() - orphans.size();
+  }, &failed);
+  return requests.size() - failed;
 }
 
 bool WireClient::Subscribe(const WireSubscribe& subscribe,
                            EventHandler on_event, AckCallback on_ack) {
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  if (!connected_.load(std::memory_order_acquire)) {
-    WireSubscribeAck dead;
-    dead.request_id = id;
-    dead.status = WireStatus::kTransportError;
-    if (on_ack) on_ack(dead);
-    return false;
-  }
   WireSubscribe stamped = subscribe;
-  stamped.request_id = id;
+  stamped.request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(kRequestOverhead);
-  std::vector<std::uint8_t>& bytes = buffer.bytes();
-  EncodeSubscribe(stamped, bytes);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  EncodeSubscribe(stamped, buffer.bytes());
+  return Send(buffer.bytes(), stamped.request_id, 1, [&] {
     PendingSub pending;
     pending.ack = std::move(on_ack);
-    pending.handler =
-        std::make_shared<const EventHandler>(std::move(on_event));
+    pending.handler = std::make_shared<const EventHandler>(std::move(on_event));
     pending.is_subscribe = true;
-    pending_subs_.emplace(id, std::move(pending));
-  }
-  bool sent = false;
-  {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const int fd = fd_.load(std::memory_order_relaxed);
-    sent = fd >= 0 && connected_.load(std::memory_order_acquire) &&
-           WriteAll(fd, bytes.data(), bytes.size());
-  }
-  if (sent) return true;
-  AckCallback mine;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = pending_subs_.find(id);
-    if (it != pending_subs_.end()) {
-      mine = std::move(it->second.ack);
-      pending_subs_.erase(it);
-    }
-  }
-  if (mine) {
-    WireSubscribeAck dead;
-    dead.request_id = id;
-    dead.status = WireStatus::kTransportError;
-    mine(dead);
-  }
-  return false;
+    pending_subs_.emplace(stamped.request_id, std::move(pending));
+  });
 }
 
 bool WireClient::Unsubscribe(std::uint64_t subscription_id,
                              AckCallback on_ack) {
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  if (!connected_.load(std::memory_order_acquire)) {
-    WireSubscribeAck dead;
-    dead.request_id = id;
-    dead.subscription_id = subscription_id;
-    dead.status = WireStatus::kTransportError;
-    if (on_ack) on_ack(dead);
-    return false;
-  }
   WireUnsubscribe request;
-  request.request_id = id;
+  request.request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.subscription_id = subscription_id;
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(kRequestOverhead);
-  std::vector<std::uint8_t>& bytes = buffer.bytes();
-  EncodeUnsubscribe(request, bytes);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  EncodeUnsubscribe(request, buffer.bytes());
+  return Send(buffer.bytes(), request.request_id, 1, [&] {
     PendingSub pending;
     pending.ack = std::move(on_ack);
     pending.is_subscribe = false;
     pending.subscription_id = subscription_id;
-    pending_subs_.emplace(id, std::move(pending));
-  }
-  bool sent = false;
-  {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const int fd = fd_.load(std::memory_order_relaxed);
-    sent = fd >= 0 && connected_.load(std::memory_order_acquire) &&
-           WriteAll(fd, bytes.data(), bytes.size());
-  }
-  if (sent) return true;
-  AckCallback mine;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = pending_subs_.find(id);
-    if (it != pending_subs_.end()) {
-      mine = std::move(it->second.ack);
-      pending_subs_.erase(it);
-    }
-  }
-  if (mine) {
-    WireSubscribeAck dead;
-    dead.request_id = id;
-    dead.subscription_id = subscription_id;
-    dead.status = WireStatus::kTransportError;
-    mine(dead);
-  }
-  return false;
+    pending_subs_.emplace(request.request_id, std::move(pending));
+  });
 }
 
 void WireClient::HandleSubscribeAck(const WireSubscribeAck& ack) {
@@ -463,32 +389,12 @@ void WireClient::HandleEvent(WireEvent&& event) {
 }
 
 bool WireClient::Call(WireRequest request, WireResponse* response) {
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  Submit(request, [&](const WireResponse& completed) {
-    *response = completed;
-    // Notify under the lock: these are stack objects, and the waiter
-    // destroys them the moment it observes done — an unlocked notify
-    // could still be touching the cv then.
-    std::lock_guard<std::mutex> lock(done_mutex);
-    done = true;
-    done_cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
-  return response->status != WireStatus::kTransportError;
+  return AwaitResponse(
+      [&](Callback done) { Submit(request, std::move(done)); }, response);
 }
 
 bool WireClient::SubmitScript(const WireScriptRequest& script,
                               Callback callback) {
-  if (!connected_.load(std::memory_order_acquire)) {
-    WireResponse dead;
-    dead.request_id = script.request_id;
-    dead.status = WireStatus::kTransportError;
-    callback(dead);
-    return false;
-  }
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   std::size_t size_hint = 64 + script.source.size();
   for (const auto& [name, value] : script.args) {
@@ -496,44 +402,15 @@ bool WireClient::SubmitScript(const WireScriptRequest& script,
   }
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(size_hint);
-  std::vector<std::uint8_t>& bytes = buffer.bytes();
-  EncodeScript(script, id, bytes);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EmplacePendingLocked(id, std::move(callback));
-  }
-  bool sent = false;
-  {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const int fd = fd_.load(std::memory_order_relaxed);
-    sent = fd >= 0 && connected_.load(std::memory_order_acquire) &&
-           WriteAll(fd, bytes.data(), bytes.size());
-  }
-  if (sent) return true;
-  Callback mine = TakePending(id);
-  if (mine) {
-    WireResponse dead;
-    dead.request_id = id;
-    dead.status = WireStatus::kTransportError;
-    mine(dead);
-  }
-  return false;
+  EncodeScript(script, id, buffer.bytes());
+  return Send(buffer.bytes(), id, 1,
+              [&] { EmplacePendingLocked(id, std::move(callback)); });
 }
 
 bool WireClient::CallScript(const WireScriptRequest& script,
                             WireResponse* response) {
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  SubmitScript(script, [&](const WireResponse& completed) {
-    *response = completed;
-    std::lock_guard<std::mutex> lock(done_mutex);
-    done = true;
-    done_cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
-  return response->status != WireStatus::kTransportError;
+  return AwaitResponse(
+      [&](Callback done) { SubmitScript(script, std::move(done)); }, response);
 }
 
 void WireClient::Close() {
@@ -666,20 +543,8 @@ void WireClient::FailAllOutstanding() {
     sub_orphans.swap(pending_subs_);
     handlers.swap(event_handlers_);
   }
-  for (auto& [id, callback] : orphans) {
-    WireResponse dead;
-    dead.request_id = id;
-    dead.status = WireStatus::kTransportError;
-    callback(dead);
-  }
-  for (auto& [id, pending] : sub_orphans) {
-    if (!pending.ack) continue;
-    WireSubscribeAck dead;
-    dead.request_id = id;
-    dead.subscription_id = pending.subscription_id;
-    dead.status = WireStatus::kTransportError;
-    pending.ack(dead);
-  }
+  for (const auto& [id, callback] : orphans) FailRequest(id, callback);
+  for (const auto& [id, pending] : sub_orphans) FailAck(id, pending);
   // Each live subscription gets one final synthetic gap marker with
   // cursor 0: "the stream is gone — re-subscribe with your last cursor".
   // Real shed ranges always carry cursors >= 1, so the two are

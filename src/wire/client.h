@@ -177,6 +177,19 @@ class WireClient {
     std::uint64_t subscription_id = 0;  ///< unsubscribe: the target
   };
 
+  /// The one send path of every frame kind. `park` runs under mutex_ and
+  /// parks one completion under each id in [first, first + count); then
+  /// `frames` goes out in one whole write. When the write fails, or the
+  /// client is not connected, every parked completion the reader has not
+  /// completed already fails here with kTransportError under its own id
+  /// (`*failed` counts them). True when the write went out whole.
+  template <typename Park>
+  bool Send(const std::vector<std::uint8_t>& frames, std::uint64_t first,
+            std::size_t count, Park&& park, std::size_t* failed = nullptr);
+  /// Fire a parked completion with kTransportError under `id`.
+  static void FailRequest(std::uint64_t id, const Callback& callback);
+  static void FailAck(std::uint64_t id, const PendingSub& pending);
+
   void ReaderLoop();
   void FailAllOutstanding();
   void HandleSubscribeAck(const WireSubscribeAck& ack);

@@ -16,6 +16,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -309,57 +310,47 @@ class WireServer::EventLoop
           base + offset, ring.size() - offset, &frame, &consumed, &error);
       if (status == DecodeStatus::kNeedMore) break;
       if (status == DecodeStatus::kMalformed) {
-        AddU64(server_.stats_->protocol_errors, 1);
-        support::trace::Instant("wire.protocol_error");
         MOBIVINE_LOG_DEBUG << "wire: closing connection " << conn->id()
                            << ": " << error;
-        fatal = true;
+        ProtocolError(&fatal);
         break;
       }
       AddU64(server_.stats_->frames_in, 1);
       ++frames;
-      if (frame.type == FrameType::kResponse ||
-          frame.type == FrameType::kEvent ||
-          frame.type == FrameType::kSubscribeAck) {
-        // Server-to-client frame types arriving here are a direction
-        // violation (not version skew — we know these types); close.
-        AddU64(server_.stats_->protocol_errors, 1);
-        support::trace::Instant("wire.protocol_error");
-        fatal = true;
-        break;
+      switch (frame.type) {
+        case FrameType::kRequest:
+          HandleRequest(conn, frame, generation, &fatal);
+          break;
+        case FrameType::kScript:
+          HandleScript(conn, frame, &fatal);
+          break;
+        case FrameType::kSubscribe:
+          HandleSubscribe(conn, frame, &fatal);
+          break;
+        case FrameType::kUnsubscribe:
+          HandleUnsubscribe(conn, frame, &fatal);
+          break;
+        case FrameType::kResponse:
+        case FrameType::kEvent:
+        case FrameType::kSubscribeAck:
+          // Server-to-client frame types arriving here are a direction
+          // violation (not version skew — we know these types); close.
+          ProtocolError(&fatal);
+          break;
+        default: {
+          // Well-framed but not a type this server implements (kControl
+          // on a plain data server, or a newer revision's frame): answer
+          // in-band and keep the connection — a mixed-version fleet must
+          // degrade to typed errors, not dropped links.
+          AddU64(server_.stats_->unsupported_frames, 1);
+          support::trace::Instant("wire.unsupported_frame");
+          std::uint64_t request_id = 0;
+          (void)PeekPayloadId(frame.payload, frame.payload_size, &request_id);
+          Answer(conn, Reply::kResponse, request_id,
+                 WireStatus::kUnsupportedFrame, "unsupported frame type");
+          break;
+        }
       }
-      if (frame.type == FrameType::kSubscribe) {
-        HandleSubscribe(conn, frame, &fatal);
-        offset += consumed;
-        continue;
-      }
-      if (frame.type == FrameType::kUnsubscribe) {
-        HandleUnsubscribe(conn, frame, &fatal);
-        offset += consumed;
-        continue;
-      }
-      if (frame.type == FrameType::kScript) {
-        HandleScript(conn, frame, &fatal);
-        offset += consumed;
-        continue;
-      }
-      if (frame.type != FrameType::kRequest) {
-        // Well-framed but not a type this server implements (kControl on
-        // a plain data server, or a newer revision's frame): answer
-        // in-band and keep the connection — a mixed-version fleet must
-        // degrade to typed errors, not dropped links.
-        AddU64(server_.stats_->unsupported_frames, 1);
-        support::trace::Instant("wire.unsupported_frame");
-        WireResponse response;
-        (void)PeekPayloadId(frame.payload, frame.payload_size,
-                            &response.request_id);
-        response.status = WireStatus::kUnsupportedFrame;
-        response.body = "unsupported frame type";
-        SendResponse(conn, response);
-        offset += consumed;
-        continue;
-      }
-      HandleRequest(conn, frame, generation, &fatal);
       offset += consumed;
     }
     ring.Consume(offset);
@@ -372,6 +363,83 @@ class WireServer::EventLoop
     Flush(conn);
   }
 
+  /// A frame that breaks the protocol (unframeable bytes, an unreadable
+  /// request id, a server-to-client type): counted, and the connection
+  /// closes once the decode pass ends.
+  void ProtocolError(bool* fatal) {
+    AddU64(server_.stats_->protocol_errors, 1);
+    support::trace::Instant("wire.protocol_error");
+    *fatal = true;
+  }
+
+  /// How a frame kind answers in-band: request and script frames with a
+  /// kResponse, subscription frames with a kSubscribeAck.
+  enum class Reply : bool { kResponse, kSubscribeAck };
+
+  /// Loop thread: answer a frame in-band with its kind's reply frame. A
+  /// kResponse carries `text` as its body; a kSubscribeAck carries
+  /// `subscription_id` and `cursor` instead.
+  void Answer(const std::shared_ptr<Connection>& conn, Reply reply,
+              std::uint64_t request_id, WireStatus status,
+              std::string_view text, std::uint64_t subscription_id = 0,
+              std::uint64_t cursor = 0) {
+    if (reply == Reply::kResponse) {
+      WireResponse response;
+      response.request_id = request_id;
+      response.status = status;
+      Respond(weak_from_this(), conn, response, text, *server_.stats_);
+      return;
+    }
+    if (conn->closed()) return;
+    WireSubscribeAck ack;
+    ack.request_id = request_id;
+    ack.status = status;
+    ack.subscription_id = subscription_id;
+    ack.start_cursor = cursor;
+    support::PooledBuffer buffer =
+        support::BufferPool::WirePool().Acquire(kResponseOverhead);
+    EncodeSubscribeAck(ack, buffer.bytes());
+    QueueAndWake(weak_from_this(), conn, std::move(buffer), *server_.stats_);
+  }
+
+  /// The prologue every client frame shares. `Decode`s the payload into
+  /// `body`: an unreadable request id is a protocol error, a bad body is
+  /// answered kMalformedRequest. A body that names a client then passes
+  /// the M-Cluster routing fence: a worker that does not own the client
+  /// under its current plan answers kWrongWorker with its plan epoch —
+  /// in a kResponse's body as decimal, in a kSubscribeAck's start_cursor
+  /// as a varint — before any gateway, sandbox or feed work, and the
+  /// stale router re-routes. True when the frame is to be dispatched.
+  template <auto Decode, typename Body>
+  bool Admit(const std::shared_ptr<Connection>& conn, const FrameView& frame,
+             Reply reply, Body* body, bool* fatal) {
+    std::string error;
+    switch (Decode(frame.payload, frame.payload_size, body, &error)) {
+      case BodyStatus::kBadId:
+        ProtocolError(fatal);
+        return false;
+      case BodyStatus::kBadBody:
+        AddU64(server_.stats_->decode_errors, 1);
+        Answer(conn, reply, body->request_id, WireStatus::kMalformedRequest,
+               error);
+        return false;
+      case BodyStatus::kOk:
+        break;
+    }
+    if constexpr (requires { body->client_id; }) {
+      std::uint64_t plan_epoch = 0;
+      if (server_.config_.ownership &&
+          !server_.config_.ownership(body->client_id, &plan_epoch)) {
+        AddU64(server_.stats_->wrong_worker, 1);
+        support::trace::Instant("wire.wrong_worker");
+        Answer(conn, reply, body->request_id, WireStatus::kWrongWorker,
+               std::to_string(plan_epoch), 0, plan_epoch);
+        return false;
+      }
+    }
+    return true;
+  }
+
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      const FrameView& frame, std::uint64_t ring_generation,
                      bool* fatal) {
@@ -379,41 +447,9 @@ class WireServer::EventLoop
     // The scratch view is a loop member so its property array's capacity
     // survives across requests — steady state decodes allocation-free.
     WireRequestView& view = decode_scratch_;
-    std::string error;
-    switch (DecodeRequestView(frame.payload, frame.payload_size, &view,
-                              &error)) {
-      case BodyStatus::kBadId:
-        AddU64(server_.stats_->protocol_errors, 1);
-        support::trace::Instant("wire.protocol_error");
-        *fatal = true;
-        return;
-      case BodyStatus::kBadBody: {
-        AddU64(server_.stats_->decode_errors, 1);
-        WireResponse response;
-        response.request_id = view.request_id;
-        response.status = WireStatus::kMalformedRequest;
-        response.body = error;
-        SendResponse(conn, response);
-        return;
-      }
-      case BodyStatus::kOk:
-        break;
-    }
-    // M-Cluster routing fence: before any gateway work, check that this
-    // process owns the client id under the current partition plan. A
-    // stale router gets the worker's epoch back in-band and re-routes.
-    if (server_.config_.ownership) {
-      std::uint64_t plan_epoch = 0;
-      if (!server_.config_.ownership(view.client_id, &plan_epoch)) {
-        AddU64(server_.stats_->wrong_worker, 1);
-        support::trace::Instant("wire.wrong_worker");
-        WireResponse response;
-        response.request_id = view.request_id;
-        response.status = WireStatus::kWrongWorker;
-        response.body = std::to_string(plan_epoch);
-        SendResponse(conn, response);
-        return;
-      }
+    if (!Admit<DecodeRequestView>(conn, frame, Reply::kResponse, &view,
+                                  fatal)) {
+      return;
     }
     support::trace::Span span("wire.dispatch");
     span.Tag("op", static_cast<std::int64_t>(view.op));
@@ -434,11 +470,8 @@ class WireServer::EventLoop
     // object is gone (the contract only requires the *gateway* to be
     // stopped before the server's own destruction, not vice versa). So
     // it captures shared stats and a weak loop, never `this` raw.
-    std::shared_ptr<WireServer::Counters> stats = server_.stats_;
-    std::weak_ptr<EventLoop> weak_loop = weak_from_this();
-    auto on_complete = [stats = std::move(stats), weak_loop, conn,
-                        request_id](const gateway::Response& completed) {
-      if (conn->closed()) return;
+    auto on_complete = [stats = server_.stats_, weak_loop = weak_from_this(),
+                        conn, request_id](const gateway::Response& completed) {
       WireResponse response;
       response.request_id = request_id;
       response.status = completed.ok ? WireStatus::kOk
@@ -448,23 +481,8 @@ class WireServer::EventLoop
           completed.attempts < 0 ? 0 : completed.attempts);
       response.latency_micros =
           static_cast<std::uint64_t>(completed.latency.count());
-      // Encode straight into a pooled buffer, borrowing the gateway
-      // payload as the body — no WireResponse::body copy, no per-frame
-      // heap allocation at steady state.
-      const std::string& body =
-          completed.ok ? completed.payload : completed.message;
-      support::PooledBuffer buffer = support::BufferPool::WirePool().Acquire(
-          kResponseOverhead + body.size());
-      EncodeResponse(response, body, buffer.bytes());
-      if (conn->QueueOutput(std::move(buffer)) == 0) return;  // closed
-      AddU64(stats->frames_out, 1);
-      if (conn->ClaimNotify()) {
-        if (const std::shared_ptr<EventLoop> loop = weak_loop.lock()) {
-          loop->NotifyWritable(conn);
-        } else {
-          conn->ClearNotify();  // loop gone: connection already closed
-        }
-      }
+      Respond(weak_loop, conn, response,
+              completed.ok ? completed.payload : completed.message, *stats);
     };
     AddU64(server_.stats_->requests_dispatched, 1);
     // Submit materializes (admitted) or sheds (callback fires inline)
@@ -486,40 +504,8 @@ class WireServer::EventLoop
   void HandleScript(const std::shared_ptr<Connection>& conn,
                     const FrameView& frame, bool* fatal) {
     WireScriptRequest script;
-    std::string error;
-    switch (DecodeScript(frame.payload, frame.payload_size, &script, &error)) {
-      case BodyStatus::kBadId:
-        AddU64(server_.stats_->protocol_errors, 1);
-        support::trace::Instant("wire.protocol_error");
-        *fatal = true;
-        return;
-      case BodyStatus::kBadBody: {
-        AddU64(server_.stats_->decode_errors, 1);
-        WireResponse response;
-        response.request_id = script.request_id;
-        response.status = WireStatus::kMalformedRequest;
-        response.body = error;
-        SendResponse(conn, response);
-        return;
-      }
-      case BodyStatus::kOk:
-        break;
-    }
-    // Same M-Cluster routing fence as requests: scripts execute against
-    // the client's shard state, so a worker that does not own the client
-    // bounces them before any sandbox work.
-    if (server_.config_.ownership) {
-      std::uint64_t plan_epoch = 0;
-      if (!server_.config_.ownership(script.client_id, &plan_epoch)) {
-        AddU64(server_.stats_->wrong_worker, 1);
-        support::trace::Instant("wire.wrong_worker");
-        WireResponse response;
-        response.request_id = script.request_id;
-        response.status = WireStatus::kWrongWorker;
-        response.body = std::to_string(plan_epoch);
-        SendResponse(conn, response);
-        return;
-      }
+    if (!Admit<DecodeScript>(conn, frame, Reply::kResponse, &script, fatal)) {
+      return;
     }
     support::trace::Span span("wire.dispatch");
     span.Tag("script", 1);
@@ -531,14 +517,10 @@ class WireServer::EventLoop
     gw.step_budget = script.step_budget;
     gw.virtual_us_budget = script.virtual_us_budget;
     gw.max_result_bytes = script.max_result_bytes;
-    const std::uint64_t request_id = script.request_id;
-    // Same lifetime discipline as HandleRequest's completion: shared
-    // stats, weak loop, never `this` raw.
-    std::shared_ptr<WireServer::Counters> stats = server_.stats_;
-    std::weak_ptr<EventLoop> weak_loop = weak_from_this();
-    gw.on_complete = [stats = std::move(stats), weak_loop, conn, request_id](
+    // Same lifetime discipline as HandleRequest's completion.
+    gw.on_complete = [stats = server_.stats_, weak_loop = weak_from_this(),
+                      conn, request_id = script.request_id](
                          const gateway::ScriptResponse& completed) {
-      if (conn->closed()) return;
       WireResponse response;
       response.request_id = request_id;
       // Script outcomes (uncaught throw, step-limit kill, result cap)
@@ -550,36 +532,49 @@ class WireServer::EventLoop
                             : FromErrorCode(completed.error);
       response.latency_micros =
           static_cast<std::uint64_t>(completed.latency.count());
-      const std::string& body =
-          completed.ok ? completed.result : completed.message;
-      support::PooledBuffer buffer = support::BufferPool::WirePool().Acquire(
-          kResponseOverhead + body.size());
-      EncodeResponse(response, body, buffer.bytes());
-      if (conn->QueueOutput(std::move(buffer)) == 0) return;  // closed
-      AddU64(stats->frames_out, 1);
-      if (conn->ClaimNotify()) {
-        if (const std::shared_ptr<EventLoop> loop = weak_loop.lock()) {
-          loop->NotifyWritable(conn);
-        } else {
-          conn->ClearNotify();  // loop gone: connection already closed
-        }
-      }
+      Respond(weak_loop, conn, response,
+              completed.ok ? completed.result : completed.message, *stats);
     };
     AddU64(server_.stats_->scripts_dispatched, 1);
     (void)server_.gateway_.SubmitScript(std::move(gw));
   }
 
-  /// Encode + enqueue one response; wakes the loop unless it is already
-  /// scheduled to flush this connection. Safe from any thread.
-  void SendResponse(const std::shared_ptr<Connection>& conn,
-                    const WireResponse& response) {
+  /// Any thread: encode one kResponse straight into a pooled buffer,
+  /// borrowing `body` (no WireResponse::body copy, no per-frame heap
+  /// allocation at steady state), and queue it.
+  static void Respond(const std::weak_ptr<EventLoop>& weak_loop,
+                      const std::shared_ptr<Connection>& conn,
+                      const WireResponse& response, std::string_view body,
+                      WireServer::Counters& stats) {
     if (conn->closed()) return;
     support::PooledBuffer buffer = support::BufferPool::WirePool().Acquire(
-        kResponseOverhead + response.body.size());
-    EncodeResponse(response, buffer.bytes());
-    if (conn->QueueOutput(std::move(buffer)) == 0) return;  // closed: dropped
-    AddU64(server_.stats_->frames_out, 1);
-    if (conn->ClaimNotify()) NotifyWritable(conn);
+        kResponseOverhead + body.size());
+    EncodeResponse(response, body, buffer.bytes());
+    QueueAndWake(weak_loop, conn, std::move(buffer), stats);
+  }
+
+  /// Any thread: append one encoded frame to the connection's output
+  /// (dropped if it has closed) and schedule a flush.
+  static void QueueAndWake(const std::weak_ptr<EventLoop>& weak_loop,
+                           const std::shared_ptr<Connection>& conn,
+                           support::PooledBuffer buffer,
+                           WireServer::Counters& stats) {
+    if (conn->QueueOutput(std::move(buffer)) == 0) return;  // closed
+    AddU64(stats.frames_out, 1);
+    ScheduleFlush(weak_loop, conn);
+  }
+
+  /// Any thread: wake the connection's loop to flush it, unless a flush
+  /// is already scheduled. The loop is held weakly — shard completions
+  /// and feed publishers may outlive it.
+  static void ScheduleFlush(const std::weak_ptr<EventLoop>& weak_loop,
+                            const std::shared_ptr<Connection>& conn) {
+    if (!conn->ClaimNotify()) return;
+    if (const std::shared_ptr<EventLoop> loop = weak_loop.lock()) {
+      loop->NotifyWritable(conn);
+    } else {
+      conn->ClearNotify();  // loop gone: connection already closed
+    }
   }
 
   // ---- M-Push: the server side of the subscription plane ----
@@ -644,34 +639,14 @@ class WireServer::EventLoop
 
   void HandleSubscribe(const std::shared_ptr<Connection>& conn,
                        const FrameView& frame, bool* fatal) {
+    // The fence matters here too: a subscription pins a shard feed, so a
+    // worker that does not own the client bounces it BEFORE it can
+    // accumulate events. The epoch rides the ack's start_cursor varint,
+    // so the cluster client never parses text on this path.
     WireSubscribe req;
-    std::string error;
-    switch (DecodeSubscribe(frame.payload, frame.payload_size, &req, &error)) {
-      case BodyStatus::kBadId:
-        AddU64(server_.stats_->protocol_errors, 1);
-        support::trace::Instant("wire.protocol_error");
-        *fatal = true;
-        return;
-      case BodyStatus::kBadBody:
-        AddU64(server_.stats_->decode_errors, 1);
-        SendAck(conn, req.request_id, WireStatus::kMalformedRequest, 0, 0);
-        return;
-      case BodyStatus::kOk:
-        break;
-    }
-    // Same routing fence as requests: a subscription pins a shard feed,
-    // so a worker that does not own the client bounces it BEFORE it can
-    // accumulate events. The epoch travels in start_cursor — a varint,
-    // not the decimal body requests use, so the cluster client never
-    // parses text on this path.
-    if (server_.config_.ownership) {
-      std::uint64_t plan_epoch = 0;
-      if (!server_.config_.ownership(req.client_id, &plan_epoch)) {
-        AddU64(server_.stats_->wrong_worker, 1);
-        support::trace::Instant("wire.wrong_worker");
-        SendAck(conn, req.request_id, WireStatus::kWrongWorker, 0, plan_epoch);
-        return;
-      }
+    if (!Admit<DecodeSubscribe>(conn, frame, Reply::kSubscribeAck, &req,
+                                fatal)) {
+      return;
     }
     gateway::PushFeed& feed = server_.gateway_.FeedFor(req.client_id);
     auto sub = std::make_shared<Sub>();
@@ -706,10 +681,9 @@ class WireServer::EventLoop
       covered =
           feed.ReplayAfter(after, topic_g, req.client_id, replay_into_pending);
     } else {
-      std::weak_ptr<EventLoop> weak_loop = weak_from_this();
       sub->listener_id = feed.AddListenerAndReplay(
           after, topic_g, req.client_id, replay_into_pending,
-          [sub, capacity, stats, weak_loop,
+          [sub, capacity, stats, weak_loop = weak_from_this(),
            topic_g](const gateway::PushEvent& event) {
             // Publisher thread, feed lock held: filter, enqueue, wake the
             // loop. Everything heavier (encode, socket) is the loop's.
@@ -722,13 +696,7 @@ class WireServer::EventLoop
               if (sub->closed) return;
               EnqueueData(*sub, event, capacity, *stats);
             }
-            if (sub->conn->ClaimNotify()) {
-              if (const std::shared_ptr<EventLoop> loop = weak_loop.lock()) {
-                loop->NotifyWritable(sub->conn);
-              } else {
-                sub->conn->ClearNotify();  // loop gone: connection closing
-              }
-            }
+            ScheduleFlush(weak_loop, sub->conn);
           },
           &covered);
     }
@@ -751,41 +719,31 @@ class WireServer::EventLoop
                             static_cast<std::int64_t>(req.topic));
     // Queue the ack NOW: subscribe handling and the event pump share this
     // loop thread, so the ack always precedes the first kEvent frame.
-    SendAck(conn, req.request_id, WireStatus::kOk, sub->id,
-            covered.resume_cursor);
+    Answer(conn, Reply::kSubscribeAck, req.request_id, WireStatus::kOk, {},
+           sub->id, covered.resume_cursor);
   }
 
   void HandleUnsubscribe(const std::shared_ptr<Connection>& conn,
                          const FrameView& frame, bool* fatal) {
     WireUnsubscribe req;
-    std::string error;
-    switch (
-        DecodeUnsubscribe(frame.payload, frame.payload_size, &req, &error)) {
-      case BodyStatus::kBadId:
-        AddU64(server_.stats_->protocol_errors, 1);
-        support::trace::Instant("wire.protocol_error");
-        *fatal = true;
-        return;
-      case BodyStatus::kBadBody:
-        AddU64(server_.stats_->decode_errors, 1);
-        SendAck(conn, req.request_id, WireStatus::kMalformedRequest, 0, 0);
-        return;
-      case BodyStatus::kOk:
-        break;
+    if (!Admit<DecodeUnsubscribe>(conn, frame, Reply::kSubscribeAck, &req,
+                                  fatal)) {
+      return;
     }
     const auto it = subs_by_id_.find(req.subscription_id);
     if (it == subs_by_id_.end() || it->second->conn != conn) {
       // Unknown id, or an id owned by another connection — either way
       // nothing this connection may tear down.
-      SendAck(conn, req.request_id, WireStatus::kMalformedRequest,
-              req.subscription_id, 0);
+      Answer(conn, Reply::kSubscribeAck, req.request_id,
+             WireStatus::kMalformedRequest, {}, req.subscription_id);
       return;
     }
     const std::shared_ptr<Sub> sub = it->second;
     CloseSubscription(sub);
     support::trace::Instant("push.unsubscribe", "sub",
                             static_cast<std::int64_t>(sub->id));
-    SendAck(conn, req.request_id, WireStatus::kOk, sub->id, 0);
+    Answer(conn, Reply::kSubscribeAck, req.request_id, WireStatus::kOk, {},
+           sub->id);
   }
 
   /// Loop thread. RemoveListener returning is the fence: after it no
@@ -808,24 +766,6 @@ class WireServer::EventLoop
       if (list.empty()) subs_by_fd_.erase(it);
     }
     AddU64(server_.stats_->subscriptions_closed, 1);
-  }
-
-  /// Encode + enqueue one subscribe/unsubscribe ack. Loop thread.
-  void SendAck(const std::shared_ptr<Connection>& conn,
-               std::uint64_t request_id, WireStatus status,
-               std::uint64_t subscription_id, std::uint64_t start_cursor) {
-    if (conn->closed()) return;
-    WireSubscribeAck ack;
-    ack.request_id = request_id;
-    ack.status = status;
-    ack.subscription_id = subscription_id;
-    ack.start_cursor = start_cursor;
-    support::PooledBuffer buffer =
-        support::BufferPool::WirePool().Acquire(kResponseOverhead);
-    EncodeSubscribeAck(ack, buffer.bytes());
-    if (conn->QueueOutput(std::move(buffer)) == 0) return;
-    AddU64(server_.stats_->frames_out, 1);
-    if (conn->ClaimNotify()) NotifyWritable(conn);
   }
 
   /// Loop thread, from Flush: encode queued subscription events into the

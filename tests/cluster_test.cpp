@@ -247,6 +247,40 @@ TEST_F(ClusterEndToEnd, KillWorkerRebalancesThenRejoinReacquires) {
   client.Stop();
 }
 
+TEST_F(ClusterEndToEnd, CallsAfterStopFailWithoutCountingExhausted) {
+  StartController();
+  StartWorker(1);
+  PartitionPlan plan;
+  ASSERT_TRUE(cluster_testing::WaitForMembers(controller_.port, 1, &plan));
+
+  cluster::ClientConfig config;
+  config.controller_port = controller_.port;
+  cluster::Client client(config);
+  std::string error;
+  ASSERT_TRUE(client.Start(&error)) << error;
+  wire::WireResponse response;
+  ASSERT_TRUE(client.Call(Ping(1), &response));
+  ASSERT_EQ(response.status, wire::WireStatus::kOk);
+  client.Stop();
+
+  // `exhausted` counts requests that ran out of attempts; a call that
+  // stopped because the client is stopping never made one.
+  EXPECT_FALSE(client.Call(Ping(1), &response));
+  EXPECT_EQ(response.status, wire::WireStatus::kTransportError);
+  wire::WireScriptRequest script;
+  script.client_id = 1;
+  script.source = "'x';";
+  EXPECT_FALSE(client.CallScript(script, &response));
+  EXPECT_EQ(response.status, wire::WireStatus::kTransportError);
+  int failed = 0;
+  client.Submit(Ping(1), [&](const wire::WireResponse& reply) {
+    EXPECT_EQ(reply.status, wire::WireStatus::kTransportError);
+    ++failed;
+  });
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(client.Stats().exhausted, 0u);
+}
+
 TEST_F(ClusterEndToEnd, SigtermLeavesDrainsAndExitsZero) {
   StartController();
   StartWorker(1);
@@ -468,6 +502,124 @@ TEST_F(ClusterEndToEnd, PushSubscriptionFollowsPlanAcrossStaleRoutes) {
   }
   EXPECT_EQ(client.Stats().exhausted, 0u);
   client.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// M-Script across the cluster: scripts route and repair like requests
+// ---------------------------------------------------------------------------
+
+TEST_F(ClusterEndToEnd, ScriptFollowsPlanAcrossStaleRoutes) {
+  StartController();
+  StartWorker(1);
+  PartitionPlan plan1;
+  ASSERT_TRUE(cluster_testing::WaitForMembers(controller_.port, 1, &plan1));
+
+  // Two clients against the one-member plan, then grow the cluster: both
+  // hold a stale plan, one for CallScript and one for SubmitScript (a
+  // repair refreshes the plan, so each entry point needs its own).
+  cluster::ClientConfig config;
+  config.controller_port = controller_.port;
+  cluster::Client caller(config);
+  cluster::Client submitter(config);
+  std::string error;
+  ASSERT_TRUE(caller.Start(&error)) << error;
+  ASSERT_TRUE(submitter.Start(&error)) << error;
+
+  StartWorker(2);
+  PartitionPlan plan2;
+  ASSERT_TRUE(cluster_testing::WaitForMembers(controller_.port, 2, &plan2));
+  ASSERT_GT(plan2.epoch, plan1.epoch);
+
+  const HashRing ring(plan2);
+  std::uint64_t moved_id = 0;
+  for (std::uint64_t id = 1; id < 10'000; ++id) {
+    if (ring.OwnerFor(id) == 2) {
+      moved_id = id;
+      break;
+    }
+  }
+  ASSERT_NE(moved_id, 0u) << "no sampled id owned by the new worker";
+
+  // Wait until worker 1 fences the moved id, so the first script attempt
+  // of each client deterministically bounces off it.
+  {
+    const cluster::PlanMember* old_worker = nullptr;
+    for (const auto& member : plan2.members) {
+      if (member.worker_id == 1) old_worker = &member;
+    }
+    ASSERT_NE(old_worker, nullptr);
+    wire::WireClient probe_conn;
+    ASSERT_TRUE(probe_conn.Connect(old_worker->data_port));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (true) {
+      wire::WireResponse probe;
+      ASSERT_TRUE(probe_conn.Call(Ping(moved_id), &probe));
+      if (probe.status == wire::WireStatus::kWrongWorker) break;
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "worker 1 never applied the 2-member plan";
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    probe_conn.Close();
+  }
+
+  wire::WireScriptRequest script;
+  script.client_id = moved_id;
+  script.source = "mobile.invoke('android', 'httpGet', args.url);";
+  script.args.emplace_back(
+      "url", std::string("http://") + gateway::kGatewayHttpHost + "/ping");
+
+  // CallScript: fenced by the stale owner, repaired, answered by worker 2.
+  wire::WireResponse response;
+  ASSERT_TRUE(caller.CallScript(script, &response));
+  EXPECT_EQ(response.status, wire::WireStatus::kOk) << response.body;
+  EXPECT_EQ(response.body, "pong");
+  EXPECT_GE(caller.Stats().wrong_worker_retries, 1u);
+  EXPECT_GE(caller.plan_epoch(), plan2.epoch);
+
+  // SubmitScript: the same repair, from the callback path.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<wire::WireResponse> replies;
+  const auto collect = [&](const wire::WireResponse& reply) {
+    std::lock_guard<std::mutex> lock(mutex);
+    replies.push_back(reply);
+    cv.notify_all();
+  };
+  const auto wait_for = [&](std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return replies.size() >= n; });
+  };
+  ASSERT_TRUE(submitter.SubmitScript(script, collect));
+  ASSERT_TRUE(wait_for(1));
+  EXPECT_EQ(replies[0].status, wire::WireStatus::kOk) << replies[0].body;
+  EXPECT_EQ(replies[0].body, "pong");
+  EXPECT_GE(submitter.Stats().wrong_worker_retries, 1u);
+
+  // kScriptError is the sandbox's typed answer, not a routing failure:
+  // it comes back on the first attempt and no retry counter moves.
+  const cluster::ClientStats caller_before = caller.Stats();
+  const cluster::ClientStats submitter_before = submitter.Stats();
+  script.source = "throw 'cluster boom';";
+  script.args.clear();
+  ASSERT_TRUE(caller.CallScript(script, &response));
+  EXPECT_EQ(response.status, wire::WireStatus::kScriptError);
+  EXPECT_NE(response.body.find("cluster boom"), std::string::npos);
+  ASSERT_TRUE(submitter.SubmitScript(script, collect));
+  ASSERT_TRUE(wait_for(2));
+  EXPECT_EQ(replies[1].status, wire::WireStatus::kScriptError);
+  EXPECT_NE(replies[1].body.find("cluster boom"), std::string::npos);
+  for (const auto& [before, after] :
+       {std::pair{caller_before, caller.Stats()},
+        std::pair{submitter_before, submitter.Stats()}}) {
+    EXPECT_EQ(after.wrong_worker_retries, before.wrong_worker_retries);
+    EXPECT_EQ(after.transport_retries, before.transport_retries);
+    EXPECT_EQ(after.plan_refreshes, before.plan_refreshes);
+    EXPECT_EQ(after.exhausted, 0u);
+  }
+  caller.Stop();
+  submitter.Stop();
 }
 
 }  // namespace

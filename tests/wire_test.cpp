@@ -1375,6 +1375,61 @@ TEST_F(WireServerTest, ClientSurfacesTransportErrorAfterServerStops) {
   EXPECT_TRUE(called);
 }
 
+TEST(WireClientTeardown, ClosedClientFailsEachSendOnceUnderItsOwnId) {
+  // Every sender draws its correlation id first and fails with it: the
+  // synthetic kTransportError carries an id this client stamped — never
+  // 0, never the caller's ignored request_id — and each send fails once.
+  Gateway gateway(BaseConfig(1));
+  WireServer server(gateway, {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  client.Close();
+
+  std::vector<std::pair<std::string, std::uint64_t>> fired;
+  const auto response_sink = [&](const char* name) {
+    return [&fired, name](const WireResponse& dead) {
+      EXPECT_EQ(dead.status, WireStatus::kTransportError) << name;
+      fired.emplace_back(name, dead.request_id);
+    };
+  };
+  const auto ack_sink = [&](const char* name) {
+    return [&fired, name](const wire::WireSubscribeAck& dead) {
+      EXPECT_EQ(dead.status, WireStatus::kTransportError) << name;
+      fired.emplace_back(name, dead.request_id);
+    };
+  };
+  WireRequest request = HttpGet(1);
+  request.request_id = 777;  // ignored by the client, never echoed
+  EXPECT_FALSE(client.Submit(request, response_sink("submit")));
+  EXPECT_EQ(client.SubmitBatch({request}, response_sink("batch")), 0u);
+  wire::WireScriptRequest script;
+  script.request_id = 777;
+  script.client_id = 1;
+  script.source = "'x';";
+  EXPECT_FALSE(client.SubmitScript(script, response_sink("script")));
+  wire::WireSubscribe subscribe;
+  subscribe.request_id = 777;
+  EXPECT_FALSE(client.Subscribe(
+      subscribe, [](const wire::WireEvent&) {}, ack_sink("subscribe")));
+  EXPECT_FALSE(client.Unsubscribe(1, ack_sink("unsubscribe")));
+
+  ASSERT_EQ(fired.size(), 5u);
+  std::vector<std::uint64_t> ids;
+  for (const auto& [name, id] : fired) {
+    EXPECT_NE(id, 0u) << name;
+    EXPECT_NE(id, 777u) << name;
+    ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "synthetic failures share an id";
+  EXPECT_EQ(client.outstanding(), 0u);
+  server.Stop();
+  gateway.Stop();
+}
+
 TEST_F(WireServerTest, MetricsSourceExportsWireCounters) {
   StartAll(BaseConfig(1), {});
   support::MetricsRegistry registry;
@@ -1466,11 +1521,22 @@ TEST_F(WireServerTest, OwnershipFilterAnswersWrongWorkerWithEpoch) {
   EXPECT_EQ(response.status, WireStatus::kWrongWorker);
   EXPECT_EQ(response.body, "42");  // the epoch travels as the body
 
-  // The fence answers before dispatch: the gateway never saw request 3.
+  // Scripts pass the same fence: a kScript frame for a fenced client is
+  // answered in-band with the same decimal epoch, before any sandbox work.
+  wire::WireScriptRequest script;
+  script.client_id = 5;
+  script.source = "'never runs';";
+  ASSERT_TRUE(client.CallScript(script, &response));
+  EXPECT_EQ(response.status, WireStatus::kWrongWorker);
+  EXPECT_EQ(response.body, "42");
+
+  // The fence answers before dispatch: the gateway never saw request 3
+  // or the script.
   client.Close();
   const wire::WireStatsSnapshot stats = server_->Stats();
-  EXPECT_EQ(stats.wrong_worker, 1u);
+  EXPECT_EQ(stats.wrong_worker, 2u);
   EXPECT_EQ(stats.requests_dispatched, 1u);
+  EXPECT_EQ(stats.scripts_dispatched, 0u);
 }
 
 // ---------------------------------------------------------------------------
