@@ -8,17 +8,21 @@
 # The tsan preset (gateway/failover/interner/wire/cluster/push/script/
 # fleet concurrency checking) is not in the default matrix because a
 # full-suite TSan run is slow; the wire leg below runs a *filtered* TSan
-# pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace') instead.
+# pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace|Failover|Interner|BufferPool') instead.
 # The filter covers the shard queue too: its suites (GatewayQueue.*, with
 # the 4-producer/1-consumer test, and GatewayPin.*) match 'Gateway'.
 # 'Trace' adds the M-Scope suite, where threads create their span buffers
-# on their first event while the exporter reads the registry.
+# on their first event while the exporter reads the registry. 'Failover',
+# 'Interner' and 'BufferPool' add the threaded fault-injection soak, the
+# shared interner under concurrent intern/lookup and the frame-buffer
+# pool's thread-exit flush. 'Script' covers the gateway-wide parse cache
+# that every shard reads and inserts into.
 # Opt in to the full suite with
 #   MOBIVINE_CI_PRESETS="default asan ubsan tsan" scripts/ci.sh
-# or run it directly:
+# or run the filtered leg directly:
 #   cmake --preset tsan && cmake --build build-tsan -j && \
 #     ctest --test-dir build-tsan \
-#       -R 'Gateway|Failover|Interner|Wire|Cluster|Push|Script' \
+#       -R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace|Failover|Interner|BufferPool' \
 #       --output-on-failure
 set -euo pipefail
 
@@ -188,11 +192,11 @@ echo "==== [descriptor] A2 descriptor bench smoke ===="
   --benchmark_min_time=0.05
 
 if [[ "${MOBIVINE_CI_WIRE_TSAN:-1}" != "0" ]]; then
-  echo "==== [wire] tsan: Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace suites ===="
+  tsan_filter='Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace|Failover|Interner|BufferPool'
+  echo "==== [wire] tsan: $tsan_filter suites ===="
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS"
-  ctest --test-dir build-tsan \
-    -R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace' -j "$JOBS" \
+  ctest --test-dir build-tsan -R "$tsan_filter" -j "$JOBS" \
     --output-on-failure
 fi
 

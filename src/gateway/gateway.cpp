@@ -213,7 +213,7 @@ class Gateway::Shard {
   enum class Admission { kAdmitted, kQueueFull, kQuota };
 
   Shard(const GatewayConfig& config, const TenantTable& tenants,
-        std::uint32_t index)
+        std::uint32_t index, std::shared_ptr<ParseCache> parse_cache)
       : index_(index),
         queue_(config.queue_capacity),
         shed_watermark_(std::min(config.shed_watermark == 0
@@ -327,8 +327,8 @@ class Gateway::Shard {
           static_cast<std::int64_t>(steps * per_step)));
     };
     host_ops.virtual_now_us = [this] { return VirtualNowUs(); };
-    script_engine_ =
-        std::make_unique<ScriptEngine>(std::move(host_ops), config.script);
+    script_engine_ = std::make_unique<ScriptEngine>(
+        std::move(host_ops), config.script, std::move(parse_cache));
 
     // Everything above happened on the constructing thread; the thread
     // start below is the handoff point (happens-before), after which the
@@ -922,10 +922,15 @@ class Gateway::Shard {
 Gateway::Gateway(GatewayConfig config)
     : config_(std::move(config)), tenant_table_(config_.tenants) {
   const int shard_count = std::max(config_.shards, 1);
+  // One parse cache for the gateway: client ids, not sources, pick the
+  // shard, so per-shard caches would each parse and hold the same hot
+  // programs.
+  const auto parse_cache =
+      std::make_shared<ParseCache>(config_.script.parse_cache_entries);
   shards_.reserve(static_cast<std::size_t>(shard_count));
   for (int i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_, tenant_table_,
-                                              static_cast<std::uint32_t>(i)));
+    shards_.push_back(std::make_unique<Shard>(
+        config_, tenant_table_, static_cast<std::uint32_t>(i), parse_cache));
   }
 }
 

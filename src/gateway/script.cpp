@@ -65,13 +65,67 @@ Op ParseOpName(const std::string& name) {
 /// what a lookup compares, so a hash collision can never execute the
 /// wrong program — on mismatch the entry is treated as a miss and
 /// replaced.
-struct ScriptEngine::CacheEntry {
+struct ParseCache::Entry {
   std::uint64_t hash = 0;
   std::shared_ptr<const minijs::Program> program;
 };
 
-ScriptEngine::ScriptEngine(ScriptHostOps ops, ScriptLimits limits)
-    : ops_(std::move(ops)), limits_(limits) {}
+ParseCache::ParseCache(std::size_t capacity) : capacity_(capacity) {}
+
+ParseCache::~ParseCache() = default;
+
+ParseCache::Lookup ParseCache::Get(const std::string& source) {
+  if (capacity_ == 0) {
+    return {std::make_shared<const minijs::Program>(
+                minijs::ParseProgram(source)),
+            false};
+  }
+  const std::uint64_t hash = support::Fnv1a64(source);
+  // Probe, with the lock held: true when the entry indexed under `hash`
+  // holds this exact source, which is then moved to the LRU front.
+  const auto resident = [&] {
+    const auto it = index_.find(hash);
+    if (it != index_.end() && it->second->program->source() == source) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return true;
+    }
+    return false;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (resident()) return {lru_.front().program, true};
+  }
+
+  // Parse outside the lock: other shards keep hitting meanwhile. A
+  // throw here leaves the cache untouched, so a bad program re-parses —
+  // and re-fails — without occupying a slot.
+  auto program =
+      std::make_shared<const minijs::Program>(minijs::ParseProgram(source));
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Another thread inserted the same source while this one parsed:
+  // keep the resident Program and drop this copy, so shards share one.
+  if (resident()) return {lru_.front().program, false};
+  lru_.push_front(Entry{hash, std::move(program)});
+  index_[hash] = lru_.begin();
+  if (lru_.size() > capacity_) {
+    const Entry& oldest = lru_.back();
+    // A collision replacement redirects the index to the newer entry;
+    // only erase when the index still points at the victim.
+    const auto idx = index_.find(oldest.hash);
+    if (idx != index_.end() && &*idx->second == &oldest) index_.erase(idx);
+    lru_.pop_back();
+  }
+  return {lru_.front().program, false};
+}
+
+ScriptEngine::ScriptEngine(ScriptHostOps ops, ScriptLimits limits,
+                           std::shared_ptr<ParseCache> cache)
+    : ops_(std::move(ops)),
+      limits_(limits),
+      cache_(cache != nullptr
+                 ? std::move(cache)
+                 : std::make_shared<ParseCache>(limits.parse_cache_entries)) {}
 
 ScriptEngine::~ScriptEngine() = default;
 
@@ -84,23 +138,6 @@ ScriptResponse ScriptEngine::Execute(const ScriptRequest& request) {
       ClampBudget(request.virtual_us_budget, limits_.max_virtual_us);
   const std::uint64_t result_cap =
       ClampBudget(request.max_result_bytes, limits_.max_result_bytes);
-
-  // Parse-cache lookup. The hash narrows to one candidate; the Program's
-  // own source copy is compared byte-wise before reuse, so an FNV
-  // collision is a miss (and a replacement), never a wrong program.
-  const bool cache_enabled = limits_.parse_cache_entries > 0;
-  const std::uint64_t source_hash =
-      cache_enabled ? support::Fnv1a64(request.source) : 0;
-  std::shared_ptr<const minijs::Program> program;
-  if (cache_enabled) {
-    const auto it = cache_index_.find(source_hash);
-    if (it != cache_index_.end() &&
-        it->second->program->source() == request.source) {
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-      program = cache_lru_.front().program;
-      response.cache_hit = true;
-    }
-  }
 
   minijs::Interpreter interp;
   interp.set_step_limit(step_budget);
@@ -204,28 +241,11 @@ ScriptResponse ScriptEngine::Execute(const ScriptRequest& request) {
   };
 
   try {
-    if (program == nullptr) {
-      // A failed parse is a miss too (cache_hit stays false); it is never
-      // cached (the throw below skips the insert), so a bad program
-      // re-parses — and re-fails — cheaply without occupying a slot.
-      program = std::make_shared<const minijs::Program>(
-          minijs::ParseProgram(request.source));
-      if (cache_enabled) {
-        cache_lru_.push_front(CacheEntry{source_hash, program});
-        cache_index_[source_hash] = cache_lru_.begin();
-        if (cache_lru_.size() > limits_.parse_cache_entries) {
-          const CacheEntry& oldest = cache_lru_.back();
-          // A collision replacement redirects the index to the newer
-          // entry; only erase when the index still points at the victim.
-          const auto idx = cache_index_.find(oldest.hash);
-          if (idx != cache_index_.end() && &*idx->second == &oldest) {
-            cache_index_.erase(idx);
-          }
-          cache_lru_.pop_back();
-        }
-      }
-    }
-    const minijs::Value value = interp.Run(std::move(program));
+    // A failed parse throws out of Get() as a miss (cache_hit stays
+    // false) and lands in the std::exception handler below.
+    ParseCache::Lookup parsed = cache_->Get(request.source);
+    response.cache_hit = parsed.hit;
+    const minijs::Value value = interp.Run(std::move(parsed.program));
     finish(/*flush=*/true);
     std::string result = value.ToDisplayString();
     if (result.size() > result_cap) {

@@ -44,6 +44,8 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -51,6 +53,10 @@
 
 #include "core/errors.h"
 #include "gateway/request.h"
+
+namespace mobivine::minijs {
+class Program;
+}  // namespace mobivine::minijs
 
 namespace mobivine::gateway {
 
@@ -62,9 +68,9 @@ struct ScriptLimits {
   std::uint64_t max_virtual_us = 10'000'000;  // 10 virtual seconds
   std::uint64_t max_result_bytes = 64u << 10;  // == wire kMaxStringBytes
   std::uint64_t virtual_us_per_step = 30;
-  /// Parsed-program cache entries per shard engine (LRU, keyed by an
-  /// FNV-1a hash of the source). 0 disables caching: every execution
-  /// re-parses, the pre-cache behavior.
+  /// Parsed-program cache entries for the whole gateway: one LRU, keyed
+  /// by an FNV-1a hash of the source, shared by every shard's engine. 0
+  /// disables caching: every execution re-parses, the pre-cache behavior.
   std::size_t parse_cache_entries = 128;
 };
 
@@ -141,22 +147,62 @@ struct ScriptHostOps {
   std::function<std::uint64_t()> virtual_now_us;
 };
 
+/// The parsed-program cache: an LRU from an FNV-1a hash of the source
+/// to an immutable AST (shared_ptr<const Program>), so a repeat
+/// composite skips the lexer and parser entirely. A Gateway builds one
+/// and hands it to every shard's engine — a Program is never mutated by
+/// the interpreters that run it, so shards share it instead of each
+/// parsing and holding its own copy. Thread-safe: one mutex guards the
+/// index probe, the source compare and the LRU splice; parsing runs
+/// outside it.
+class ParseCache {
+ public:
+  /// `capacity` 0 disables caching: Get() parses every time.
+  explicit ParseCache(std::size_t capacity);
+  ~ParseCache();
+
+  ParseCache(const ParseCache&) = delete;
+  ParseCache& operator=(const ParseCache&) = delete;
+
+  struct Lookup {
+    std::shared_ptr<const minijs::Program> program;
+    bool hit = false;  ///< reused a resident parse (no lexer/parser run)
+  };
+
+  /// The Program for `source`: the resident one when its own source
+  /// copy matches byte for byte (an FNV collision is a miss, never a
+  /// wrong program), else a fresh parse, inserted as most recent. When
+  /// two threads parse the same new source at once, the later insert
+  /// keeps the resident Program and returns it in place of its own.
+  /// Parse failures throw through and are never cached.
+  [[nodiscard]] Lookup Get(const std::string& source);
+
+ private:
+  struct Entry;
+
+  const std::size_t capacity_;
+  std::mutex mutex_;
+  /// LRU list, most-recent first, plus the hash index into it.
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+};
+
 /// One engine per shard, single-threaded like everything the shard owns.
 /// Each Execute() builds a fresh interpreter: the MiniJS interpreter
 /// retains every loaded AST for its lifetime and its globals are mutable,
 /// so reuse across scripts would both grow without bound and leak state
 /// between clients — exactly what a sandbox must not do.
 ///
-/// What IS shared across executions is the parse: an LRU cache keyed by
-/// an FNV-1a hash of the source maps to an immutable AST
-/// (shared_ptr<const Program>), so a repeat composite skips the lexer/
-/// parser entirely. Only the syntax tree is reused — budgets, args,
-/// globals and step accounting are rebuilt per execution, and programs
-/// that fail to parse are never cached. Single-threaded like the shard,
-/// so the cache needs no lock.
+/// What IS shared across executions is the parse, through a ParseCache.
+/// Only the syntax tree is reused — budgets, args, globals and step
+/// accounting are rebuilt per execution, and programs that fail to parse
+/// are never cached.
 class ScriptEngine {
  public:
-  explicit ScriptEngine(ScriptHostOps ops, ScriptLimits limits = {});
+  /// `cache` is the gateway's shared ParseCache; without one the engine
+  /// owns a private cache of `limits.parse_cache_entries` programs.
+  explicit ScriptEngine(ScriptHostOps ops, ScriptLimits limits = {},
+                        std::shared_ptr<ParseCache> cache = nullptr);
   ~ScriptEngine();
 
   /// Execute on the calling (worker) thread. Fills everything except
@@ -166,14 +212,9 @@ class ScriptEngine {
   const ScriptLimits& limits() const { return limits_; }
 
  private:
-  struct CacheEntry;
-
   ScriptHostOps ops_;
   ScriptLimits limits_;
-  /// LRU list, most-recent first, plus the hash index into it.
-  std::list<CacheEntry> cache_lru_;
-  std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator>
-      cache_index_;
+  std::shared_ptr<ParseCache> cache_;
 };
 
 /// Parse "android" / "s60" / "iphone" (as ToString(Platform) emits).

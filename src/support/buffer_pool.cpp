@@ -84,7 +84,7 @@ void BufferPool::Return(std::vector<std::uint8_t>&& buf) {
     ThreadCache& tls = tls_cache;
     if (tls.pool == nullptr && !tls.draining) tls.pool = this;
     if (tls.pool == this && !tls.draining &&
-        tls.counts[cls] < kMaxThreadCachePerClass) {
+        tls.counts[cls] < ParkLimit(cls, kMaxThreadCachePerClass)) {
       tls.slots[cls][tls.counts[cls]++] = std::move(buf);
       returns_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -98,7 +98,7 @@ void BufferPool::ReturnToGlobal(std::size_t cls,
   {
     Shelf& shelf = shelves_[cls];
     std::lock_guard<std::mutex> lock(shelf.mutex);
-    if (shelf.buffers.size() < kMaxGlobalPerClass) {
+    if (shelf.buffers.size() < ParkLimit(cls, kMaxGlobalPerClass)) {
       shelf.buffers.push_back(std::move(buf));
       returns_.fetch_add(1, std::memory_order_relaxed);
       return;

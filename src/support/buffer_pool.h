@@ -97,6 +97,19 @@ class BufferPool {
   /// an undersized shelf turns each burst into a miss/trim churn cycle.
   static constexpr std::size_t kMaxGlobalPerClass = 256;
   static constexpr std::size_t kMaxThreadCachePerClass = 16;
+  /// Neither tier parks more than this much of one class, so the depth
+  /// caps above bind only the small classes that carry steady-state
+  /// frames (512 B, 4 KB). The large classes get 16 / 4 / 1 buffers on a
+  /// shelf, and at most that in a thread cache — without the byte cap the
+  /// shelves alone could park 256 x 1.3 MB.
+  static constexpr std::size_t kMaxParkedBytesPerClass = 1u << 20;
+
+  /// Buffers class `cls` may park in a tier whose depth cap is `depth`.
+  [[nodiscard]] static constexpr std::size_t ParkLimit(std::size_t cls,
+                                                       std::size_t depth) {
+    const std::size_t by_bytes = kMaxParkedBytesPerClass / kClassSizes[cls];
+    return depth < by_bytes ? depth : by_bytes;
+  }
 
   /// `enable_thread_cache` adds the per-thread tier; see the header
   /// comment for the lifetime requirement it imposes.

@@ -66,6 +66,13 @@ ScriptRequest MakeScript(std::string source, std::uint64_t client_id = 7) {
   return request;
 }
 
+/// The first client id the gateway routes to `shard`.
+std::uint64_t ClientOnShard(const Gateway& gateway, std::uint32_t shard) {
+  std::uint64_t id = 1;
+  while (gateway.ShardFor(id) != shard) ++id;
+  return id;
+}
+
 // ---------------------------------------------------------------------------
 // Codec
 // ---------------------------------------------------------------------------
@@ -649,6 +656,90 @@ TEST(ScriptCache, LruEvictsTheColdestProgram) {
   const auto totals = gateway.Stats().totals;
   EXPECT_EQ(totals.script_cache_hits, 1u);
   EXPECT_EQ(totals.script_cache_misses, 4u);
+}
+
+TEST(ScriptCache, ShardsShareOneCache) {
+  Gateway gateway(BaseConfig(2));
+  const char* source = "'shared ' + (2 * 3);";
+  const ScriptResponse first =
+      gateway.CallScript(MakeScript(source, ClientOnShard(gateway, 0)));
+  ASSERT_TRUE(first.ok) << first.message;
+  EXPECT_EQ(first.shard, 0u);
+  EXPECT_FALSE(first.cache_hit);
+  // Client ids, not sources, pick the shard: the other shard reuses the
+  // Program the first one parsed.
+  const ScriptResponse second =
+      gateway.CallScript(MakeScript(source, ClientOnShard(gateway, 1)));
+  ASSERT_TRUE(second.ok) << second.message;
+  EXPECT_EQ(second.shard, 1u);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.result, first.result);
+  const auto stats = gateway.Stats();
+  EXPECT_EQ(stats.shards[0].script_cache_misses, 1u);
+  EXPECT_EQ(stats.shards[1].script_cache_hits, 1u);
+}
+
+TEST(ScriptCache, ConcurrentFirstRunsOnFourShardsShareOneProgram) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr int kRounds = 16;
+  Gateway gateway(BaseConfig(kShards));
+  std::vector<std::uint64_t> clients;
+  for (std::uint32_t shard = 0; shard < kShards; ++shard) {
+    clients.push_back(ClientOnShard(gateway, shard));
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    // Every shard parses the same fresh source at once; whichever insert
+    // lands second must keep the resident Program, not corrupt the LRU.
+    const std::string source = "'round ' + " + std::to_string(round) + ";";
+    const std::string expected = "round " + std::to_string(round);
+    std::atomic<std::uint32_t> ready{0};
+    std::vector<ScriptResponse> responses(kShards);
+    std::vector<std::thread> threads;
+    for (std::uint32_t shard = 0; shard < kShards; ++shard) {
+      threads.emplace_back([&, shard] {
+        ready.fetch_add(1);
+        while (ready.load() < kShards) std::this_thread::yield();
+        responses[shard] =
+            gateway.CallScript(MakeScript(source, clients[shard]));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const ScriptResponse& response : responses) {
+      ASSERT_TRUE(response.ok) << response.message;
+      EXPECT_EQ(response.result, expected);
+    }
+    for (std::uint32_t shard = 0; shard < kShards; ++shard) {
+      const ScriptResponse again =
+          gateway.CallScript(MakeScript(source, clients[shard]));
+      ASSERT_TRUE(again.ok) << again.message;
+      EXPECT_TRUE(again.cache_hit) << "round " << round << " shard " << shard;
+    }
+  }
+  const auto totals = gateway.Stats().totals;
+  EXPECT_EQ(totals.scripts, 2u * kShards * kRounds);
+  EXPECT_EQ(totals.script_cache_hits + totals.script_cache_misses,
+            totals.scripts);
+  EXPECT_GE(totals.script_cache_hits, std::uint64_t{kShards} * kRounds);
+}
+
+TEST(ScriptCache, LruOrderHoldsAcrossShards) {
+  GatewayConfig config = BaseConfig(2);
+  config.script.parse_cache_entries = 2;
+  Gateway gateway(config);
+  const std::uint64_t left = ClientOnShard(gateway, 0);
+  const std::uint64_t right = ClientOnShard(gateway, 1);
+  ASSERT_TRUE(gateway.CallScript(MakeScript("'a';", left)).ok);
+  ASSERT_TRUE(gateway.CallScript(MakeScript("'b';", right)).ok);
+  // Third distinct program, from either shard, evicts 'a' (the coldest):
+  // the bound is the gateway's, not each shard's.
+  ASSERT_TRUE(gateway.CallScript(MakeScript("'c';", left)).ok);
+  EXPECT_FALSE(gateway.CallScript(MakeScript("'a';", right)).cache_hit);
+  // 'c' stayed resident through the re-parse of 'a' ('b' was evicted).
+  EXPECT_TRUE(gateway.CallScript(MakeScript("'c';", right)).cache_hit);
+  EXPECT_FALSE(gateway.CallScript(MakeScript("'b';", left)).cache_hit);
+  const auto totals = gateway.Stats().totals;
+  EXPECT_EQ(totals.script_cache_hits, 1u);
+  EXPECT_EQ(totals.script_cache_misses, 5u);
 }
 
 TEST(ScriptCache, ZeroEntriesDisablesCaching) {

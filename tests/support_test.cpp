@@ -466,6 +466,25 @@ TEST(BufferPool, ShelfCapBoundsPooledBuffers) {
   EXPECT_GT(pool.Stats().trims, 0u);
 }
 
+TEST(BufferPool, LargeClassesParkAtMostOneMiB) {
+  BufferPool pool;
+  std::vector<PooledBuffer> held;
+  for (int i = 0; i < 300; ++i) held.push_back(pool.Acquire(1u << 20));
+  held.clear();
+  // One 1 MiB buffer fills its shelf; every other return is a trim, not
+  // 256 MB left parked after the burst.
+  EXPECT_LE(pool.PooledCount(), 1u);
+  const BufferPoolStats stats = pool.Stats();
+  EXPECT_EQ(stats.returns, pool.PooledCount());
+  EXPECT_EQ(stats.trims, 300u - pool.PooledCount());
+  static_assert(BufferPool::ParkLimit(0, BufferPool::kMaxGlobalPerClass) ==
+                BufferPool::kMaxGlobalPerClass);
+  static_assert(BufferPool::ParkLimit(2, BufferPool::kMaxGlobalPerClass) ==
+                16);
+  static_assert(
+      BufferPool::ParkLimit(3, BufferPool::kMaxThreadCachePerClass) == 4);
+}
+
 TEST(BufferPool, ThreadCacheFlushesToGlobalTierOnThreadExit) {
   // A thread-cache-enabled pool must make buffers released by a dying
   // thread visible to other threads — the wire bench depends on this
