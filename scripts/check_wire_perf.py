@@ -4,20 +4,22 @@
 Usage:
     python3 scripts/check_wire_perf.py BENCH.json [FLOOR.json]
 
-BENCH.json is `bench_scenarios wire` output (usually from a --smoke run);
-FLOOR.json defaults to scripts/wire_perf_floor.json. Stdlib-only (CI
-must not install packages).
+BENCH.json is `bench_scenarios wire` output (in CI a `--smoke` run, which
+makes three passes); FLOOR.json defaults to scripts/wire_perf_floor.json.
+Stdlib-only (CI must not install packages).
 
 Two assertions, both against the bench's own "overhead" summary:
 
-  * wire_over_in_process >= min_wire_over_in_process — the wire path
-    must stay within its priced overhead band of the in-process
-    baseline measured by the same binary in the same run (so host speed
-    cancels out; see the floor file for the tolerance rationale);
+  * wire_over_in_process >= min_wire_over_in_process — the median pass
+    of the wire path must stay within its priced overhead band of the
+    in-process baseline measured by the same binary in the same pass
+    (so host speed cancels out; see the floor file for the tolerance
+    rationale). One short pass on a shared host can dip below the floor
+    on noise alone; the median of several cannot without a real cause;
   * frame_buffer_allocs_per_req <= max_frame_buffer_allocs_per_req —
-    the pooled-buffer no-allocation claim, which is ~0 at steady state
-    and jumps by whole allocations per request when a copy sneaks back
-    into the frame path.
+    the worst pass's pooled-buffer no-allocation claim, which is ~0 at
+    steady state and jumps by whole allocations per request when a copy
+    sneaks back into the frame path.
 
 Exit code 0 on success, 1 with a message on any failure.
 """
@@ -55,9 +57,13 @@ def main(argv):
     min_ratio = floor["min_wire_over_in_process"]
     if not isinstance(ratio, (int, float)):
         fail(f"{bench_path}: overhead.wire_over_in_process missing")
+    repeat = overhead.get("repeat", 1)
     if ratio < min_ratio:
         fail(
-            f"wire_over_in_process {ratio:.4f} below floor {min_ratio} "
+            f"wire_over_in_process {ratio:.4f} (median of {repeat} passes, "
+            f"min {overhead.get('wire_over_in_process_min', ratio):.4f}, "
+            f"max {overhead.get('wire_over_in_process_max', ratio):.4f}) "
+            f"below floor {min_ratio} "
             f"(best pipelined wire {overhead.get('best_pipelined_wire_rps')} "
             f"req/s vs in-process {overhead.get('in_process_rps')} req/s) — "
             "the wire path regressed structurally; see "
@@ -71,15 +77,17 @@ def main(argv):
             fail(f"{bench_path}: overhead.frame_buffer_allocs_per_req missing")
         if allocs > max_allocs:
             fail(
-                f"frame_buffer_allocs_per_req {allocs:.4f} above cap "
+                f"frame_buffer_allocs_per_req {allocs:.4f} (worst of "
+                f"{repeat} passes) above cap "
                 f"{max_allocs} — per-frame heap allocation is back on the "
                 "wire hot path"
             )
 
     print(
         f"check_wire_perf: OK: wire_over_in_process {ratio:.4f} "
-        f">= {min_ratio}, frame_buffer_allocs_per_req "
-        f"{float(allocs):.4f} <= {max_allocs}"
+        f"(median of {repeat} passes) >= {min_ratio}, "
+        f"frame_buffer_allocs_per_req {float(allocs):.4f} "
+        f"(worst pass) <= {max_allocs}"
     )
     return 0
 

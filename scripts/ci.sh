@@ -93,11 +93,14 @@ python3 scripts/validate_mscope.py \
   "$MSCOPE_DIR/wire_trace.json" "$MSCOPE_DIR/wire_metrics.json" \
   scripts/mscope_schema.json --require-wire
 
-# Wire perf smoke: a shortened bench run whose wire/in-process ratio
-# (measured by the same binary in the same run, so host speed cancels)
-# must clear the checked-in floor — scripts/wire_perf_floor.json
-# documents the tolerance. Skip with MOBIVINE_CI_WIRE_PERF=0 on hosts
-# too noisy to bench (the floor assumes a mostly-idle machine).
+# Wire perf smoke: --smoke makes three shortened bench passes whose
+# median wire/in-process ratio (each measured by the same binary in the
+# same pass, so host speed cancels) must clear the checked-in floor, and
+# whose worst pass must keep frame-buffer allocations ~0 —
+# scripts/wire_perf_floor.json documents the tolerance. One pass flaked
+# on a 4-core shared host; the median of three absorbs a noisy pass.
+# Skip with MOBIVINE_CI_WIRE_PERF=0 on hosts too noisy to bench (the
+# floor assumes a mostly-idle machine).
 if [[ "${MOBIVINE_CI_WIRE_PERF:-1}" != "0" ]]; then
   echo "==== [wire] perf smoke vs checked-in floor ===="
   ./build/bench/bench_scenarios wire "$MSCOPE_DIR/wire_perf.json" --smoke

@@ -113,8 +113,19 @@ PushFeed::ReplayResult PushFeed::ReplayLocked(std::uint64_t after,
     result.resume_cursor = result.gap_last;
     ++counters_.replay_gaps;
   }
-  for (const PushEvent& event : ring_) {
-    if (event.cursor <= after) continue;
+  // Retained cursors are contiguous, so the first event newer than
+  // `after` sits at a computed offset. A live-only subscribe or a resume
+  // from an up-to-date cursor visits no event under the lock Publish
+  // needs.
+  const std::size_t skip =
+      ring_.empty() || after < first_retained
+          ? 0
+          : static_cast<std::size_t>(
+                std::min<std::uint64_t>(after - first_retained + 1,
+                                        ring_.size()));
+  for (auto it = ring_.begin() + static_cast<std::ptrdiff_t>(skip);
+       it != ring_.end(); ++it) {
+    const PushEvent& event = *it;
     result.resume_cursor = event.cursor;
     if (!MatchesSubscription(event, topic, client_id)) continue;
     fn(event);

@@ -63,14 +63,15 @@ Op ParseOpName(const std::string& name) {
 /// One cached parse: the source hash it is indexed under plus the
 /// immutable AST. The Program keeps its own copy of the source, which is
 /// what a lookup compares, so a hash collision can never execute the
-/// wrong program — on mismatch the entry is treated as a miss and
-/// replaced.
+/// wrong program — on mismatch the lookup is a miss, and the entry is
+/// replaced once the colliding source is admitted.
 struct ParseCache::Entry {
   std::uint64_t hash = 0;
   std::shared_ptr<const minijs::Program> program;
 };
 
-ParseCache::ParseCache(std::size_t capacity) : capacity_(capacity) {}
+ParseCache::ParseCache(std::size_t capacity)
+    : capacity_(capacity), seen_(capacity, 0) {}
 
 ParseCache::~ParseCache() = default;
 
@@ -97,15 +98,25 @@ ParseCache::Lookup ParseCache::Get(const std::string& source) {
   }
 
   // Parse outside the lock: other shards keep hitting meanwhile. A
-  // throw here leaves the cache untouched, so a bad program re-parses —
-  // and re-fails — without occupying a slot.
+  // throw here leaves the LRU and the doorkeeper untouched, so a bad
+  // program re-parses — and re-fails — without occupying a slot.
   auto program =
       std::make_shared<const minijs::Program>(minijs::ParseProgram(source));
 
   std::lock_guard<std::mutex> lock(mutex_);
-  // Another thread inserted the same source while this one parsed:
-  // keep the resident Program and drop this copy, so shards share one.
+  // Another thread admitted the same source while this one parsed: keep
+  // the resident Program and drop this copy, so shards share one.
   if (resident()) return {lru_.front().program, false};
+  std::uint64_t& door = seen_[hash % capacity_];
+  if (door != hash) {
+    // First sighting (or the hash lost its slot since): remember the
+    // hash only. This Program serves this run and is freed after it, so
+    // a one-shot source holds no LRU entry.
+    door = hash;
+    return {std::move(program), false};
+  }
+  // Second sighting: admit the parse of the source actually presented.
+  door = 0;
   lru_.push_front(Entry{hash, std::move(program)});
   index_[hash] = lru_.begin();
   if (lru_.size() > capacity_) {
@@ -114,6 +125,9 @@ ParseCache::Lookup ParseCache::Get(const std::string& source) {
     // only erase when the index still points at the victim.
     const auto idx = index_.find(oldest.hash);
     if (idx != index_.end() && &*idx->second == &oldest) index_.erase(idx);
+    // The victim's hash stays known: its next run re-admits it, unless
+    // another hash takes its doorkeeper slot first.
+    seen_[oldest.hash % capacity_] = oldest.hash;
     lru_.pop_back();
   }
   return {lru_.front().program, false};

@@ -68,9 +68,11 @@ struct ScriptLimits {
   std::uint64_t max_virtual_us = 10'000'000;  // 10 virtual seconds
   std::uint64_t max_result_bytes = 64u << 10;  // == wire kMaxStringBytes
   std::uint64_t virtual_us_per_step = 30;
-  /// Parsed-program cache entries for the whole gateway: one LRU, keyed
-  /// by an FNV-1a hash of the source, shared by every shard's engine. 0
-  /// disables caching: every execution re-parses, the pre-cache behavior.
+  /// Bound on the whole gateway's parse cache, shared by every shard's
+  /// engine: at most this many resident Programs (one LRU, keyed by an
+  /// FNV-1a hash of the source) and at most this many doorkeeper hashes
+  /// (sources parsed once, not yet admitted). 0 disables caching: every
+  /// execution re-parses, the pre-cache behavior.
   std::size_t parse_cache_entries = 128;
 };
 
@@ -152,12 +154,28 @@ struct ScriptHostOps {
 /// composite skips the lexer and parser entirely. A Gateway builds one
 /// and hands it to every shard's engine — a Program is never mutated by
 /// the interpreters that run it, so shards share it instead of each
-/// parsing and holding its own copy. Thread-safe: one mutex guards the
-/// index probe, the source compare and the LRU splice; parsing runs
-/// outside it.
+/// parsing and holding its own copy.
+///
+/// Admission is on the second sighting. A doorkeeper remembers the hash
+/// of a source parsed once; that parse serves its own run and is freed
+/// after it. Only when the same source is parsed again does its Program
+/// enter the LRU, so its third run is the first hit. One-shot sources
+/// cost a hash, not a Program, and a stream of sources each run once
+/// only cycles the doorkeeper: it can never evict a resident Program.
+/// A source run twice is admitted like any other, so repeated sources
+/// can still push hot programs out (the doorkeeper is a membership
+/// filter, not a frequency comparison against the LRU victim). A
+/// Program evicted from the LRU leaves its hash in the doorkeeper, so a
+/// hot program pushed out under pressure is re-admitted on its next run
+/// unless another hash takes its slot first.
+///
+/// Thread-safe: one mutex guards the index probe, the source compare,
+/// the doorkeeper and the LRU splice; parsing runs outside it.
 class ParseCache {
  public:
-  /// `capacity` 0 disables caching: Get() parses every time.
+  /// `capacity` bounds the resident Programs and, separately, sizes the
+  /// doorkeeper's hash slots. 0 disables caching: Get() parses every
+  /// time.
   explicit ParseCache(std::size_t capacity);
   ~ParseCache();
 
@@ -171,10 +189,12 @@ class ParseCache {
 
   /// The Program for `source`: the resident one when its own source
   /// copy matches byte for byte (an FNV collision is a miss, never a
-  /// wrong program), else a fresh parse, inserted as most recent. When
-  /// two threads parse the same new source at once, the later insert
-  /// keeps the resident Program and returns it in place of its own.
-  /// Parse failures throw through and are never cached.
+  /// wrong program), else a fresh parse — admitted as most recent when
+  /// the doorkeeper has seen the hash before, else returned unshared
+  /// with the hash remembered. When two threads parse the same source
+  /// at once and one admits it first, the other returns the resident
+  /// Program in place of its own. Parse failures throw through and touch
+  /// neither the LRU nor the doorkeeper.
   [[nodiscard]] Lookup Get(const std::string& source);
 
  private:
@@ -185,6 +205,11 @@ class ParseCache {
   /// LRU list, most-recent first, plus the hash index into it.
   std::list<Entry> lru_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  /// The doorkeeper: `capacity_` slots, each holding the last hash
+  /// parsed once and not admitted that maps to it (hash % capacity_); 0
+  /// is empty. A newer hash overwrites an older one in the same slot, and
+  /// a zero hash counts as seen, so it is admitted on its first parse.
+  std::vector<std::uint64_t> seen_;
 };
 
 /// One engine per shard, single-threaded like everything the shard owns.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <exception>
 #include <limits>
 
 #include "minijs/parser.h"
@@ -11,6 +12,16 @@
 namespace mobivine::minijs {
 
 namespace {
+
+/// A `break` or `continue` that left its function, or a `return` that
+/// left the program, reached the boundary that should have contained it.
+/// JS rejects such a statement at parse time; here it is the same
+/// SyntaxError, raised when the statement runs, so it can never escape
+/// the interpreter as a bare control-flow signal.
+Value IllegalStatement(const char* keyword) {
+  return Value::Obj(MakeErrorObject(
+      "SyntaxError", std::string("illegal ") + keyword + " statement"));
+}
 
 /// Weakly hold `item` in `items`. Expired handles are dropped whenever the
 /// vector is full, and the vector then keeps at least as many free slots
@@ -185,6 +196,12 @@ Value Interpreter::Run(std::shared_ptr<const Program> program) {
     }
   } catch (const ThrowSignal& signal) {
     throw ScriptError(signal.value);
+  } catch (const ReturnSignal&) {
+    throw ScriptError(IllegalStatement("return"));
+  } catch (const BreakSignal&) {
+    throw ScriptError(IllegalStatement("break"));
+  } catch (const ContinueSignal&) {
+    throw ScriptError(IllegalStatement("continue"));
   }
   return last;
 }
@@ -251,6 +268,10 @@ Value Interpreter::CallFunction(const std::shared_ptr<Function>& function,
     ExecuteBlock(decl.body, env, this_value);
   } catch (ReturnSignal& signal) {
     return std::move(signal.value);
+  } catch (const BreakSignal&) {
+    throw ThrowSignal{IllegalStatement("break")};
+  } catch (const ContinueSignal&) {
+    throw ThrowSignal{IllegalStatement("continue")};
   }
   return Value::Undefined();
 }
@@ -357,36 +378,43 @@ void Interpreter::Execute(const Stmt& stmt,
     }
     case StmtKind::kTry: {
       const auto& trys = static_cast<const TryStmt&>(stmt);
-      bool rethrow = false;
-      ThrowSignal pending{Value::Undefined()};
-      try {
-        Execute(*trys.try_block, env, this_value);
-      } catch (const ThrowSignal& signal) {
-        if (trys.catch_block) {
+      const auto try_catch = [&] {
+        try {
+          Execute(*trys.try_block, env, this_value);
+        } catch (const ThrowSignal& signal) {
+          if (!trys.catch_block) throw;
           auto scope = std::make_shared<Environment>(env);
           scope->Define(trys.catch_name, signal.value);
-          try {
-            Execute(*trys.catch_block, scope, this_value);
-          } catch (const ThrowSignal& inner) {
-            rethrow = true;
-            pending = inner;
-          }
-        } else {
-          rethrow = true;
-          pending = signal;
+          Execute(*trys.catch_block, scope, this_value);
         }
+      };
+      if (!trys.finally_block) {
+        try_catch();
+        return;
       }
-      if (trys.finally_block) Execute(*trys.finally_block, env, this_value);
-      if (rethrow) throw pending;
+      // The abrupt completion leaving try or catch — a throw, return,
+      // break or continue — is replayed after `finally`, unless `finally`
+      // completes abruptly itself (ECMA-262 TryStatement). Host C++
+      // exceptions, budget kills among them, are not caught: they skip
+      // `finally` and stay uncatchable.
+      std::exception_ptr pending;
+      try {
+        try_catch();
+      } catch (const ThrowSignal&) {
+        pending = std::current_exception();
+      } catch (const ReturnSignal&) {
+        pending = std::current_exception();
+      } catch (const BreakSignal&) {
+        pending = std::current_exception();
+      } catch (const ContinueSignal&) {
+        pending = std::current_exception();
+      }
+      Execute(*trys.finally_block, env, this_value);
+      if (pending) std::rethrow_exception(pending);
       return;
     }
   }
 }
-
-namespace {
-/// Bug-guard for loop bodies: break/continue must not escape functions —
-/// CallFunction boundary converts them to errors.
-}  // namespace
 
 Value Interpreter::Evaluate(const Expr& expr,
                             const std::shared_ptr<Environment>& env,

@@ -352,6 +352,123 @@ TEST(Interp, FinallyRunsOnRethrow) {
   EXPECT_TRUE(result.as_bool());
 }
 
+// `finally` runs whenever control leaves try or catch, not only on a
+// throw: return, break and continue replay after it.
+TEST(Interp, FinallyRunsOnReturn) {
+  Interpreter interp;
+  Value result = interp.Run(R"(
+    var log = [];
+    function f() {
+      try { return 'r'; } finally { log.push('fin'); }
+    }
+    var r = f();
+    r + ':' + log.join(',');
+  )");
+  EXPECT_EQ(result.as_string(), "r:fin");
+}
+
+TEST(Interp, FinallyRunsOnReturnFromCatch) {
+  Interpreter interp;
+  Value result = interp.Run(R"(
+    var log = [];
+    function f() {
+      try { throw 'x'; } catch (e) { return 'c'; } finally { log.push('fin'); }
+    }
+    var r = f();
+    r + ':' + log.join(',');
+  )");
+  EXPECT_EQ(result.as_string(), "c:fin");
+}
+
+TEST(Interp, FinallyRunsOnContinue) {
+  Interpreter interp;
+  Value result = interp.Run(R"(
+    var log = [];
+    for (var i = 0; i < 2; i++) {
+      try { continue; } finally { log.push('c' + i); }
+      log.push('skipped');
+    }
+    log.join(',');
+  )");
+  EXPECT_EQ(result.as_string(), "c0,c1");
+}
+
+TEST(Interp, FinallyRunsOnBreak) {
+  Interpreter interp;
+  Value result = interp.Run(R"(
+    var log = [];
+    while (true) {
+      try { break; } finally { log.push('b'); }
+    }
+    log.join(',');
+  )");
+  EXPECT_EQ(result.as_string(), "b");
+}
+
+TEST(Interp, AbruptFinallyOverridesPendingCompletion) {
+  Interpreter interp;
+  Value result = interp.Run(R"(
+    function f() {
+      try { return 1; } finally { return 2; }
+    }
+    var broke = 'no';
+    while (true) {
+      try { throw 'lost'; } finally { broke = 'yes'; break; }
+    }
+    f() + ':' + broke;
+  )");
+  EXPECT_EQ(result.as_string(), "2:yes");
+}
+
+// A `break` or `continue` outside any loop of its function, or a
+// `return` outside any function, is a SyntaxError: it never escapes Run()
+// as a bare signal, and a function cannot break its caller's loop.
+TEST(Interp, StrayJumpsAreSyntaxErrors) {
+  for (const char* source :
+       {"break;", "continue;", "return 1;", "if (true) { break; }",
+        "try { return 1; } finally {}"}) {
+    Interpreter interp;
+    try {
+      interp.Run(source);
+      ADD_FAILURE() << "expected ScriptError: " << source;
+    } catch (const ScriptError& error) {
+      EXPECT_NE(std::string(error.what()).find("SyntaxError"),
+                std::string::npos)
+          << source << ": " << error.what();
+    }
+  }
+  Interpreter interp;
+  Value result = interp.Run(R"(
+    var log = [];
+    function f() { break; }
+    for (var i = 0; i < 2; i++) {
+      try { f(); } catch (e) { log.push(e.name); }
+      log.push(i);
+    }
+    log.join(',');
+  )");
+  EXPECT_EQ(result.as_string(), "SyntaxError,0,SyntaxError,1");
+}
+
+// Budget kills are host exceptions, not script completions: they leave
+// try without running `finally`, so a script cannot act after its kill.
+TEST(Interp, BudgetKillsSkipFinally) {
+  const char* source = R"(
+    var ran = false;
+    try { while (true) {} } finally { ran = true; }
+  )";
+  Interpreter limited;
+  limited.set_step_limit(10'000);
+  EXPECT_THROW(limited.Run(source), ScriptError);
+  EXPECT_FALSE(limited.GetGlobal("ran").Truthy());
+
+  struct Kill {};
+  Interpreter observed;
+  observed.set_step_observer([](std::uint64_t) { throw Kill{}; }, 64);
+  EXPECT_THROW(observed.Run(source), Kill);
+  EXPECT_FALSE(observed.GetGlobal("ran").Truthy());
+}
+
 TEST(Interp, UncaughtThrowBecomesScriptError) {
   Interpreter interp;
   try {

@@ -300,6 +300,57 @@ TEST(PushFeed, ReplayReportsEvictedRangeAsGap) {
   EXPECT_EQ(counters.replay_gaps, 1u);
 }
 
+TEST(PushFeed, ReplayFromAFullRingStartsAtTheFirstNewerEvent) {
+  constexpr std::uint64_t kCapacity = 1024;
+  gateway::PushFeed feed(kCapacity);
+  // Wrap the ring once: it retains cursors 1025..2048.
+  for (std::uint64_t i = 0; i < 2 * kCapacity; ++i) {
+    feed.Publish(i % 2 == 0 ? gateway::PushTopic::kProximity
+                            : gateway::PushTopic::kCallState,
+                 1, "e");
+  }
+  const std::uint64_t last = feed.last_cursor();
+  ASSERT_EQ(last, 2 * kCapacity);
+  struct Case {
+    std::uint64_t after;
+    gateway::PushTopic topic;
+    std::uint64_t delivered;
+    std::uint64_t resume;
+    bool gap;
+  };
+  const Case cases[] = {
+      // Live-only subscribe and up-to-date resumes: nothing to replay.
+      {last, gateway::PushTopic::kAll, 0, last, false},
+      {last + 7, gateway::PushTopic::kAll, 0, last, false},
+      // Resumes inside the ring deliver exactly the newer events; a
+      // filtered replay still resumes after the newest retained event.
+      {last - 1, gateway::PushTopic::kAll, 1, last, false},
+      {last - 10, gateway::PushTopic::kProximity, 5, last, false},
+      {kCapacity, gateway::PushTopic::kAll, kCapacity, last, false},
+      // Older than the ring: the lost range is a gap, then all of it.
+      {kCapacity - 4, gateway::PushTopic::kAll, kCapacity, last, true},
+      {0, gateway::PushTopic::kCallState, kCapacity / 2, last, true},
+  };
+  for (const Case& c : cases) {
+    std::uint64_t calls = 0;
+    std::uint64_t previous = c.after;
+    const auto result = feed.ReplayAfter(
+        c.after, c.topic, 0, [&](const gateway::PushEvent& event) {
+          EXPECT_GT(event.cursor, previous) << "after " << c.after;
+          previous = event.cursor;
+          ++calls;
+        });
+    EXPECT_EQ(calls, c.delivered) << "after " << c.after;
+    EXPECT_EQ(result.delivered, c.delivered) << "after " << c.after;
+    EXPECT_EQ(result.resume_cursor, c.resume) << "after " << c.after;
+    EXPECT_EQ(result.gap, c.gap) << "after " << c.after;
+    if (c.gap) {
+      EXPECT_EQ(result.gap_first, c.after + 1);
+      EXPECT_EQ(result.gap_last, kCapacity);
+    }
+  }
+}
+
 TEST(PushFeed, AddListenerAndReplayIsExactlyOnceUnderConcurrentPublish) {
   gateway::PushFeed feed(/*replay_capacity=*/4096);
   std::atomic<bool> stop{false};
