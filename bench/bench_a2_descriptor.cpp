@@ -1,6 +1,7 @@
 // A2 — ablation: cost of the descriptor pipeline (real time, not virtual).
 // XML parsing, schema validation, plane assembly and full store loading —
-// the design-time machinery of the M-Proxy model.
+// the design-time machinery of the M-Proxy model — plus the run-time
+// lookups every invocation makes against the loaded store.
 //
 // BM_LoadFullDescriptorStore also reports `allocs`, the heap allocations
 // one load makes, counted by the operator new replacement below.
@@ -14,6 +15,8 @@
 #include <fstream>
 #include <new>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/descriptor/proxy_descriptor.h"
 #include "core/descriptor/schemas.h"
@@ -138,6 +141,60 @@ void BM_LoadFullDescriptorStore(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_LoadFullDescriptorStore)->Unit(benchmark::kMicrosecond);
+
+const core::DescriptorStore& ShippedStore() {
+  static const core::DescriptorStore store =
+      core::DescriptorStore::LoadDirectory(MOBIVINE_DESCRIPTOR_DIR);
+  return store;
+}
+
+// DescriptorStore::Find by proxy name: hits over every shipped proxy plus
+// two misses (an unknown name, a near-collision spelling) — the "which
+// descriptor backs this call?" step of every invocation.
+void BM_DescriptorLookup(benchmark::State& state) {
+  const core::DescriptorStore& store = ShippedStore();
+  std::vector<std::string> names = store.ProxyNames();
+  names.emplace_back("NoSuchProxy");
+  names.emplace_back("Telephony2");
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.Find(names[next]));
+    if (++next == names.size()) next = 0;
+  }
+}
+BENCHMARK(BM_DescriptorLookup);
+
+// The five dependent lookups an invocation plus its setProperty
+// validation perform back to back: store -> descriptor -> binding plane
+// -> property spec, semantic method and syntactic plane. Wraparound
+// counters, not `i % size`, so no division competes with the lookups.
+void BM_ResolutionChain(benchmark::State& state) {
+  const core::DescriptorStore& store = ShippedStore();
+  const std::vector<std::string> names = store.ProxyNames();
+  const std::vector<std::string> platforms = {"android", "s60", "webview",
+                                              "iphone"};
+  std::size_t ni = 0, pi = 0, qi = 0, mi = 0;
+  bool java = false;
+  for (auto _ : state) {
+    const core::ProxyDescriptor* descriptor = store.Find(names[ni]);
+    if (++ni == names.size()) ni = 0;
+    const core::BindingPlane* binding = descriptor->FindBinding(platforms[pi]);
+    if (++pi == platforms.size()) pi = 0;
+    if (binding != nullptr && !binding->properties.empty()) {
+      if (qi >= binding->properties.size()) qi = 0;
+      benchmark::DoNotOptimize(
+          binding->FindProperty(binding->properties[qi++].name));
+    }
+    const auto& methods = descriptor->semantic().methods;
+    if (mi >= methods.size()) mi = 0;
+    benchmark::DoNotOptimize(
+        descriptor->semantic().FindMethod(methods[mi++].name));
+    java = !java;
+    benchmark::DoNotOptimize(
+        descriptor->FindSyntactic(java ? "java" : "javascript"));
+  }
+}
+BENCHMARK(BM_ResolutionChain);
 
 void BM_CrossPlaneValidation(benchmark::State& state) {
   core::DescriptorStore store =

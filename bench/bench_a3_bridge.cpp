@@ -2,7 +2,9 @@
 // machinery itself (the paper's proxy overhead, measured in host
 // nanoseconds rather than calibrated virtual time):
 //   * MiniJS: script statements, script->host crossings, function calls
-//   * property bag set/lookup with descriptor validation
+//   * property bag set/lookup, with descriptor validation, and
+//     setProperty through a real proxy
+//   * the simulated scheduler and the WebView notification table
 //   * native exception -> ProxyError mapping
 //
 //   ./build/bench/bench_a3_bridge
@@ -12,7 +14,12 @@
 #include "core/descriptor/proxy_descriptor.h"
 #include "core/errors.h"
 #include "core/property.h"
+#include "core/registry.h"
+#include "device/mobile_device.h"
 #include "minijs/interpreter.h"
+#include "s60/s60_platform.h"
+#include "sim/scheduler.h"
+#include "webview/notification_table.h"
 
 using namespace mobivine;
 
@@ -90,6 +97,65 @@ void BM_PropertyValidationAgainstDescriptor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PropertyValidationAgainstDescriptor);
+
+// setProperty through a real proxy (the S60 Location binding, six
+// declared properties): descriptor validation of the name and allowed
+// values plus the bag store, alternating an int and a constrained string.
+void BM_SetPropertyThroughProxy(benchmark::State& state) {
+  const core::DescriptorStore store =
+      core::DescriptorStore::LoadDirectory(MOBIVINE_DESCRIPTOR_DIR);
+  device::MobileDevice device(device::DeviceConfig{});
+  s60::S60Platform platform(device);
+  core::ProxyRegistry registry(&store);
+  auto proxy = registry.CreateLocationProxy(platform);
+  const std::string vertical = "verticalAccuracy";
+  const std::string power = "powerConsumption";
+  const std::string low = "low";
+  const std::string high = "high";
+  long long i = 0;
+  for (auto _ : state) {
+    proxy->setProperty(vertical, i & 1023);
+    proxy->setProperty(power, (i & 1) != 0 ? low : high);
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_SetPropertyThroughProxy);
+
+// The event-loop pattern of every polling binding: schedule a batch of
+// 64, cancel every other event, run the rest.
+void BM_SchedulerChurn(benchmark::State& state) {
+  sim::Scheduler scheduler;
+  sim::EventId ids[64];
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      ids[i] = scheduler.ScheduleAfter(sim::SimTime::Micros(i & 7),
+                                       [&fired] { ++fired; });
+    }
+    for (int i = 0; i < 64; i += 2) scheduler.Cancel(ids[i]);
+    scheduler.Run();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_SchedulerChurn);
+
+// The Figure 6 polling path: post a burst of eight callback
+// notifications, then drain them from the JS side.
+void BM_NotificationDrain(benchmark::State& state) {
+  webview::NotificationTable table;
+  const std::int64_t channel = table.NewChannel();
+  for (auto _ : state) {
+    for (int i = 0; i < 8; ++i) {
+      table.Post(channel,
+                 minijs::Value::String("notification-payload-0123456789"));
+    }
+    benchmark::DoNotOptimize(table.Drain(channel).size());
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_NotificationDrain);
 
 void BM_ExceptionMapping(benchmark::State& state) {
   for (auto _ : state) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gateway/gateway.h"
+#include "support/fault.h"
 #include "support/histogram.h"
 #include "support/metrics.h"
 #include "support/seed.h"
@@ -42,7 +43,7 @@ struct Options {
   std::string metrics_path;  ///< metrics dump of the traced scenario
   bool trace_only = false;   ///< skip the timed scenarios
   bool smoke = false;        ///< shortened matrix (the CI perf smoke)
-  std::vector<std::string> fault_plans;  ///< failover plane only
+  std::vector<support::FaultPlan> fault_plans;  ///< failover plane only
 };
 
 /// How a field shows in the printed table. A field without a header is

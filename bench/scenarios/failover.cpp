@@ -6,7 +6,6 @@
 
 #include "common.h"
 #include "gateway/traffic.h"
-#include "support/fault.h"
 
 namespace mobivine::bench {
 namespace {
@@ -64,16 +63,13 @@ Row RunFailover(const Options& options) {
   std::printf("M-Failover availability matrix (2 shards, android-primary "
               "traffic, 1 retry round)\n");
   std::vector<Row> matrix;
-  for (const std::string& text : options.fault_plans) {
-    std::string error;
-    const auto plan = support::FaultPlan::Parse(text, &error);
-    if (!plan) Fail("bad --fault-plan %s: %s", text.c_str(), error.c_str());
-    std::printf("\nplan: %s\n", plan->ToString().c_str());
+  for (const support::FaultPlan& plan : options.fault_plans) {
+    std::printf("\nplan: %s\n", plan.ToString().c_str());
     Table table;
     const struct { bool failover, hedging; } modes[] = {
         {false, false}, {true, false}, {true, true}};
     for (const auto& mode : modes) {
-      matrix.push_back(RunCell(*plan, mode.failover, mode.hedging));
+      matrix.push_back(RunCell(plan, mode.failover, mode.hedging));
       table.Print(matrix.back());
     }
   }

@@ -67,7 +67,14 @@ Options Parse(const Plane& plane, int argc, char** argv) {
     } else if (plane.smoke && arg == "--smoke") {
       options.smoke = true;
     } else if (plane.fault_plans && arg == "--fault-plan" && has_value) {
-      options.fault_plans.emplace_back(argv[++i]);
+      const std::string text = argv[++i];
+      std::string error;
+      auto plan = mobivine::support::FaultPlan::Parse(text, &error);
+      if (plan) error = mobivine::gateway::FaultPlanProblem(*plan);
+      if (!error.empty()) {
+        Usage(("bad --fault-plan " + text + ": " + error).c_str());
+      }
+      options.fault_plans.push_back(std::move(*plan));
     } else {
       Usage(("unknown flag, or flag without its value, for " +
              std::string(plane.name) + ": " + arg)

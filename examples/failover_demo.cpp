@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
         argc > 1 ? argv[1] : "android:*:error=timeout:p=1";
     std::string error;
     const auto plan = support::FaultPlan::Parse(spec, &error);
-    if (!plan) {
+    if (plan) error = gateway::FaultPlanProblem(*plan);
+    if (!error.empty()) {
       std::fprintf(stderr, "bad fault plan %s: %s\n", spec.c_str(),
                    error.c_str());
       return 1;

@@ -9,59 +9,20 @@
 #include <cstring>
 
 #include "support/varint.h"
+#include "wire/payload.h"
 
 namespace mobivine::cluster {
 
 namespace {
 
-using support::GetVarint;
 using support::PutVarint;
-using support::VarintStatus;
+using wire::PutString;
 
 /// Plans are small (a handful of workers), but the decoder still bounds
 /// the count before reserving — same discipline as the data plane's caps.
 constexpr std::uint64_t kMaxPlanMembers = 4096;
 
 constexpr std::size_t kReadChunk = 16 * 1024;
-
-void PutString(std::vector<std::uint8_t>& out, const std::string& s) {
-  PutVarint(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Minimal sequential payload reader (the data-plane Reader is file-local
-/// to protocol.cpp; control frames need only these three getters).
-struct Reader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool Varint(std::uint64_t* value) {
-    std::size_t consumed = 0;
-    if (GetVarint(data + pos, size - pos, value, &consumed) !=
-        VarintStatus::kOk) {
-      return false;
-    }
-    pos += consumed;
-    return true;
-  }
-
-  bool Byte(std::uint8_t* value) {
-    if (pos >= size) return false;
-    *value = data[pos++];
-    return true;
-  }
-
-  bool String(std::string* value) {
-    std::uint64_t len = 0;
-    if (!Varint(&len)) return false;
-    if (len > wire::kMaxStringBytes || len > size - pos) return false;
-    value->assign(reinterpret_cast<const char*>(data + pos),
-                  static_cast<std::size_t>(len));
-    pos += static_cast<std::size_t>(len);
-    return true;
-  }
-};
 
 [[nodiscard]] bool Fail(std::string* error, const char* why) {
   if (error != nullptr) *error = why;
@@ -72,28 +33,11 @@ struct Reader {
 
 const char* ToString(ControlOp op) {
   switch (op) {
-    case ControlOp::kRegister:
-      return "register";
-    case ControlOp::kRegisterAck:
-      return "register-ack";
-    case ControlOp::kHeartbeat:
-      return "heartbeat";
-    case ControlOp::kHeartbeatAck:
-      return "heartbeat-ack";
-    case ControlOp::kPlanGet:
-      return "plan-get";
-    case ControlOp::kPlanPush:
-      return "plan-push";
-    case ControlOp::kLeave:
-      return "leave";
-    case ControlOp::kLeaveAck:
-      return "leave-ack";
-    case ControlOp::kDrain:
-      return "drain";
-    case ControlOp::kDrainAck:
-      return "drain-ack";
-    case ControlOp::kError:
-      return "error";
+#define MOBIVINE_X(op, code, name) \
+  case ControlOp::op:              \
+    return name;
+    MOBIVINE_CLUSTER_CONTROL_OPS(MOBIVINE_X)
+#undef MOBIVINE_X
   }
   return "unknown";
 }
@@ -119,11 +63,12 @@ void EncodeControl(const ControlMessage& message,
 
 bool DecodeControl(const std::uint8_t* payload, std::size_t size,
                    ControlMessage* message, std::string* error) {
-  Reader reader{payload, size};
+  wire::PayloadReader reader(payload, size);
   std::uint8_t op = 0;
   std::uint8_t status = 0;
   std::uint64_t member_count = 0;
-  if (!reader.Varint(&message->correlation_id) || !reader.Byte(&op)) {
+  if (!reader.Varint(&message->correlation_id, "correlation_id") ||
+      !reader.Byte(&op, "op")) {
     return Fail(error, "control: truncated header");
   }
   if (op < static_cast<std::uint8_t>(ControlOp::kRegister) ||
@@ -131,9 +76,10 @@ bool DecodeControl(const std::uint8_t* payload, std::size_t size,
     return Fail(error, "control: unknown op");
   }
   message->op = static_cast<ControlOp>(op);
-  if (!reader.Varint(&message->worker_id) ||
-      !reader.Varint(&message->data_port) || !reader.Varint(&message->epoch) ||
-      !reader.Byte(&status)) {
+  if (!reader.Varint(&message->worker_id, "worker_id") ||
+      !reader.Varint(&message->data_port, "data_port") ||
+      !reader.Varint(&message->epoch, "epoch") ||
+      !reader.Byte(&status, "status")) {
     return Fail(error, "control: truncated fields");
   }
   if (status > static_cast<std::uint8_t>(AckStatus::kRejected)) {
@@ -143,7 +89,8 @@ bool DecodeControl(const std::uint8_t* payload, std::size_t size,
     return Fail(error, "control: data_port out of range");
   }
   message->status = static_cast<AckStatus>(status);
-  if (!reader.Varint(&message->plan.epoch) || !reader.Varint(&member_count)) {
+  if (!reader.Varint(&message->plan.epoch, "plan epoch") ||
+      !reader.Varint(&member_count, "member_count")) {
     return Fail(error, "control: truncated plan");
   }
   if (member_count > kMaxPlanMembers) {
@@ -154,17 +101,20 @@ bool DecodeControl(const std::uint8_t* payload, std::size_t size,
   for (std::uint64_t i = 0; i < member_count; ++i) {
     PlanMember member;
     std::uint64_t port = 0;
-    if (!reader.Varint(&member.worker_id) || !reader.Varint(&port)) {
+    if (!reader.Varint(&member.worker_id, "member worker_id") ||
+        !reader.Varint(&port, "member port")) {
       return Fail(error, "control: truncated plan member");
     }
     if (port > 0xffff) return Fail(error, "control: member port out of range");
     member.data_port = static_cast<std::uint16_t>(port);
     message->plan.members.push_back(member);
   }
-  if (!reader.String(&message->message)) {
+  std::string_view text;
+  if (!reader.String(&text, "message")) {
     return Fail(error, "control: bad message string");
   }
-  if (reader.pos != reader.size) {
+  message->message.assign(text.data(), text.size());
+  if (!reader.End("control body")) {
     return Fail(error, "control: trailing bytes");
   }
   return true;

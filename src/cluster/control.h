@@ -42,18 +42,26 @@
 
 namespace mobivine::cluster {
 
+/// The control ops, declared once: X(enumerator, wire code, name). The
+/// flow above is their protocol; an unsolicited kPlanPush carries
+/// correlation id 0.
+#define MOBIVINE_CLUSTER_CONTROL_OPS(X) \
+  X(kRegister, 1, "register")           \
+  X(kRegisterAck, 2, "register-ack")    \
+  X(kHeartbeat, 3, "heartbeat")         \
+  X(kHeartbeatAck, 4, "heartbeat-ack")  \
+  X(kPlanGet, 5, "plan-get")            \
+  X(kPlanPush, 6, "plan-push")          \
+  X(kLeave, 7, "leave")                 \
+  X(kLeaveAck, 8, "leave-ack")          \
+  X(kDrain, 9, "drain")                 \
+  X(kDrainAck, 10, "drain-ack")         \
+  X(kError, 11, "error")
+
 enum class ControlOp : std::uint8_t {
-  kRegister = 1,
-  kRegisterAck = 2,
-  kHeartbeat = 3,
-  kHeartbeatAck = 4,
-  kPlanGet = 5,
-  kPlanPush = 6,  ///< also the kPlanGet reply; unsolicited => correlation 0
-  kLeave = 7,
-  kLeaveAck = 8,
-  kDrain = 9,
-  kDrainAck = 10,
-  kError = 11,  ///< controller's in-band reply to an invalid control frame
+#define MOBIVINE_X(op, code, name) op = code,
+  MOBIVINE_CLUSTER_CONTROL_OPS(MOBIVINE_X)
+#undef MOBIVINE_X
 };
 
 [[nodiscard]] const char* ToString(ControlOp op);

@@ -1,5 +1,7 @@
 #include "core/errors.h"
 
+#include <iterator>
+
 #include "android/exceptions.h"
 #include "s60/exceptions.h"
 #include "support/trace.h"
@@ -7,51 +9,24 @@
 
 namespace mobivine::core {
 
+namespace {
+
+constexpr const char* kErrorCodeNames[] = {
+#define MOBIVINE_X(code, name, wire, doc) name,
+    MOBIVINE_ERROR_CODES(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+
+}  // namespace
+
 const char* ToString(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kSecurity:
-      return "security";
-    case ErrorCode::kIllegalArgument:
-      return "illegal-argument";
-    case ErrorCode::kLocationUnavailable:
-      return "location-unavailable";
-    case ErrorCode::kTimeout:
-      return "timeout";
-    case ErrorCode::kUnreachable:
-      return "unreachable";
-    case ErrorCode::kRadioFailure:
-      return "radio-failure";
-    case ErrorCode::kUnsupported:
-      return "unsupported";
-    case ErrorCode::kInvalidState:
-      return "invalid-state";
-    case ErrorCode::kNetwork:
-      return "network";
-    case ErrorCode::kOverloaded:
-      return "overloaded";
-    case ErrorCode::kDeadlineExceeded:
-      return "deadline-exceeded";
-    case ErrorCode::kAllBackendsFailed:
-      return "all-backends-failed";
-    case ErrorCode::kUnknown:
-      return "unknown";
-  }
-  return "?";
+  const auto index = static_cast<std::size_t>(code);
+  return index < std::size(kErrorCodeNames) ? kErrorCodeNames[index] : "?";
 }
 
 ErrorCode ErrorCodeFromName(std::string_view name) {
-  // A dozen codes; linear probe against the canonical names keeps the
-  // two directions trivially in sync.
-  constexpr ErrorCode kAll[] = {
-      ErrorCode::kSecurity,         ErrorCode::kIllegalArgument,
-      ErrorCode::kLocationUnavailable, ErrorCode::kTimeout,
-      ErrorCode::kUnreachable,      ErrorCode::kRadioFailure,
-      ErrorCode::kUnsupported,      ErrorCode::kInvalidState,
-      ErrorCode::kNetwork,          ErrorCode::kOverloaded,
-      ErrorCode::kDeadlineExceeded, ErrorCode::kAllBackendsFailed,
-  };
-  for (ErrorCode code : kAll) {
-    if (name == ToString(code)) return code;
+  for (std::size_t i = 0; i < std::size(kErrorCodeNames); ++i) {
+    if (name == kErrorCodeNames[i]) return static_cast<ErrorCode>(i);
   }
   return ErrorCode::kUnknown;
 }

@@ -13,27 +13,55 @@
 
 namespace mobivine::core {
 
+/// The unified error vocabulary, declared once: X(enumerator, name, wire
+/// code, doc). The table generates ErrorCode, ToString(ErrorCode) and
+/// ErrorCodeFromName here, and the mirrored 1..13 band of
+/// wire::WireStatus with FromErrorCode/ToErrorCode in wire/protocol.h —
+/// adding a code is one row. Rows must keep their order: the enumerator
+/// values and the wire codes are both part of the protocol.
+#define MOBIVINE_ERROR_CODES(X)                                               \
+  X(kSecurity, "security", 1,                                                 \
+    "missing permission on the underlying platform")                          \
+  X(kIllegalArgument, "illegal-argument", 2,                                  \
+    "bad parameter rejected by the platform")                                 \
+  X(kLocationUnavailable, "location-unavailable", 3,                          \
+    "no fix / provider cannot serve the request")                             \
+  X(kTimeout, "timeout", 4, "operation exceeded the platform's time budget")  \
+  X(kUnreachable, "unreachable", 5,                                           \
+    "destination (host/subscriber) unreachable")                              \
+  X(kRadioFailure, "radio-failure", 6, "transient radio-level failure")       \
+  X(kUnsupported, "unsupported", 7,                                           \
+    "interface not exposed on this platform/version")                         \
+  X(kInvalidState, "invalid-state", 8,                                        \
+    "call sequencing error (closed handle, busy line)")                       \
+  X(kNetwork, "network", 9, "generic network-layer failure")                  \
+  X(kOverloaded, "overloaded", 10,                                            \
+    "gateway shed the request (admission control)")                           \
+  X(kDeadlineExceeded, "deadline-exceeded", 11,                               \
+    "request deadline expired before/while serving")                          \
+  X(kAllBackendsFailed, "all-backends-failed", 12,                            \
+    "failover exhausted every healthy platform")                              \
+  X(kUnknown, "unknown", 13, "anything the rows above do not name")
+
 enum class ErrorCode {
-  kSecurity,             ///< missing permission on the underlying platform
-  kIllegalArgument,      ///< bad parameter rejected by the platform
-  kLocationUnavailable,  ///< no fix / provider cannot serve the request
-  kTimeout,              ///< operation exceeded the platform's time budget
-  kUnreachable,          ///< destination (host/subscriber) unreachable
-  kRadioFailure,         ///< transient radio-level failure
-  kUnsupported,          ///< interface not exposed on this platform/version
-  kInvalidState,         ///< call sequencing error (closed handle, busy line)
-  kNetwork,              ///< generic network-layer failure
-  kOverloaded,           ///< gateway shed the request (admission control)
-  kDeadlineExceeded,     ///< request deadline expired before/while serving
-  kAllBackendsFailed,    ///< failover exhausted every healthy platform
-  kUnknown,
+#define MOBIVINE_X(code, name, wire, doc) code,
+  MOBIVINE_ERROR_CODES(MOBIVINE_X)
+#undef MOBIVINE_X
 };
+
+// The enumerator values leave the process (a script's ProxyError object
+// carries its code as a number), so a reordered table must not compile.
+static_assert(static_cast<int>(ErrorCode::kSecurity) == 0);
+static_assert(static_cast<int>(ErrorCode::kTimeout) == 3);
+static_assert(static_cast<int>(ErrorCode::kAllBackendsFailed) == 11);
+static_assert(static_cast<int>(ErrorCode::kUnknown) == 12);
 
 [[nodiscard]] const char* ToString(ErrorCode code);
 
 /// Inverse of ToString: "timeout" -> kTimeout, etc. Unrecognised names map
-/// to kUnknown. Lets layers below core/ (support::FaultPlan) name error
-/// codes as strings without depending on this enum.
+/// to kUnknown, as "unknown" itself does. Lets layers below core/
+/// (support::FaultPlan) name error codes as strings without depending on
+/// this enum.
 [[nodiscard]] ErrorCode ErrorCodeFromName(std::string_view name);
 
 /// The single exception type the MobiVine public API throws.

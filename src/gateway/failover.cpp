@@ -1,11 +1,42 @@
 #include "gateway/failover.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "support/trace.h"
 
 namespace mobivine::gateway {
+
+std::string FaultPlanProblem(const support::FaultPlan& plan) {
+  const auto wildcard = [](const std::string& field) {
+    return field.empty() || field == "*";
+  };
+  for (std::size_t i = 0; i < plan.rules.size(); ++i) {
+    const support::FaultRule& rule = plan.rules[i];
+    const std::string where = "fault rule " + std::to_string(i + 1) + " (" +
+                              rule.platform + ":" + rule.op + "): ";
+    if (!wildcard(rule.platform) &&
+        std::ranges::find(kPlatformNames, rule.platform) ==
+            std::end(kPlatformNames)) {
+      return where + "unknown platform '" + rule.platform + "'";
+    }
+    if (!wildcard(rule.op) &&
+        std::ranges::find(kOps, rule.op, &OpInfo::fault_key) ==
+            std::end(kOps)) {
+      std::string keys;
+      for (const OpInfo& op : kOps) keys += std::string(op.fault_key) + ", ";
+      return where + "'" + rule.op + "' is not a fault key (" + keys + "or *)";
+    }
+    if (rule.action == support::FaultAction::kError &&
+        core::ErrorCodeFromName(rule.error) == core::ErrorCode::kUnknown &&
+        rule.error != core::ToString(core::ErrorCode::kUnknown)) {
+      return where + "unknown error code '" + rule.error + "'";
+    }
+  }
+  return std::string();
+}
 
 bool CircuitBreaker::Allow(std::uint64_t now_us) {
   if (threshold_ <= 0) return true;

@@ -30,7 +30,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
+#include "gateway/request.h"
 #include "gateway/stats.h"
 #include "support/fault.h"
 #include "support/histogram.h"
@@ -70,6 +72,12 @@ struct FailoverConfig {
            !fault_plan.empty();
   }
 };
+
+/// Why a rule of `plan` can never fire — an unknown platform tag, an op
+/// that is not a fault key (MOBIVINE_GATEWAY_OPS: `sendSms` is injected
+/// as `sendTextMessage`), an error= name that is no ErrorCode — or empty.
+/// Gateway construction throws it as ProxyError(kIllegalArgument).
+[[nodiscard]] std::string FaultPlanProblem(const support::FaultPlan& plan);
 
 /// Closed / open / half-open breaker on a consecutive-failure count,
 /// probed on the shard's virtual clock. threshold == 0 disables it
@@ -111,8 +119,6 @@ class CircuitBreaker {
 /// the shard's proxies as their support::FaultGate.
 class FailoverEngine final : public support::FaultGate {
  public:
-  static constexpr std::size_t kPlatforms = 3;
-
   FailoverEngine(const FailoverConfig& config, ShardStats& stats,
                  std::uint32_t shard_index);
 
@@ -162,9 +168,9 @@ class FailoverEngine final : public support::FaultGate {
   FailoverConfig config_;
   ShardStats& stats_;
   support::FaultInjector injector_;
-  CircuitBreaker breakers_[kPlatforms];
-  support::LatencyHistogram profiles_[kPlatforms];
-  std::uint64_t profile_samples_[kPlatforms] = {0, 0, 0};
+  CircuitBreaker breakers_[kPlatformCount];
+  support::LatencyHistogram profiles_[kPlatformCount];
+  std::uint64_t profile_samples_[kPlatformCount] = {};
   std::uint64_t hang_budget_us_ = 0;
 };
 

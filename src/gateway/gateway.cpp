@@ -56,7 +56,7 @@ namespace {
 
 constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
-constexpr int kOpCount = static_cast<int>(core::Op::kCount_);
+constexpr int kMeterOpCount = static_cast<int>(core::Op::kCount_);
 
 /// A work item as it sits in a shard queue: the payload — an invocation
 /// or an M-Script execution — plus the admission stamps.
@@ -126,22 +126,36 @@ Request Materialize(const BorrowedRequest& request) {
                             request.content_type.size());
   owned.properties.reserve(request.property_count);
   for (std::size_t i = 0; i < request.property_count; ++i) {
-    const BorrowedProperty& property = request.properties[i];
-    std::string name(property.name);
-    if (const auto* s = std::get_if<std::string_view>(&property.value)) {
-      owned.properties.emplace_back(std::move(name), std::string(*s));
-    } else if (const auto* n = std::get_if<long long>(&property.value)) {
-      owned.properties.emplace_back(std::move(name), *n);
-    } else if (const auto* d = std::get_if<double>(&property.value)) {
-      owned.properties.emplace_back(std::move(name), *d);
-    } else {
-      owned.properties.emplace_back(std::move(name),
-                                    std::get<bool>(property.value));
-    }
+    owned.properties.push_back(ToOwned(request.properties[i]));
   }
   owned.timeout = request.timeout;
   owned.retry = request.retry;
   return owned;
+}
+
+/// The start-up check of the op table against the semantic plane: each
+/// row's method exists in the loaded descriptors and takes the row's
+/// parameter count. Throws ProxyError(kUnsupported) naming the row.
+void CheckOpTable(const core::DescriptorStore& store) {
+  for (const OpInfo& op : kOps) {
+    const std::string row = std::string("op table row ") + op.name + " (" +
+                            op.interface_name + "." + op.method + ")";
+    const core::ProxyDescriptor* descriptor = store.Find(op.interface_name);
+    const core::MethodSpec* method =
+        descriptor == nullptr ? nullptr
+                              : descriptor->semantic().FindMethod(op.method);
+    if (method == nullptr) {
+      throw core::ProxyError(core::ErrorCode::kUnsupported,
+                             row + ": no such semantic-plane method");
+    }
+    if (method->parameters.size() != op.parameters) {
+      throw core::ProxyError(
+          core::ErrorCode::kUnsupported,
+          row + ": the table says " + std::to_string(op.parameters) +
+              " parameters, the semantic plane declares " +
+              std::to_string(method->parameters.size()));
+    }
+  }
 }
 
 template <typename Snapshot, std::size_t N>
@@ -173,31 +187,13 @@ void ExportLatency(support::MetricsSink& sink, const std::string& base,
 }  // namespace
 
 const char* ToString(Platform platform) {
-  switch (platform) {
-    case Platform::kAndroid:
-      return "android";
-    case Platform::kS60:
-      return "s60";
-    case Platform::kIphone:
-      return "iphone";
-  }
-  return "?";
+  const auto index = static_cast<std::size_t>(platform);
+  return index < kPlatformCount ? kPlatformNames[index] : "?";
 }
 
 const char* ToString(Op op) {
-  switch (op) {
-    case Op::kGetLocation:
-      return "getLocation";
-    case Op::kSendSms:
-      return "sendSms";
-    case Op::kHttpGet:
-      return "httpGet";
-    case Op::kHttpPost:
-      return "httpPost";
-    case Op::kSegmentCount:
-      return "segmentCount";
-  }
-  return "?";
+  const OpInfo* info = FindOp(op);
+  return info != nullptr ? info->name : "?";
 }
 
 // ---------------------------------------------------------------------------
@@ -263,21 +259,21 @@ class Gateway::Shard {
     // through the same binding-dispatch path as real ones.
     const auto create_proxies = [this](Platform platform, auto& binding) {
       const std::size_t i = PlatformIndex(platform);
-      location_[i] = registry_.CreateLocationProxy(binding);
-      sms_[i] = registry_.CreateSmsProxy(binding);
-      http_[i] = registry_.CreateHttpProxy(binding);
+      Proxy(ProxyFamily::kLocation, i) = registry_.CreateLocationProxy(binding);
+      Proxy(ProxyFamily::kSms, i) = registry_.CreateSmsProxy(binding);
+      Proxy(ProxyFamily::kHttp, i) = registry_.CreateHttpProxy(binding);
       if (failover_ == nullptr) return;
-      location_[i]->installFaultGate(failover_.get(), ToString(platform));
-      sms_[i]->installFaultGate(failover_.get(), ToString(platform));
-      http_[i]->installFaultGate(failover_.get(), ToString(platform));
+      for (auto& family : proxies_) {
+        family[i]->installFaultGate(failover_.get(), ToString(platform));
+      }
     };
     create_proxies(Platform::kAndroid, *android_);
     create_proxies(Platform::kS60, *s60_);
     create_proxies(Platform::kIphone, *iphone_);
-    location_[PlatformIndex(Platform::kAndroid)]->setProperty(
-        "context", &android_->application_context());
-    sms_[PlatformIndex(Platform::kAndroid)]->setProperty(
-        "context", &android_->application_context());
+    for (ProxyFamily family : {ProxyFamily::kLocation, ProxyFamily::kSms}) {
+      Proxy(family, PlatformIndex(Platform::kAndroid))
+          ->setProperty("context", &android_->application_context());
+    }
 
     // M-Script: the engine's host ops close over this shard's proxies, so
     // a script's invocations hit the exact metered, fault-gated,
@@ -400,19 +396,18 @@ class Gateway::Shard {
   /// Sum this shard's nine proxy meters into the caller's accumulators
   /// (M-Scope metrics source). Meter counters are relaxed atomics, so
   /// reading them while the worker serves is safe.
-  void AddMeterCounts(std::array<std::uint64_t, kOpCount>& counts,
+  void AddMeterCounts(std::array<std::uint64_t, kMeterOpCount>& counts,
                       std::uint64_t& charged_us) const {
-    const auto add = [&](const core::MProxy& proxy) {
-      const core::OverheadMeter& meter = proxy.meter();
-      for (int op = 0; op < kOpCount; ++op) {
-        counts[static_cast<std::size_t>(op)] +=
-            meter.count(static_cast<core::Op>(op));
+    for (const auto& family : proxies_) {
+      for (const auto& proxy : family) {
+        const core::OverheadMeter& meter = proxy->meter();
+        for (int op = 0; op < kMeterOpCount; ++op) {
+          counts[static_cast<std::size_t>(op)] +=
+              meter.count(static_cast<core::Op>(op));
+        }
+        charged_us += static_cast<std::uint64_t>(meter.charged().micros());
       }
-      charged_us += static_cast<std::uint64_t>(meter.charged().micros());
-    };
-    for (const auto& proxy : location_) add(*proxy);
-    for (const auto& proxy : sms_) add(*proxy);
-    for (const auto& proxy : http_) add(*proxy);
+    }
   }
 
  private:
@@ -686,11 +681,11 @@ class Gateway::Shard {
     const bool multi =
         failover_ != nullptr &&
         (failover_->config().failover || failover_->config().hedging);
-    Platform candidates[3];
+    Platform candidates[kPlatformCount];
     std::size_t candidate_count = 0;
     candidates[candidate_count++] = primary;
     if (multi) {
-      for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t i = 0; i < kPlatformCount; ++i) {
         const auto platform = static_cast<Platform>(i);
         if (platform != primary) candidates[candidate_count++] = platform;
       }
@@ -857,18 +852,16 @@ class Gateway::Shard {
   }
 
   core::MProxy& ProxyFor(Platform platform, Op op) {
-    const std::size_t index = PlatformIndex(platform);
-    switch (op) {
-      case Op::kGetLocation:
-        return *location_[index];
-      case Op::kSendSms:
-      case Op::kSegmentCount:
-        return *sms_[index];
-      case Op::kHttpGet:
-      case Op::kHttpPost:
-        return *http_[index];
+    const OpInfo* info = FindOp(op);
+    if (info == nullptr) {
+      throw core::ProxyError(core::ErrorCode::kUnsupported, "unknown op");
     }
-    throw core::ProxyError(core::ErrorCode::kUnsupported, "unknown op");
+    return *Proxy(info->family, PlatformIndex(platform));
+  }
+
+  std::unique_ptr<core::MProxy>& Proxy(ProxyFamily family,
+                                       std::size_t platform_index) {
+    return proxies_[static_cast<std::size_t>(family)][platform_index];
   }
 
   const std::uint32_t index_;
@@ -908,9 +901,9 @@ class Gateway::Shard {
   std::unique_ptr<s60::S60Platform> s60_;
   std::unique_ptr<iphone::IPhonePlatform> iphone_;
   core::ProxyRegistry registry_;
-  std::unique_ptr<core::LocationProxy> location_[3];
-  std::unique_ptr<core::SmsProxy> sms_[3];
-  std::unique_ptr<core::HttpProxy> http_[3];
+  /// ExecuteOnce downcasts by op: kLocation holds LocationProxy, kSms
+  /// SmsProxy, kHttp HttpProxy.
+  std::unique_ptr<core::MProxy> proxies_[kProxyFamilyCount][kPlatformCount];
 
   std::thread worker_;  // last member: starts after the world is built
 };
@@ -921,6 +914,14 @@ class Gateway::Shard {
 
 Gateway::Gateway(GatewayConfig config)
     : config_(std::move(config)), tenant_table_(config_.tenants) {
+  // Both checks run before any shard thread starts: a table that has
+  // drifted from the descriptors, or a fault rule that can never fire,
+  // fails start-up instead of serving.
+  if (config_.store != nullptr) CheckOpTable(*config_.store);
+  if (std::string problem = FaultPlanProblem(config_.failover.fault_plan);
+      !problem.empty()) {
+    throw core::ProxyError(core::ErrorCode::kIllegalArgument, problem);
+  }
   const int shard_count = std::max(config_.shards, 1);
   // One parse cache for the gateway: client ids, not sources, pick the
   // shard, so per-shard caches would each parse and hold the same hot
@@ -1111,12 +1112,12 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
         // Per-proxy OverheadMeter counts summed across every shard's nine
         // proxies: the paper's de-fragmentation-overhead attribution, as a
         // live metric.
-        std::array<std::uint64_t, kOpCount> counts{};
+        std::array<std::uint64_t, kMeterOpCount> counts{};
         std::uint64_t charged_us = 0;
         for (const auto& shard : shards_) {
           shard->AddMeterCounts(counts, charged_us);
         }
-        for (int op = 0; op < kOpCount; ++op) {
+        for (int op = 0; op < kMeterOpCount; ++op) {
           sink.Counter(
               std::string("op.") + core::ToString(static_cast<core::Op>(op)),
               counts[static_cast<std::size_t>(op)]);

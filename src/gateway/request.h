@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,19 +26,89 @@ namespace mobivine::gateway {
 
 using Clock = std::chrono::steady_clock;
 
+/// The platforms the gateway serves on, declared once: X(enumerator,
+/// name). The name is ToString(Platform), ParsePlatformName's input, and
+/// the platform tag fault rules and proxies' fault gates match on.
+#define MOBIVINE_GATEWAY_PLATFORMS(X) \
+  X(kAndroid, "android")              \
+  X(kS60, "s60")                      \
+  X(kIphone, "iphone")
+
 /// Which platform binding serves the request. The whole point of the
 /// layer below: the request shape is identical for all of them.
-enum class Platform : std::uint8_t { kAndroid, kS60, kIphone };
-
-/// The uniform operations the gateway serves. Each maps to one semantic-
-/// plane method implemented by every platform in the request mix.
-enum class Op : std::uint8_t {
-  kGetLocation,   ///< LocationProxy::getLocation()
-  kSendSms,       ///< SmsProxy::sendTextMessage(target, payload, nullptr)
-  kHttpGet,       ///< HttpProxy::get(target)
-  kHttpPost,      ///< HttpProxy::post(target, payload, content_type)
-  kSegmentCount,  ///< SmsProxy::segmentCount(payload) — pure, no device I/O
+enum class Platform : std::uint8_t {
+#define MOBIVINE_X(platform, name) platform,
+  MOBIVINE_GATEWAY_PLATFORMS(MOBIVINE_X)
+#undef MOBIVINE_X
 };
+
+inline constexpr const char* kPlatformNames[] = {
+#define MOBIVINE_X(platform, name) name,
+    MOBIVINE_GATEWAY_PLATFORMS(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+inline constexpr std::size_t kPlatformCount = std::size(kPlatformNames);
+
+/// The proxy interface an op is served by; with Platform it indexes a
+/// shard's [family][platform] proxy array.
+enum class ProxyFamily : std::uint8_t { kLocation, kSms, kHttp };
+inline constexpr std::size_t kProxyFamilyCount =
+    static_cast<std::size_t>(ProxyFamily::kHttp) + 1;
+
+/// The uniform operations the gateway serves, declared once: X(enumerator,
+/// name, fault key, family, interface, method, parameters). The name is
+/// ToString(Op) and the script op name; the fault key is what the bindings
+/// pass to AdmitDispatch, so what a FaultRule must name; the last three
+/// are the semantic-plane method the op invokes (parameter count without
+/// callbacks), checked against the loaded descriptors at Gateway start.
+/// Operands: sendSms(target, payload), httpGet(target), httpPost(target,
+/// payload, content_type), segmentCount(payload).
+#define MOBIVINE_GATEWAY_OPS(X)                                            \
+  X(kGetLocation, "getLocation", "getLocation", kLocation, "Location",     \
+    "getLocation", 0)                                                      \
+  X(kSendSms, "sendSms", "sendTextMessage", kSms, "Sms", "sendTextMessage", \
+    2)                                                                     \
+  X(kHttpGet, "httpGet", "httpGet", kHttp, "Http", "get", 1)               \
+  X(kHttpPost, "httpPost", "httpPost", kHttp, "Http", "post", 3)           \
+  X(kSegmentCount, "segmentCount", "segmentCount", kSms, "Sms",            \
+    "segmentCount", 1)
+
+enum class Op : std::uint8_t {
+#define MOBIVINE_X(op, name, fault_key, family, interface, method, params) op,
+  MOBIVINE_GATEWAY_OPS(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+
+/// One row of the op table; kOps is indexed by Op.
+struct OpInfo {
+  const char* name;
+  const char* fault_key;
+  ProxyFamily family;
+  const char* interface_name;
+  const char* method;
+  std::size_t parameters;
+};
+
+inline constexpr OpInfo kOps[] = {
+#define MOBIVINE_X(op, name, fault_key, family, interface, method, params) \
+  {name, fault_key, ProxyFamily::family, interface, method, params},
+    MOBIVINE_GATEWAY_OPS(MOBIVINE_X)
+#undef MOBIVINE_X
+};
+inline constexpr std::size_t kOpCount = std::size(kOps);
+
+// Platform and Op travel as single wire bytes (wire/protocol.h): a
+// reordered table must not compile.
+static_assert(static_cast<int>(Platform::kAndroid) == 0);
+static_assert(static_cast<int>(Platform::kIphone) == 2 && kPlatformCount == 3);
+static_assert(static_cast<int>(Op::kGetLocation) == 0);
+static_assert(static_cast<int>(Op::kSegmentCount) == 4 && kOpCount == 5);
+
+/// The table row of `op`; nullptr for a value outside the table.
+[[nodiscard]] constexpr const OpInfo* FindOp(Op op) {
+  const auto index = static_cast<std::size_t>(op);
+  return index < kOpCount ? &kOps[index] : nullptr;
+}
 
 [[nodiscard]] const char* ToString(Platform platform);
 [[nodiscard]] const char* ToString(Op op);
@@ -98,6 +169,15 @@ struct BorrowedProperty {
   std::string_view name;
   std::variant<std::string_view, long long, double, bool> value;
 };
+
+/// Owning copy of one borrowed property: the one conversion shared by the
+/// gateway's queueing path and wire::DecodeRequest.
+[[nodiscard]] inline std::pair<std::string, core::PropertyValue> ToOwned(
+    const BorrowedProperty& property) {
+  return {std::string(property.name),
+          std::visit([](auto value) { return core::PropertyValue(value); },
+                     property.value)};
+}
 
 /// A Request whose string operands are borrowed views — the zero-copy
 /// envelope the wire layer decodes straight out of a connection's input

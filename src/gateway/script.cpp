@@ -43,19 +43,17 @@ std::string ArgAsString(std::vector<minijs::Value>& args, std::size_t index) {
 }  // namespace
 
 Platform ParsePlatformName(const std::string& name) {
-  if (name == "android") return Platform::kAndroid;
-  if (name == "s60") return Platform::kS60;
-  if (name == "iphone") return Platform::kIphone;
+  for (std::size_t i = 0; i < kPlatformCount; ++i) {
+    if (name == kPlatformNames[i]) return static_cast<Platform>(i);
+  }
   throw core::ProxyError(core::ErrorCode::kIllegalArgument,
                          "unknown platform '" + name + "'");
 }
 
 Op ParseOpName(const std::string& name) {
-  if (name == "getLocation") return Op::kGetLocation;
-  if (name == "sendSms") return Op::kSendSms;
-  if (name == "httpGet") return Op::kHttpGet;
-  if (name == "httpPost") return Op::kHttpPost;
-  if (name == "segmentCount") return Op::kSegmentCount;
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    if (name == kOps[i].name) return static_cast<Op>(i);
+  }
   throw core::ProxyError(core::ErrorCode::kIllegalArgument,
                          "unknown op '" + name + "'");
 }

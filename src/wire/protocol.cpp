@@ -4,6 +4,7 @@
 
 #include "support/checksum.h"
 #include "support/varint.h"
+#include "wire/payload.h"
 
 namespace mobivine::wire {
 
@@ -23,11 +24,6 @@ enum class ValueTag : std::uint8_t {
   kBool = 3,
 };
 
-void PutString(std::vector<std::uint8_t>& out, std::string_view s) {
-  PutVarint(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
 void PutFixed32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -40,67 +36,6 @@ void PutFixed64(std::vector<std::uint8_t>& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
-
-/// Sequential reader over a frame payload. Every getter returns false on
-/// violation (truncation or a cap breach) and records why.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool Varint(std::uint64_t* value, const char* what) {
-    std::size_t consumed = 0;
-    if (GetVarint(data_ + pos_, size_ - pos_, value, &consumed) !=
-        VarintStatus::kOk) {
-      return Fail(what, "bad varint");
-    }
-    pos_ += consumed;
-    return true;
-  }
-
-  bool Byte(std::uint8_t* value, const char* what) {
-    if (pos_ >= size_) return Fail(what, "truncated");
-    *value = data_[pos_++];
-    return true;
-  }
-
-  bool String(std::string_view* value, const char* what) {
-    std::uint64_t len = 0;
-    if (!Varint(&len, what)) return false;
-    if (len > kMaxStringBytes) return Fail(what, "over string cap");
-    if (len > size_ - pos_) return Fail(what, "truncated");
-    *value = std::string_view(reinterpret_cast<const char*>(data_ + pos_),
-                              static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return true;
-  }
-
-  bool Fixed64(std::uint64_t* value, const char* what) {
-    if (size_ - pos_ < 8) return Fail(what, "truncated");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    *value = v;
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool AtEnd() const { return pos_ == size_; }
-  [[nodiscard]] const std::string& error() const { return error_; }
-
- private:
-  bool Fail(const char* what, const char* why) {
-    error_ = std::string(what) + ": " + why;
-    return false;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
 
 }  // namespace
 
@@ -145,62 +80,22 @@ const char* ToString(WireStatus status) {
 
 WireStatus FromErrorCode(core::ErrorCode code) {
   switch (code) {
-    case core::ErrorCode::kSecurity:
-      return WireStatus::kSecurity;
-    case core::ErrorCode::kIllegalArgument:
-      return WireStatus::kIllegalArgument;
-    case core::ErrorCode::kLocationUnavailable:
-      return WireStatus::kLocationUnavailable;
-    case core::ErrorCode::kTimeout:
-      return WireStatus::kTimeout;
-    case core::ErrorCode::kUnreachable:
-      return WireStatus::kUnreachable;
-    case core::ErrorCode::kRadioFailure:
-      return WireStatus::kRadioFailure;
-    case core::ErrorCode::kUnsupported:
-      return WireStatus::kUnsupported;
-    case core::ErrorCode::kInvalidState:
-      return WireStatus::kInvalidState;
-    case core::ErrorCode::kNetwork:
-      return WireStatus::kNetwork;
-    case core::ErrorCode::kOverloaded:
-      return WireStatus::kOverloaded;
-    case core::ErrorCode::kDeadlineExceeded:
-      return WireStatus::kDeadlineExceeded;
-    case core::ErrorCode::kAllBackendsFailed:
-      return WireStatus::kAllBackendsFailed;
-    case core::ErrorCode::kUnknown:
-      return WireStatus::kUnknown;
+#define MOBIVINE_X(code, name, wire, doc) \
+  case core::ErrorCode::code:             \
+    return WireStatus::code;
+    MOBIVINE_ERROR_CODES(MOBIVINE_X)
+#undef MOBIVINE_X
   }
   return WireStatus::kUnknown;
 }
 
 core::ErrorCode ToErrorCode(WireStatus status) {
   switch (status) {
-    case WireStatus::kSecurity:
-      return core::ErrorCode::kSecurity;
-    case WireStatus::kIllegalArgument:
-      return core::ErrorCode::kIllegalArgument;
-    case WireStatus::kLocationUnavailable:
-      return core::ErrorCode::kLocationUnavailable;
-    case WireStatus::kTimeout:
-      return core::ErrorCode::kTimeout;
-    case WireStatus::kUnreachable:
-      return core::ErrorCode::kUnreachable;
-    case WireStatus::kRadioFailure:
-      return core::ErrorCode::kRadioFailure;
-    case WireStatus::kUnsupported:
-      return core::ErrorCode::kUnsupported;
-    case WireStatus::kInvalidState:
-      return core::ErrorCode::kInvalidState;
-    case WireStatus::kNetwork:
-      return core::ErrorCode::kNetwork;
-    case WireStatus::kOverloaded:
-      return core::ErrorCode::kOverloaded;
-    case WireStatus::kDeadlineExceeded:
-      return core::ErrorCode::kDeadlineExceeded;
-    case WireStatus::kAllBackendsFailed:
-      return core::ErrorCode::kAllBackendsFailed;
+#define MOBIVINE_X(code, name, wire, doc) \
+  case WireStatus::code:                  \
+    return core::ErrorCode::code;
+    MOBIVINE_ERROR_CODES(MOBIVINE_X)
+#undef MOBIVINE_X
     default:
       return core::ErrorCode::kUnknown;
   }
@@ -339,34 +234,22 @@ void EncodeEvent(const WireEvent& event, std::string_view body,
 
 BodyStatus DecodeScript(const std::uint8_t* payload, std::size_t size,
                         WireScriptRequest* script, std::string* error) {
-  Reader reader(payload, size);
-  const auto fail = [&](BodyStatus status) {
-    if (error != nullptr) *error = reader.error();
-    return status;
-  };
+  PayloadReader reader(payload, size);
   if (!reader.Varint(&script->request_id, "request_id")) {
-    return fail(BodyStatus::kBadId);
+    return reader.Report(BodyStatus::kBadId, error);
   }
   std::string_view source;
+  std::uint64_t arg_count = 0;
   if (!reader.Varint(&script->client_id, "client_id") ||
       !reader.Varint(&script->timeout_micros, "timeout") ||
       !reader.Varint(&script->step_budget, "step_budget") ||
       !reader.Varint(&script->virtual_us_budget, "virtual_us_budget") ||
       !reader.Varint(&script->max_result_bytes, "max_result_bytes") ||
-      !reader.String(&source, "source")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (source.empty()) {
-    if (error != nullptr) *error = "source: empty";
-    return BodyStatus::kBadBody;
-  }
-  std::uint64_t arg_count = 0;
-  if (!reader.Varint(&arg_count, "arg_count")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (arg_count > kMaxProperties) {
-    if (error != nullptr) *error = "arg_count: over cap";
-    return BodyStatus::kBadBody;
+      !reader.String(&source, "source") ||
+      (source.empty() && !reader.Fail("source", "empty")) ||
+      !reader.Varint(&arg_count, "arg_count") ||
+      (arg_count > kMaxProperties && !reader.Fail("arg_count", "over cap"))) {
+    return reader.Report(BodyStatus::kBadBody, error);
   }
   script->source.assign(source.data(), source.size());
   script->args.clear();
@@ -376,49 +259,36 @@ BodyStatus DecodeScript(const std::uint8_t* payload, std::size_t size,
     std::string_view value;
     if (!reader.String(&name, "arg name") ||
         !reader.String(&value, "arg value")) {
-      return fail(BodyStatus::kBadBody);
+      return reader.Report(BodyStatus::kBadBody, error);
     }
     script->args.emplace_back(std::string(name), std::string(value));
   }
-  if (!reader.AtEnd()) {
-    if (error != nullptr) *error = "trailing bytes after script body";
-    return BodyStatus::kBadBody;
+  if (!reader.End("script body")) {
+    return reader.Report(BodyStatus::kBadBody, error);
   }
   return BodyStatus::kOk;
 }
 
 BodyStatus DecodeSubscribe(const std::uint8_t* payload, std::size_t size,
                            WireSubscribe* subscribe, std::string* error) {
-  Reader reader(payload, size);
-  const auto fail = [&](BodyStatus status) {
-    if (error != nullptr) *error = reader.error();
-    return status;
-  };
+  PayloadReader reader(payload, size);
   if (!reader.Varint(&subscribe->request_id, "request_id")) {
-    return fail(BodyStatus::kBadId);
+    return reader.Report(BodyStatus::kBadId, error);
   }
   std::uint8_t topic = 0;
   std::uint8_t mode = 0;
   if (!reader.Varint(&subscribe->client_id, "client_id") ||
-      !reader.Byte(&topic, "topic") || !reader.Byte(&mode, "mode")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (!IsKnownPushTopic(topic)) {
-    if (error != nullptr) *error = "topic: unknown code";
-    return BodyStatus::kBadBody;
-  }
-  if (mode > static_cast<std::uint8_t>(SubscribeMode::kDrainOnce)) {
-    if (error != nullptr) *error = "mode: unknown code";
-    return BodyStatus::kBadBody;
+      !reader.Byte(&topic, "topic") || !reader.Byte(&mode, "mode") ||
+      (!IsKnownPushTopic(topic) && !reader.Fail("topic", "unknown code")) ||
+      (mode > static_cast<std::uint8_t>(SubscribeMode::kDrainOnce) &&
+       !reader.Fail("mode", "unknown code"))) {
+    return reader.Report(BodyStatus::kBadBody, error);
   }
   subscribe->topic = static_cast<PushTopic>(topic);
   subscribe->mode = static_cast<SubscribeMode>(mode);
-  if (!reader.Varint(&subscribe->cursor, "cursor")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (!reader.AtEnd()) {
-    if (error != nullptr) *error = "trailing bytes after subscribe body";
-    return BodyStatus::kBadBody;
+  if (!reader.Varint(&subscribe->cursor, "cursor") ||
+      !reader.End("subscribe body")) {
+    return reader.Report(BodyStatus::kBadBody, error);
   }
   return BodyStatus::kOk;
 }
@@ -426,37 +296,27 @@ BodyStatus DecodeSubscribe(const std::uint8_t* payload, std::size_t size,
 BodyStatus DecodeUnsubscribe(const std::uint8_t* payload, std::size_t size,
                              WireUnsubscribe* unsubscribe,
                              std::string* error) {
-  Reader reader(payload, size);
-  const auto fail = [&](BodyStatus status) {
-    if (error != nullptr) *error = reader.error();
-    return status;
-  };
+  PayloadReader reader(payload, size);
   if (!reader.Varint(&unsubscribe->request_id, "request_id")) {
-    return fail(BodyStatus::kBadId);
+    return reader.Report(BodyStatus::kBadId, error);
   }
-  if (!reader.Varint(&unsubscribe->subscription_id, "subscription_id")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (!reader.AtEnd()) {
-    if (error != nullptr) *error = "trailing bytes after unsubscribe body";
-    return BodyStatus::kBadBody;
+  if (!reader.Varint(&unsubscribe->subscription_id, "subscription_id") ||
+      !reader.End("unsubscribe body")) {
+    return reader.Report(BodyStatus::kBadBody, error);
   }
   return BodyStatus::kOk;
 }
 
 bool DecodeSubscribeAck(const std::uint8_t* payload, std::size_t size,
                         WireSubscribeAck* ack, std::string* error) {
-  Reader reader(payload, size);
+  PayloadReader reader(payload, size);
   std::uint8_t status = 0;
   if (!reader.Varint(&ack->request_id, "request_id") ||
       !reader.Byte(&status, "status") ||
       !reader.Varint(&ack->subscription_id, "subscription_id") ||
-      !reader.Varint(&ack->start_cursor, "start_cursor") || !reader.AtEnd()) {
-    if (error != nullptr) {
-      *error = reader.error().empty() ? "trailing bytes after ack body"
-                                      : reader.error();
-    }
-    return false;
+      !reader.Varint(&ack->start_cursor, "start_cursor") ||
+      !reader.End("ack body")) {
+    return reader.Report(false, error);
   }
   ack->status = static_cast<WireStatus>(status);
   return true;
@@ -464,7 +324,7 @@ bool DecodeSubscribeAck(const std::uint8_t* payload, std::size_t size,
 
 bool DecodeEvent(const std::uint8_t* payload, std::size_t size,
                  WireEvent* event, std::string* error) {
-  Reader reader(payload, size);
+  PayloadReader reader(payload, size);
   std::uint8_t kind = 0;
   std::uint8_t topic = 0;
   std::string_view body;
@@ -472,20 +332,11 @@ bool DecodeEvent(const std::uint8_t* payload, std::size_t size,
       !reader.Byte(&kind, "kind") || !reader.Byte(&topic, "topic") ||
       !reader.Varint(&event->cursor, "cursor") ||
       !reader.Varint(&event->aux, "aux") || !reader.String(&body, "body") ||
-      !reader.AtEnd()) {
-    if (error != nullptr) {
-      *error = reader.error().empty() ? "trailing bytes after event body"
-                                      : reader.error();
-    }
-    return false;
-  }
-  if (kind > static_cast<std::uint8_t>(EventKind::kEndOfDrain)) {
-    if (error != nullptr) *error = "kind: unknown code";
-    return false;
-  }
-  if (!IsKnownPushTopic(topic)) {
-    if (error != nullptr) *error = "topic: unknown code";
-    return false;
+      !reader.End("event body") ||
+      (kind > static_cast<std::uint8_t>(EventKind::kEndOfDrain) &&
+       !reader.Fail("kind", "unknown code")) ||
+      (!IsKnownPushTopic(topic) && !reader.Fail("topic", "unknown code"))) {
+    return reader.Report(false, error);
   }
   event->kind = static_cast<EventKind>(kind);
   event->topic = static_cast<PushTopic>(topic);
@@ -553,85 +404,60 @@ DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t size,
 BodyStatus DecodeRequestView(const std::uint8_t* payload, std::size_t size,
                              WireRequestView* view, std::string* error) {
   view->properties.clear();  // reusable scratch: capacity is retained
-  Reader reader(payload, size);
-  const auto fail = [&](BodyStatus status) {
-    if (error != nullptr) *error = reader.error();
-    return status;
-  };
+  PayloadReader reader(payload, size);
   if (!reader.Varint(&view->request_id, "request_id")) {
-    return fail(BodyStatus::kBadId);
+    return reader.Report(BodyStatus::kBadId, error);
   }
-  if (!reader.Varint(&view->client_id, "client_id")) {
-    return fail(BodyStatus::kBadBody);
-  }
+  const auto bad_body = [&] {
+    return reader.Report(BodyStatus::kBadBody, error);
+  };
   std::uint8_t platform = 0;
   std::uint8_t op = 0;
-  if (!reader.Byte(&platform, "platform") || !reader.Byte(&op, "op")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (platform > static_cast<std::uint8_t>(gateway::Platform::kIphone)) {
-    if (error != nullptr) *error = "platform: unknown code";
-    return BodyStatus::kBadBody;
-  }
-  if (op > static_cast<std::uint8_t>(gateway::Op::kSegmentCount)) {
-    if (error != nullptr) *error = "op: unknown code";
-    return BodyStatus::kBadBody;
+  std::uint64_t max_attempts = 0;
+  std::uint64_t property_count = 0;
+  if (!reader.Varint(&view->client_id, "client_id") ||
+      !reader.Byte(&platform, "platform") || !reader.Byte(&op, "op") ||
+      (platform >= gateway::kPlatformCount &&
+       !reader.Fail("platform", "unknown code")) ||
+      (op >= gateway::kOpCount && !reader.Fail("op", "unknown code")) ||
+      !reader.Varint(&view->timeout_micros, "timeout") ||
+      !reader.Varint(&max_attempts, "max_attempts") ||
+      (max_attempts > 1000 && !reader.Fail("max_attempts", "over cap")) ||
+      !reader.String(&view->target, "target") ||
+      !reader.String(&view->payload, "payload") ||
+      !reader.String(&view->content_type, "content_type") ||
+      !reader.Varint(&property_count, "property_count") ||
+      (property_count > kMaxProperties &&
+       !reader.Fail("property_count", "over cap"))) {
+    return bad_body();
   }
   view->platform = static_cast<gateway::Platform>(platform);
   view->op = static_cast<gateway::Op>(op);
-  std::uint64_t max_attempts = 0;
-  if (!reader.Varint(&view->timeout_micros, "timeout") ||
-      !reader.Varint(&max_attempts, "max_attempts")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (max_attempts > 1000) {
-    if (error != nullptr) *error = "max_attempts: over cap";
-    return BodyStatus::kBadBody;
-  }
   view->max_attempts = static_cast<std::uint32_t>(max_attempts);
-  if (!reader.String(&view->target, "target") ||
-      !reader.String(&view->payload, "payload") ||
-      !reader.String(&view->content_type, "content_type")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  std::uint64_t property_count = 0;
-  if (!reader.Varint(&property_count, "property_count")) {
-    return fail(BodyStatus::kBadBody);
-  }
-  if (property_count > kMaxProperties) {
-    if (error != nullptr) *error = "property_count: over cap";
-    return BodyStatus::kBadBody;
-  }
   view->properties.reserve(static_cast<std::size_t>(property_count));
   for (std::uint64_t i = 0; i < property_count; ++i) {
     gateway::BorrowedProperty property;
     std::uint8_t tag = 0;
     if (!reader.String(&property.name, "property name") ||
         !reader.Byte(&tag, "property tag")) {
-      return fail(BodyStatus::kBadBody);
+      return bad_body();
     }
     switch (static_cast<ValueTag>(tag)) {
       case ValueTag::kString: {
         std::string_view value;
-        if (!reader.String(&value, "property string")) {
-          return fail(BodyStatus::kBadBody);
-        }
+        if (!reader.String(&value, "property string")) return bad_body();
         property.value = value;
         break;
       }
       case ValueTag::kInt: {
         std::uint64_t zz = 0;
-        if (!reader.Varint(&zz, "property int")) {
-          return fail(BodyStatus::kBadBody);
-        }
+        if (!reader.Varint(&zz, "property int")) return bad_body();
         property.value = static_cast<long long>(support::ZigzagDecode(zz));
         break;
       }
       case ValueTag::kDouble: {
         std::uint64_t bits = 0;
-        if (!reader.Fixed64(&bits, "property double")) {
-          return fail(BodyStatus::kBadBody);
-        }
+        if (!reader.Fixed64(&bits, "property double")) return bad_body();
         double value = 0;
         std::memcpy(&value, &bits, sizeof value);
         property.value = value;
@@ -639,22 +465,17 @@ BodyStatus DecodeRequestView(const std::uint8_t* payload, std::size_t size,
       }
       case ValueTag::kBool: {
         std::uint8_t value = 0;
-        if (!reader.Byte(&value, "property bool")) {
-          return fail(BodyStatus::kBadBody);
-        }
+        if (!reader.Byte(&value, "property bool")) return bad_body();
         property.value = (value != 0);
         break;
       }
       default:
-        if (error != nullptr) *error = "property tag: unknown";
-        return BodyStatus::kBadBody;
+        reader.Fail("property tag", "unknown");
+        return bad_body();
     }
     view->properties.push_back(property);
   }
-  if (!reader.AtEnd()) {
-    if (error != nullptr) *error = "trailing bytes after request body";
-    return BodyStatus::kBadBody;
-  }
+  if (!reader.End("request body")) return bad_body();
   return BodyStatus::kOk;
 }
 
@@ -676,24 +497,14 @@ BodyStatus DecodeRequest(const std::uint8_t* payload, std::size_t size,
   request->properties.clear();
   request->properties.reserve(view.properties.size());
   for (const gateway::BorrowedProperty& property : view.properties) {
-    std::string name(property.name);
-    if (const auto* s = std::get_if<std::string_view>(&property.value)) {
-      request->properties.emplace_back(std::move(name), std::string(*s));
-    } else if (const auto* n = std::get_if<long long>(&property.value)) {
-      request->properties.emplace_back(std::move(name), *n);
-    } else if (const auto* d = std::get_if<double>(&property.value)) {
-      request->properties.emplace_back(std::move(name), *d);
-    } else {
-      request->properties.emplace_back(std::move(name),
-                                       std::get<bool>(property.value));
-    }
+    request->properties.push_back(gateway::ToOwned(property));
   }
   return BodyStatus::kOk;
 }
 
 bool DecodeResponse(const std::uint8_t* payload, std::size_t size,
                     WireResponse* response, std::string* error) {
-  Reader reader(payload, size);
+  PayloadReader reader(payload, size);
   std::uint8_t status = 0;
   std::uint8_t served = 0;
   std::uint64_t attempts = 0;
@@ -703,16 +514,10 @@ bool DecodeResponse(const std::uint8_t* payload, std::size_t size,
       !reader.Byte(&served, "served_platform") ||
       !reader.Varint(&attempts, "attempts") ||
       !reader.Varint(&response->latency_micros, "latency") ||
-      !reader.String(&body, "body") || !reader.AtEnd()) {
-    if (error != nullptr) {
-      *error = reader.error().empty() ? "trailing bytes after response body"
-                                      : reader.error();
-    }
-    return false;
-  }
-  if (served > static_cast<std::uint8_t>(gateway::Platform::kIphone)) {
-    if (error != nullptr) *error = "served_platform: unknown code";
-    return false;
+      !reader.String(&body, "body") || !reader.End("response body") ||
+      (served >= gateway::kPlatformCount &&
+       !reader.Fail("served_platform", "unknown code"))) {
+    return reader.Report(false, error);
   }
   response->status = static_cast<WireStatus>(status);
   response->served_platform = static_cast<gateway::Platform>(served);

@@ -96,24 +96,16 @@ enum class FrameType : std::uint8_t {
 }
 
 /// Wire status codes. 0 is success; 1..13 mirror core::ErrorCode one to
-/// one (docs/failure-semantics.md holds the table); the >= 64 band is
-/// wire-layer-only: protocol violations and client-side transport
-/// failures that never had a gateway outcome.
+/// one — generated from the error-code table (MOBIVINE_ERROR_CODES in
+/// core/errors.h), whose wire column fixes each byte; docs/failure-
+/// semantics.md holds the table. The >= 64 band is wire-layer-only:
+/// protocol violations and client-side transport failures that never had
+/// a gateway outcome.
 enum class WireStatus : std::uint8_t {
   kOk = 0,
-  kSecurity = 1,
-  kIllegalArgument = 2,
-  kLocationUnavailable = 3,
-  kTimeout = 4,
-  kUnreachable = 5,
-  kRadioFailure = 6,
-  kUnsupported = 7,
-  kInvalidState = 8,
-  kNetwork = 9,
-  kOverloaded = 10,
-  kDeadlineExceeded = 11,
-  kAllBackendsFailed = 12,
-  kUnknown = 13,
+#define MOBIVINE_X(code, name, wire, doc) code = wire,
+  MOBIVINE_ERROR_CODES(MOBIVINE_X)
+#undef MOBIVINE_X
   kMalformedRequest = 64,  ///< well-framed payload violated a body rule
   kTransportError = 65,    ///< client-side: connection died mid-flight
   /// M-Cluster: this worker does not own the request's client id under
@@ -132,6 +124,15 @@ enum class WireStatus : std::uint8_t {
   /// instead — it is a deadline outcome, not a script bug.
   kScriptError = 68,
 };
+
+// The mirrored band is wire bytes: pin both ends, and keep every row
+// clear of kOk and of the wire-only band.
+static_assert(static_cast<std::uint8_t>(WireStatus::kSecurity) == 1);
+static_assert(static_cast<std::uint8_t>(WireStatus::kUnknown) == 13);
+#define MOBIVINE_X(code, name, wire, doc) \
+  static_assert((wire) > 0 && (wire) < 64, "wire code of " name);
+MOBIVINE_ERROR_CODES(MOBIVINE_X)
+#undef MOBIVINE_X
 
 [[nodiscard]] const char* ToString(WireStatus status);
 [[nodiscard]] WireStatus FromErrorCode(core::ErrorCode code);
