@@ -36,6 +36,11 @@ std::uint64_t MicrosSince(Clock::time_point start);
 [[noreturn]] void Fail(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Passes of a plane's --smoke ratios. One short pass on a shared host
+/// swings a ratio by several points; the median of three absorbs a noisy
+/// pass.
+constexpr int kSmokePasses = 3;
+
 /// The command line one plane was given (usage: main.cpp).
 struct Options {
   std::string output;        ///< result JSON; default BENCH_<plane>.json

@@ -2,11 +2,19 @@
 // round trips for the same composite (locate, POST, SMS the receipt).
 // A hostile-budget phase then fires sandbox killers under tight budgets:
 // each must come back as a typed status, and a crash is the failure.
+// --smoke also prices MiniJS control flow (EXPERIMENTS.md W24): ns/step
+// of a call, a `continue` and a `break` loop over ns/step of a plain
+// arithmetic loop, the median of kSmokePasses passes.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 
 #include "common.h"
+#include "minijs/interpreter.h"
+#include "minijs/parser.h"
 
 namespace mobivine::bench {
 namespace {
@@ -199,6 +207,79 @@ Row RunHostilePhase(std::uint64_t rounds) {
   return row;
 }
 
+/// The step-cost programs of a --smoke run. The first is the base, a
+/// plain arithmetic loop; each other one is a loop of the same length
+/// whose steps are mostly one kind of jump.
+struct StepProgram {
+  const char* label;
+  const char* ratio_key;  ///< ns/step over the base's; null for the base
+  const char* source;
+};
+constexpr StepProgram kStepPrograms[] = {
+    {"arithmetic", nullptr,
+     "var s = 0; for (var i = 0; i < 20000; i++) { s = s + i; }"},
+    {"call", "minijs_call_step_ratio",
+     "function f(x) { return x; }"
+     " var s = 0; for (var i = 0; i < 20000; i++) { s = s + f(i); }"},
+    {"continue", "minijs_continue_step_ratio",
+     "for (var i = 0; i < 20000; i++) { continue; }"},
+    {"break", "minijs_break_step_ratio",
+     "for (var i = 0; i < 20000; i++) { while (true) { break; } }"},
+};
+constexpr std::size_t kStepProgramCount = std::size(kStepPrograms);
+
+/// ns/step of one run of `program` in a fresh default interpreter; the
+/// parse is not timed.
+double NanosPerStep(const std::shared_ptr<const minijs::Program>& program) {
+  minijs::Interpreter interpreter;
+  const Clock::time_point start = Clock::now();
+  (void)interpreter.Run(program);
+  const double nanos =
+      std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+  return nanos / static_cast<double>(interpreter.steps());
+}
+
+/// Each pass runs every program once and divides by that pass's base, so
+/// host speed cancels. Each ratio reports its median pass with the min
+/// and max beside it.
+Row MeasureStepCosts() {
+  std::vector<std::shared_ptr<const minijs::Program>> programs;
+  for (const StepProgram& program : kStepPrograms) {
+    programs.push_back(std::make_shared<const minijs::Program>(
+        minijs::ParseProgram(program.source)));
+  }
+  std::array<std::vector<double>, kStepProgramCount> nanos;  // [program][pass]
+  std::printf("\nminijs ns/step, %d passes:\n", kSmokePasses);
+  for (int pass = 0; pass < kSmokePasses; ++pass) {
+    std::printf("  pass %d:", pass + 1);
+    for (std::size_t i = 0; i < kStepProgramCount; ++i) {
+      nanos[i].push_back(NanosPerStep(programs[i]));
+      std::printf("  %s %.1f", kStepPrograms[i].label, nanos[i].back());
+    }
+    std::printf("\n");
+  }
+  std::vector<double> base = nanos[0];
+  std::sort(base.begin(), base.end());
+  Row overhead;
+  overhead.Add("minijs_base_ns_per_step", base[(base.size() - 1) / 2]);
+  for (std::size_t i = 1; i < kStepProgramCount; ++i) {
+    std::vector<double> ratios;
+    for (int pass = 0; pass < kSmokePasses; ++pass) {
+      ratios.push_back(nanos[i][pass] / nanos[0][pass]);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    const double median = ratios[(ratios.size() - 1) / 2];
+    const std::string key = kStepPrograms[i].ratio_key;
+    std::printf("%s %.2f (min %.2f, max %.2f)\n", key.c_str(), median,
+                ratios.front(), ratios.back());
+    overhead.Add(key, median)
+        .Add(key + "_min", ratios.front())
+        .Add(key + "_max", ratios.back());
+  }
+  overhead.Add("repeat", kSmokePasses);
+  return overhead;
+}
+
 }  // namespace
 
 Row RunScript(const Options& options) {
@@ -247,6 +328,7 @@ Row RunScript(const Options& options) {
       .Add("requests_frames_in", requests.frames_in)
       .Add("script_frames_in", script.frames_in);
   doc.Add("acceptance", acceptance);
+  if (options.smoke) doc.Add("overhead", MeasureStepCosts());
   return doc;
 }
 

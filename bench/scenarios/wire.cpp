@@ -20,9 +20,6 @@ namespace mobivine::bench {
 namespace {
 
 constexpr int kClientThreads = 2;
-/// Passes of a --smoke run. One short pass on a shared host swings the
-/// ratio by several points; the median of three absorbs a noisy pass.
-constexpr int kSmokePasses = 3;
 
 /// One closed-loop client thread: keep up to `window` requests in flight
 /// on a dedicated connection until `requests` have completed. Refills in

@@ -93,19 +93,23 @@ python3 scripts/validate_mscope.py \
   "$MSCOPE_DIR/wire_trace.json" "$MSCOPE_DIR/wire_metrics.json" \
   scripts/mscope_schema.json --require-wire
 
-# Wire perf smoke: --smoke makes three shortened bench passes whose
-# median wire/in-process ratio (each measured by the same binary in the
-# same pass, so host speed cancels) must clear the checked-in floor, and
-# whose worst pass must keep frame-buffer allocations ~0 —
-# scripts/wire_perf_floor.json documents the tolerance. One pass flaked
-# on a 4-core shared host; the median of three absorbs a noisy pass.
-# Skip with MOBIVINE_CI_WIRE_PERF=0 on hosts too noisy to bench (the
-# floor assumes a mostly-idle machine).
-if [[ "${MOBIVINE_CI_WIRE_PERF:-1}" != "0" ]]; then
-  echo "==== [wire] perf smoke vs checked-in floor ===="
+# Perf smokes: each --smoke run makes kSmokePasses shortened passes and
+# reports same-run ratios (each measured by the same binary in the same
+# pass, so host speed cancels); scripts/check_perf.py gates them against
+# scripts/perf_bounds.json, which documents every bound. The wire smoke's
+# median wire/in-process ratio must clear its floor and its worst pass
+# keep frame-buffer allocations ~0; the script smoke's median ns/step of
+# a MiniJS call, `continue` and `break` loop over a plain arithmetic
+# loop must stay under their ceilings. One pass flaked on a 4-core
+# shared host; the median of three absorbs a noisy pass. Skip with
+# MOBIVINE_CI_PERF=0 on hosts too noisy to bench (the bounds assume a
+# mostly-idle machine).
+if [[ "${MOBIVINE_CI_PERF:-1}" != "0" ]]; then
+  echo "==== [perf] wire and script smokes vs checked-in bounds ===="
   ./build/bench/bench_scenarios wire "$MSCOPE_DIR/wire_perf.json" --smoke
-  python3 scripts/check_wire_perf.py "$MSCOPE_DIR/wire_perf.json" \
-    scripts/wire_perf_floor.json
+  ./build/bench/bench_scenarios script "$MSCOPE_DIR/script_perf.json" --smoke
+  python3 scripts/check_perf.py "$MSCOPE_DIR/wire_perf.json" \
+    "$MSCOPE_DIR/script_perf.json"
 fi
 
 # M-Cluster leg: the distributed topology's traced scenario (controller

@@ -18,7 +18,7 @@ namespace mobivine::core {
 /// ErrorCodeFromName here, and the mirrored 1..13 band of
 /// wire::WireStatus with FromErrorCode/ToErrorCode in wire/protocol.h —
 /// adding a code is one row. Rows must keep their order: the enumerator
-/// values and the wire codes are both part of the protocol.
+/// values are pinned below, and the wire codes are part of the protocol.
 #define MOBIVINE_ERROR_CODES(X)                                               \
   X(kSecurity, "security", 1,                                                 \
     "missing permission on the underlying platform")                          \
@@ -49,8 +49,9 @@ enum class ErrorCode {
 #undef MOBIVINE_X
 };
 
-// The enumerator values leave the process (a script's ProxyError object
-// carries its code as a number), so a reordered table must not compile.
+// No enumerator value leaves the process: a script sees a code's name
+// (`e.code`) and a wire client its wire byte. The values are pinned anyway,
+// so that reordering the table is a deliberate edit of these lines too.
 static_assert(static_cast<int>(ErrorCode::kSecurity) == 0);
 static_assert(static_cast<int>(ErrorCode::kTimeout) == 3);
 static_assert(static_cast<int>(ErrorCode::kAllBackendsFailed) == 11);

@@ -28,9 +28,11 @@ std::uint64_t ClampBudget(std::uint64_t requested, std::uint64_t ceiling) {
   return requested == 0 ? ceiling : std::min(requested, ceiling);
 }
 
+/// `e.code` is the code's name ("timeout"), the spelling the error's
+/// message and the docs use, not its enumerator value.
 minijs::Value ProxyErrorToValue(const core::ProxyError& error) {
-  auto object = minijs::MakeErrorObject(
-      "ProxyError", error.what(), static_cast<int>(error.code()));
+  auto object = minijs::MakeErrorObject("ProxyError", error.what());
+  object->Set("code", minijs::Value::String(core::ToString(error.code())));
   object->Set("platform", minijs::Value::String(error.platform()));
   return minijs::Value::Obj(object);
 }

@@ -4,24 +4,15 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
-#include <exception>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "minijs/parser.h"
 
 namespace mobivine::minijs {
 
 namespace {
-
-/// A `break` or `continue` that left its function, or a `return` that
-/// left the program, reached the boundary that should have contained it.
-/// JS rejects such a statement at parse time; here it is the same
-/// SyntaxError, raised when the statement runs, so it can never escape
-/// the interpreter as a bare control-flow signal.
-Value IllegalStatement(const char* keyword) {
-  return Value::Obj(MakeErrorObject(
-      "SyntaxError", std::string("illegal ") + keyword + " statement"));
-}
 
 /// Weakly hold `item` in `items`. Expired handles are dropped whenever the
 /// vector is full, and the vector then keeps at least as many free slots
@@ -165,6 +156,19 @@ void Interpreter::ChargeAllocation(std::size_t bytes) {
   }
 }
 
+/// A `break` or `continue` that left its function, or a `return` that
+/// left the program, reached the boundary that should have contained it.
+/// JS rejects such a statement at parse time; here it is the same
+/// SyntaxError, raised when the statement runs, so a jump never leaves
+/// the interpreter as a bare completion.
+Value Interpreter::IllegalJump(Completion jump) {
+  const char* keyword = jump == Completion::kReturn  ? "return"
+                        : jump == Completion::kBreak ? "break"
+                                                     : "continue";
+  return Value::Obj(MakeErrorObject(
+      "SyntaxError", std::string("illegal ") + keyword + " statement"));
+}
+
 Value Interpreter::Run(std::string_view source) {
   return Run(std::make_shared<const Program>(ParseProgram(source)));
 }
@@ -181,7 +185,7 @@ Value Interpreter::Run(std::shared_ptr<const Program> program) {
     // Hoist top-level function declarations (JS semantics).
     for (const Stmt* stmt : ref.statements()) {
       if (stmt->kind == StmtKind::kFunctionDecl) {
-        Execute(*stmt, globals_, Value::Undefined());
+        (void)Execute(*stmt, globals_, Value::Undefined());
       }
     }
     for (const Stmt* stmt : ref.statements()) {
@@ -191,17 +195,12 @@ Value Interpreter::Run(std::shared_ptr<const Program> program) {
                         globals_, Value::Undefined());
       } else {
         last = Value::Undefined();
-        Execute(*stmt, globals_, Value::Undefined());
+        const Completion jump = Execute(*stmt, globals_, Value::Undefined());
+        if (jump != Completion::kNormal) throw ScriptError(IllegalJump(jump));
       }
     }
   } catch (const ThrowSignal& signal) {
     throw ScriptError(signal.value);
-  } catch (const ReturnSignal&) {
-    throw ScriptError(IllegalStatement("return"));
-  } catch (const BreakSignal&) {
-    throw ScriptError(IllegalStatement("break"));
-  } catch (const ContinueSignal&) {
-    throw ScriptError(IllegalStatement("continue"));
   }
   return last;
 }
@@ -264,21 +263,19 @@ Value Interpreter::CallFunction(const std::shared_ptr<Function>& function,
   args_array->elements() = arguments;
   env->Define("arguments", Value::Obj(args_array));
 
-  try {
-    ExecuteBlock(decl.body, env, this_value);
-  } catch (ReturnSignal& signal) {
-    return std::move(signal.value);
-  } catch (const BreakSignal&) {
-    throw ThrowSignal{IllegalStatement("break")};
-  } catch (const ContinueSignal&) {
-    throw ThrowSignal{IllegalStatement("continue")};
+  const Completion completion = ExecuteBlock(decl.body, env, this_value);
+  if (completion == Completion::kReturn) {
+    return std::exchange(return_value_, Value::Undefined());
+  }
+  if (completion != Completion::kNormal) {
+    throw ThrowSignal{IllegalJump(completion)};
   }
   return Value::Undefined();
 }
 
-void Interpreter::ExecuteBlock(StmtList statements,
-                               const std::shared_ptr<Environment>& env,
-                               const Value& this_value) {
+Interpreter::Completion Interpreter::ExecuteBlock(
+    StmtList statements, const std::shared_ptr<Environment>& env,
+    const Value& this_value) {
   // Hoist function declarations first (JS semantics the proxy scripts use).
   for (const Stmt* stmt : statements) {
     if (stmt->kind == StmtKind::kFunctionDecl) {
@@ -289,89 +286,80 @@ void Interpreter::ExecuteBlock(StmtList statements,
   }
   for (const Stmt* stmt : statements) {
     if (stmt->kind == StmtKind::kFunctionDecl) continue;  // already hoisted
-    Execute(*stmt, env, this_value);
+    const Completion completion = Execute(*stmt, env, this_value);
+    if (completion != Completion::kNormal) return completion;
   }
+  return Completion::kNormal;
 }
 
-void Interpreter::Execute(const Stmt& stmt,
-                          const std::shared_ptr<Environment>& env,
-                          const Value& this_value) {
+Interpreter::Completion Interpreter::Execute(
+    const Stmt& stmt, const std::shared_ptr<Environment>& env,
+    const Value& this_value) {
   Step(stmt.line);
   switch (stmt.kind) {
     case StmtKind::kExpression:
       Evaluate(*static_cast<const ExpressionStmt&>(stmt).expression, env,
                this_value);
-      return;
+      return Completion::kNormal;
     case StmtKind::kVar: {
       const auto& var = static_cast<const VarStmt&>(stmt);
       for (const auto& [name, init] : var.declarations) {
         env->Define(name,
                     init ? Evaluate(*init, env, this_value) : Value::Undefined());
       }
-      return;
+      return Completion::kNormal;
     }
     case StmtKind::kFunctionDecl: {
       const FunctionExpr& decl =
           *static_cast<const FunctionDeclStmt&>(stmt).function;
       env->Define(decl.name, MakeClosure(decl, env));
-      return;
+      return Completion::kNormal;
     }
     case StmtKind::kReturn: {
       const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      ReturnSignal signal;
-      signal.value =
+      return_value_ =
           ret.value ? Evaluate(*ret.value, env, this_value) : Value::Undefined();
-      throw signal;
+      return Completion::kReturn;
     }
     case StmtKind::kIf: {
       const auto& branch = static_cast<const IfStmt&>(stmt);
       if (Evaluate(*branch.condition, env, this_value).Truthy()) {
-        Execute(*branch.then_branch, env, this_value);
-      } else if (branch.else_branch) {
-        Execute(*branch.else_branch, env, this_value);
+        return Execute(*branch.then_branch, env, this_value);
       }
-      return;
+      return branch.else_branch ? Execute(*branch.else_branch, env, this_value)
+                                : Completion::kNormal;
     }
     case StmtKind::kWhile: {
       const auto& loop = static_cast<const WhileStmt&>(stmt);
       while (Evaluate(*loop.condition, env, this_value).Truthy()) {
-        try {
-          Execute(*loop.body, env, this_value);
-        } catch (const BreakSignal&) {
-          break;
-        } catch (const ContinueSignal&) {
-          continue;
-        }
+        const Completion completion = Execute(*loop.body, env, this_value);
+        if (completion == Completion::kBreak) break;
+        if (completion == Completion::kReturn) return completion;
       }
-      return;
+      return Completion::kNormal;
     }
     case StmtKind::kFor: {
       const auto& loop = static_cast<const ForStmt&>(stmt);
       auto scope = std::make_shared<Environment>(env);
-      if (loop.init) Execute(*loop.init, scope, this_value);
+      if (loop.init) (void)Execute(*loop.init, scope, this_value);
       while (!loop.condition ||
              Evaluate(*loop.condition, scope, this_value).Truthy()) {
-        try {
-          Execute(*loop.body, scope, this_value);
-        } catch (const BreakSignal&) {
-          break;
-        } catch (const ContinueSignal&) {
-          // fall through to update
-        }
+        const Completion completion = Execute(*loop.body, scope, this_value);
+        if (completion == Completion::kBreak) break;
+        if (completion == Completion::kReturn) return completion;
         if (loop.update) Evaluate(*loop.update, scope, this_value);
       }
-      return;
+      return Completion::kNormal;
     }
     case StmtKind::kBlock: {
       const auto& block = static_cast<const BlockStmt&>(stmt);
       auto scope = std::make_shared<Environment>(env);
-      ExecuteBlock(block.statements, scope, this_value);
-      return;
+      return ExecuteBlock(block.statements, scope, this_value);
     }
     case StmtKind::kBreak:
-      throw BreakSignal{};
+      return Completion::kBreak;
     case StmtKind::kContinue:
-      throw ContinueSignal{};
+      return Completion::kContinue;
     case StmtKind::kThrow: {
       const auto& thr = static_cast<const ThrowStmt&>(stmt);
       throw ThrowSignal{Evaluate(*thr.value, env, this_value)};
@@ -380,40 +368,37 @@ void Interpreter::Execute(const Stmt& stmt,
       const auto& trys = static_cast<const TryStmt&>(stmt);
       const auto try_catch = [&] {
         try {
-          Execute(*trys.try_block, env, this_value);
+          return Execute(*trys.try_block, env, this_value);
         } catch (const ThrowSignal& signal) {
           if (!trys.catch_block) throw;
           auto scope = std::make_shared<Environment>(env);
           scope->Define(trys.catch_name, signal.value);
-          Execute(*trys.catch_block, scope, this_value);
+          return Execute(*trys.catch_block, scope, this_value);
         }
       };
-      if (!trys.finally_block) {
-        try_catch();
-        return;
-      }
-      // The abrupt completion leaving try or catch — a throw, return,
+      if (!trys.finally_block) return try_catch();
+      // The completion leaving try or catch — normal, or a throw, return,
       // break or continue — is replayed after `finally`, unless `finally`
       // completes abruptly itself (ECMA-262 TryStatement). Host C++
       // exceptions, budget kills among them, are not caught: they skip
       // `finally` and stay uncatchable.
-      std::exception_ptr pending;
+      std::optional<Value> thrown;
+      Completion pending = Completion::kNormal;
       try {
-        try_catch();
-      } catch (const ThrowSignal&) {
-        pending = std::current_exception();
-      } catch (const ReturnSignal&) {
-        pending = std::current_exception();
-      } catch (const BreakSignal&) {
-        pending = std::current_exception();
-      } catch (const ContinueSignal&) {
-        pending = std::current_exception();
+        pending = try_catch();
+      } catch (ThrowSignal& signal) {
+        thrown = std::move(signal.value);
       }
-      Execute(*trys.finally_block, env, this_value);
-      if (pending) std::rethrow_exception(pending);
-      return;
+      // `finally` may call a function whose `return` reuses return_value_.
+      Value pending_return = std::exchange(return_value_, Value::Undefined());
+      const Completion after = Execute(*trys.finally_block, env, this_value);
+      if (after != Completion::kNormal) return after;
+      if (thrown) throw ThrowSignal{std::move(*thrown)};
+      return_value_ = std::move(pending_return);
+      return pending;
     }
   }
+  return Completion::kNormal;
 }
 
 Value Interpreter::Evaluate(const Expr& expr,

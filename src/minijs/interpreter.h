@@ -149,16 +149,18 @@ class Interpreter {
  private:
   friend struct EvalVisitor;
 
-  // Control-flow signals (internal C++ exceptions).
-  struct ReturnSignal {
-    Value value;
+  /// How a statement finished (an ECMA-262 completion record; a kReturn's
+  /// value waits in return_value_). Only a `throw` stays a C++ exception,
+  /// ThrowSignal: it must cross Evaluate() and host frames (DESIGN.md §11).
+  enum class [[nodiscard]] Completion : std::uint8_t {
+    kNormal, kReturn, kBreak, kContinue
   };
-  struct BreakSignal {};
-  struct ContinueSignal {};
   struct ThrowSignal {
     Value value;
   };
 
+  /// The SyntaxError for a jump that left the statement meant to hold it.
+  static Value IllegalJump(Completion jump);
   void Step(int line);
   /// Charge allocated bytes as extra steps (1 per 64 bytes), with the
   /// same limit check and observer delivery as Step(). String building
@@ -166,11 +168,12 @@ class Interpreter {
   /// `s = s + s` doubling loop would reach gigabytes in ~30 "steps" —
   /// memory growth must burn the step budget at the rate it allocates.
   void ChargeAllocation(std::size_t bytes);
-  void ExecuteBlock(StmtList statements,
-                    const std::shared_ptr<Environment>& env,
-                    const Value& this_value);
-  void Execute(const Stmt& stmt, const std::shared_ptr<Environment>& env,
-               const Value& this_value);
+  Completion ExecuteBlock(StmtList statements,
+                          const std::shared_ptr<Environment>& env,
+                          const Value& this_value);
+  Completion Execute(const Stmt& stmt,
+                     const std::shared_ptr<Environment>& env,
+                     const Value& this_value);
   Value Evaluate(const Expr& expr, const std::shared_ptr<Environment>& env,
                  const Value& this_value);
   Value CallFunction(const std::shared_ptr<Function>& function,
@@ -196,6 +199,7 @@ class Interpreter {
   std::vector<std::weak_ptr<Object>> tracked_objects_;
   std::shared_ptr<Environment> globals_;
   std::vector<std::shared_ptr<const Program>> loaded_programs_;
+  Value return_value_;  ///< set by `return`, taken by CallFunction
   std::uint64_t steps_ = 0;
   std::uint64_t step_limit_ = 50'000'000;
   std::uint64_t call_depth_ = 0;

@@ -271,6 +271,41 @@ TEST(Interp, BreakAndContinue) {
     s;
   )"),
                    0 + 1 + 2 + 4 + 5);
+  // A `return` leaves every loop of its function.
+  EXPECT_DOUBLE_EQ(RunNumber(R"(
+    function f() {
+      for (var i = 0; i < 5; i++) {
+        var j = 0;
+        while (true) {
+          if (i == 2 && j == 1) { return i * 10 + j; }
+          j++;
+          if (j > 3) { break; }
+        }
+      }
+      return -1;
+    }
+    f();
+  )"),
+                   21);
+  // A `break` in an inner loop leaves only that loop.
+  EXPECT_DOUBLE_EQ(RunNumber(R"(
+    var n = 0;
+    for (var i = 0; i < 3; i++) {
+      while (true) { break; }
+      n++;
+    }
+    n;
+  )"),
+                   3);
+  // A `continue` in a `while` re-tests its condition.
+  EXPECT_DOUBLE_EQ(RunNumber(R"(
+    var tests = 0;
+    var i = 0;
+    function more() { tests++; return i < 3; }
+    while (more()) { i++; continue; }
+    tests;
+  )"),
+                   4);
 }
 
 TEST(Interp, ObjectsAndArrays) {
@@ -365,6 +400,16 @@ TEST(Interp, FinallyRunsOnReturn) {
     r + ':' + log.join(',');
   )");
   EXPECT_EQ(result.as_string(), "r:fin");
+  // A function called from `finally` returns too; the pending return
+  // survives it.
+  EXPECT_EQ(interp.Run(R"(
+    function g() { return 'g'; }
+    function h() {
+      try { return 'f'; } finally { g(); }
+    }
+    h();
+  )").as_string(),
+            "f");
 }
 
 TEST(Interp, FinallyRunsOnReturnFromCatch) {

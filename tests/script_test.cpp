@@ -284,6 +284,23 @@ TEST(ScriptGateway, UnknownPlatformOrOpIsATypedScriptThrow) {
       << response.message;
 }
 
+// A caught ProxyError's `e.code` is the code's name, as its message spells
+// it and docs/scripting.md promises, not the enumerator's number.
+TEST(ScriptGateway, CaughtProxyErrorCodeIsTheCodeName) {
+  Gateway gateway(BaseConfig());
+  ScriptResponse response = gateway.CallScript(MakeScript(R"JS(
+    var out = 'not thrown';
+    try {
+      mobile.invoke('palmos', 'getLocation');
+    } catch (e) {
+      out = (e.code === 'illegal-argument') + ':' + e.code;
+    }
+    out;
+  )JS"));
+  ASSERT_TRUE(response.ok) << response.message;
+  EXPECT_EQ(response.result, "true:illegal-argument");
+}
+
 TEST(ScriptGateway, PropertyWritesAreScopedToTheScript) {
   GatewayConfig config = BaseConfig();
   Gateway gateway(config);
@@ -419,6 +436,18 @@ TEST(ScriptSandbox, HostileCorpusAllDieTyped) {
     // status — never a crash (ASan/TSan runs make "never" checkable).
     EXPECT_TRUE(response.script_error ||
                 response.error == core::ErrorCode::kDeadlineExceeded)
+        << source << ": " << response.message;
+  }
+  // Runaways made only of jumps and calls: each pays a step per statement
+  // like any other loop, so each dies typed on the step budget.
+  for (const char* source :
+       {"for (;;) { continue; }",
+        "function g() { return 1; } while (true) { g(); }"}) {
+    ScriptResponse response = gateway.CallScript(MakeScript(source));
+    EXPECT_FALSE(response.ok) << source;
+    EXPECT_TRUE(response.script_error && response.budget_kill)
+        << source << ": " << response.message;
+    EXPECT_NE(response.message.find("step limit exceeded"), std::string::npos)
         << source << ": " << response.message;
   }
   // The gateway still serves normal scripts afterwards.
