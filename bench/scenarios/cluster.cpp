@@ -196,11 +196,7 @@ Row RunClusterScenario(int worker_count, int window, int driver_threads,
   cluster::ClientStats totals;
   for (const auto& client : clients) {
     plan_epoch = std::max(plan_epoch, client->plan_epoch());
-    const cluster::ClientStats stats = client->Stats();
-    totals.wrong_worker_retries += stats.wrong_worker_retries;
-    totals.transport_retries += stats.transport_retries;
-    totals.plan_refreshes += stats.plan_refreshes;
-    totals.exhausted += stats.exhausted;
+    support::AddCounters(cluster::kClientCounters, client->Stats(), totals);
   }
   const cluster::ControllerStatsSnapshot controller_stats = controller.Stats();
   for (auto& client : clients) client->Stop();

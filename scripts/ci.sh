@@ -100,7 +100,8 @@ python3 scripts/validate_mscope.py \
 # median wire/in-process ratio must clear its floor and its worst pass
 # keep frame-buffer allocations ~0; the script smoke's median ns/step of
 # a MiniJS call, `continue` and `break` loop over a plain arithmetic
-# loop must stay under their ceilings. One pass flaked on a 4-core
+# loop must stay under their ceilings, and its median requests/script
+# p50 ratio must clear its floor. One pass flaked on a 4-core
 # shared host; the median of three absorbs a noisy pass. Skip with
 # MOBIVINE_CI_PERF=0 on hosts too noisy to bench (the bounds assume a
 # mostly-idle machine).

@@ -71,15 +71,7 @@ void Client::Stop() {
 
 ClientStats Client::Stats() const {
   ClientStats stats;
-  stats.calls = calls_.load(std::memory_order_relaxed);
-  stats.wrong_worker_retries =
-      wrong_worker_retries_.load(std::memory_order_relaxed);
-  stats.transport_retries = transport_retries_.load(std::memory_order_relaxed);
-  stats.plan_refreshes = plan_refreshes_.load(std::memory_order_relaxed);
-  stats.exhausted = exhausted_.load(std::memory_order_relaxed);
-  stats.push_subscribes = push_subscribes_.load(std::memory_order_relaxed);
-  stats.push_resubscribes =
-      push_resubscribes_.load(std::memory_order_relaxed);
+  counters_.LoadInto(stats);
   return stats;
 }
 
@@ -168,7 +160,7 @@ bool Client::RefreshPlanAtLeast(std::uint64_t min_epoch) {
   }
   if (reply.op != ControlOp::kPlanPush) return false;
   ApplyPlan(reply.plan);
-  plan_refreshes_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(ClientCounter::plan_refreshes);
   support::trace::Instant("cluster.client_plan_refresh", "epoch",
                           static_cast<std::int64_t>(reply.plan.epoch));
   return plan_epoch_.load(std::memory_order_acquire) >= min_epoch;
@@ -228,7 +220,7 @@ bool Client::RouteAttempt(std::uint64_t client_id, int* attempt,
   for (;; ++*attempt) {
     if (closing_.load(std::memory_order_acquire)) return false;
     if (*attempt >= config_.max_attempts) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(ClientCounter::exhausted);
       return false;
     }
     if (*attempt > 0) {
@@ -240,7 +232,7 @@ bool Client::RouteAttempt(std::uint64_t client_id, int* attempt,
           std::chrono::microseconds(config_.retry_backoff_us));
     }
     if (Resolve(client_id, route)) return true;
-    transport_retries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(ClientCounter::transport_retries);
     (void)RefreshPlanAtLeast(0);
   }
 }
@@ -253,7 +245,7 @@ bool Client::Repaired(wire::WireStatus status, std::uint64_t epoch,
     // (a fenced worker whose leave the controller has not processed
     // yet), force a real fetch for the NEXT epoch — retrying the same
     // plan would just bounce off the same fence.
-    wrong_worker_retries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(ClientCounter::wrong_worker_retries);
     support::trace::Instant("cluster.client_wrong_worker");
     const std::uint64_t held = plan_epoch_.load(std::memory_order_acquire);
     const std::uint64_t want = epoch > held ? epoch : held + 1;
@@ -263,7 +255,7 @@ bool Client::Repaired(wire::WireStatus status, std::uint64_t epoch,
   if (status == wire::WireStatus::kTransportError) {
     // Transport death: drop the conn (the next attempt re-dials) and
     // refresh — the controller may already know.
-    transport_retries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(ClientCounter::transport_retries);
     support::trace::Instant("cluster.client_transport_retry");
     DropConn(route.worker_id, route.conn);
     (void)RefreshPlanAtLeast(0);
@@ -335,7 +327,7 @@ bool Client::Call(const wire::WireRequest& request,
 }
 
 bool Client::Submit(const wire::WireRequest& request, Callback callback) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(ClientCounter::calls);
   DrainGraveyard();
   SubmitAttempt(request, 0, std::move(callback));
   return true;
@@ -349,7 +341,7 @@ bool Client::CallScript(const wire::WireScriptRequest& script,
 
 bool Client::SubmitScript(const wire::WireScriptRequest& script,
                           Callback callback) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(ClientCounter::calls);
   DrainGraveyard();
   SubmitAttempt(script, 0, std::move(callback));
   return true;
@@ -373,7 +365,7 @@ bool Client::Subscribe(std::uint64_t client_id, wire::PushTopic topic,
                        std::uint64_t cursor,
                        wire::WireClient::EventHandler on_event,
                        wire::WireClient::AckCallback on_ack) {
-  push_subscribes_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(ClientCounter::push_subscribes);
   DrainGraveyard();
   auto sub = std::make_shared<PushSub>();
   sub->client_id = client_id;
@@ -425,8 +417,8 @@ void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
         if (event.kind == wire::EventKind::kEventsDropped &&
             event.cursor == 0) {
           if (closing_.load(std::memory_order_acquire)) return;
-          transport_retries_.fetch_add(1, std::memory_order_relaxed);
-          push_resubscribes_.fetch_add(1, std::memory_order_relaxed);
+          counters_.Add(ClientCounter::transport_retries);
+          counters_.Add(ClientCounter::push_resubscribes);
           support::trace::Instant("cluster.push_resubscribe", "cursor",
                                   static_cast<std::int64_t>(
                                       sub->last_cursor.load(
@@ -463,7 +455,7 @@ void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
           return;
         }
         if (Repaired(ack.status, ack.start_cursor, route)) {
-          push_resubscribes_.fetch_add(1, std::memory_order_relaxed);
+          counters_.Add(ClientCounter::push_resubscribes);
           SubscribeAttempt(sub, attempt + 1);
           return;
         }
@@ -476,7 +468,7 @@ void Client::SubscribeAttempt(std::shared_ptr<PushSub> sub, int attempt) {
 
 std::size_t Client::SubmitBatch(const std::vector<wire::WireRequest>& requests,
                                 const Callback& callback) {
-  calls_.fetch_add(requests.size(), std::memory_order_relaxed);
+  counters_.Add(ClientCounter::calls, requests.size());
   DrainGraveyard();
   // Group by owning worker so each connection gets one contiguous
   // write; every request keeps its own retry wrapper.

@@ -36,6 +36,7 @@
 
 #include "cluster/control.h"
 #include "cluster/plan.h"
+#include "support/counters.h"
 #include "wire/client.h"
 #include "wire/protocol.h"
 
@@ -57,15 +58,28 @@ struct ClientConfig {
   std::uint64_t control_timeout_us = 2'000'000;
 };
 
+/// The routing client's event counters: X(field, metric name, doc).
+#define MOBIVINE_CLUSTER_CLIENT_COUNTERS(X)                                \
+  X(calls, "calls", "routed requests and scripts submitted")               \
+  X(wrong_worker_retries, "wrong_worker_retries",                          \
+    "re-routes after a kWrongWorker answer")                               \
+  X(transport_retries, "transport_retries",                                \
+    "re-routes after a dead or unreachable worker")                        \
+  X(plan_refreshes, "plan_refreshes", "plan fetches from the controller")  \
+  X(exhausted, "exhausted", "requests that ran out of attempts")           \
+  X(push_subscribes, "push_subscribes", "Subscribe() calls")               \
+  X(push_resubscribes, "push_resubscribes",                                \
+    "subscription repairs: wrong worker / death")
+
 struct ClientStats {
-  std::uint64_t calls = 0;
-  std::uint64_t wrong_worker_retries = 0;
-  std::uint64_t transport_retries = 0;
-  std::uint64_t plan_refreshes = 0;
-  std::uint64_t exhausted = 0;  ///< requests that ran out of attempts
-  std::uint64_t push_subscribes = 0;    ///< Subscribe() calls
-  std::uint64_t push_resubscribes = 0;  ///< repairs: wrong worker / death
+  MOBIVINE_CLUSTER_CLIENT_COUNTERS(MOBIVINE_COUNTER_FIELD)
 };
+
+enum class ClientCounter : std::size_t {
+  MOBIVINE_CLUSTER_CLIENT_COUNTERS(MOBIVINE_COUNTER_ENUM)
+};
+inline constexpr auto kClientCounters =
+    MOBIVINE_COUNTER_ROWS(ClientStats, MOBIVINE_CLUSTER_CLIENT_COUNTERS);
 
 /// Parse a kWrongWorker response body (the worker's plan epoch as a
 /// decimal string). STRICT: returns 0 — "unknown; refresh to anything
@@ -236,13 +250,7 @@ class Client {
   std::atomic<bool> started_{false};
   std::atomic<bool> closing_{false};
 
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> wrong_worker_retries_{0};
-  std::atomic<std::uint64_t> transport_retries_{0};
-  std::atomic<std::uint64_t> plan_refreshes_{0};
-  std::atomic<std::uint64_t> exhausted_{0};
-  std::atomic<std::uint64_t> push_subscribes_{0};
-  std::atomic<std::uint64_t> push_resubscribes_{0};
+  support::CounterSet<ClientCounter, kClientCounters> counters_;
 };
 
 }  // namespace mobivine::cluster

@@ -21,9 +21,8 @@ namespace {
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 
-void AddU64(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
-  counter.fetch_add(n, std::memory_order_relaxed);
-}
+/// listen(2) backlog of the control listener.
+constexpr int kListenBacklog = 64;
 
 [[nodiscard]] std::uint64_t NowMicros() {
   return static_cast<std::uint64_t>(
@@ -33,23 +32,6 @@ void AddU64(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
 }
 
 }  // namespace
-
-struct Controller::Counters {
-  std::atomic<std::uint64_t> epoch{0};
-  std::atomic<std::uint64_t> workers_alive{0};
-  std::atomic<std::uint64_t> workers_suspect{0};
-  std::atomic<std::uint64_t> connections{0};
-  std::atomic<std::uint64_t> registers{0};
-  std::atomic<std::uint64_t> rejoins{0};
-  std::atomic<std::uint64_t> replaces{0};
-  std::atomic<std::uint64_t> heartbeats{0};
-  std::atomic<std::uint64_t> plan_pushes{0};
-  std::atomic<std::uint64_t> leaves{0};
-  std::atomic<std::uint64_t> deaths{0};
-  std::atomic<std::uint64_t> drains_sent{0};
-  std::atomic<std::uint64_t> drain_acks{0};
-  std::atomic<std::uint64_t> control_errors{0};
-};
 
 struct Controller::Conn {
   int fd = -1;
@@ -63,8 +45,7 @@ struct Controller::Conn {
 
 Controller::Controller(ControllerConfig config)
     : config_(config),
-      membership_(config.membership),
-      stats_(std::make_shared<Counters>()) {}
+      membership_(config.membership) {}
 
 Controller::~Controller() { Stop(); }
 
@@ -92,7 +73,7 @@ bool Controller::Start(std::string* error) {
     }
     return false;
   }
-  if (::listen(listen_fd_, config_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     if (error != nullptr) *error = "listen failed";
     return false;
   }
@@ -182,16 +163,15 @@ void Controller::Run() {
       if (membership_.Tick(now_us)) {
         // Count silence-detected deaths (connection-close deaths are
         // booked in CloseConn).
-        AddU64(stats_->deaths);
+        counters_.Add(ControllerCounter::deaths);
         support::trace::Instant("cluster.worker_dead");
         BroadcastPlan();
       }
-      stats_->epoch.store(membership_.plan().epoch,
-                          std::memory_order_relaxed);
-      stats_->workers_alive.store(membership_.alive_count(),
-                                  std::memory_order_relaxed);
-      stats_->workers_suspect.store(membership_.suspect_count(),
-                                    std::memory_order_relaxed);
+      epoch_.store(membership_.plan().epoch, std::memory_order_relaxed);
+      workers_alive_.store(membership_.alive_count(),
+                           std::memory_order_relaxed);
+      workers_suspect_.store(membership_.suspect_count(),
+                             std::memory_order_relaxed);
     }
   }
 }
@@ -206,7 +186,7 @@ void Controller::AcceptNew() {
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conns_.push_back(std::move(conn));
-    AddU64(stats_->connections);
+    connections_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -214,7 +194,7 @@ void Controller::CloseConn(Conn& conn) {
   if (conn.closed) return;
   conn.closed = true;
   ::close(conn.fd);
-  stats_->connections.fetch_sub(1, std::memory_order_relaxed);
+  connections_.fetch_sub(1, std::memory_order_relaxed);
   if (conn.worker_id != 0) {
     // A registered worker's socket died without a kLeave: that is a
     // death, detected at kernel speed — remove it from the plan now
@@ -222,12 +202,11 @@ void Controller::CloseConn(Conn& conn) {
     const std::uint64_t worker_id = conn.worker_id;
     conn.worker_id = 0;
     if (membership_.Remove(worker_id, WorkerHealth::kDead)) {
-      AddU64(stats_->deaths);
+      counters_.Add(ControllerCounter::deaths);
       support::trace::Instant(
           "cluster.worker_dead", "worker",
           static_cast<std::int64_t>(worker_id));
-      stats_->epoch.store(membership_.plan().epoch,
-                          std::memory_order_relaxed);
+      epoch_.store(membership_.plan().epoch, std::memory_order_relaxed);
       BroadcastPlan();
     }
   }
@@ -255,7 +234,9 @@ bool Controller::FlushConn(Conn& conn) {
 
 void Controller::SendTo(Conn& conn, const ControlMessage& message) {
   if (conn.closed) return;
-  if (message.op == ControlOp::kPlanPush) AddU64(stats_->plan_pushes);
+  if (message.op == ControlOp::kPlanPush) {
+    counters_.Add(ControllerCounter::plan_pushes);
+  }
   EncodeControl(message, conn.out);
   if (conn.out.size() - conn.out_off > config_.max_output_backlog) {
     // A control peer that stopped reading must not wedge the plane.
@@ -302,7 +283,7 @@ void Controller::HandleReadable(Conn& conn) {
                           &frame, &consumed, &error);
     if (status == wire::DecodeStatus::kNeedMore) break;
     if (status == wire::DecodeStatus::kMalformed) {
-      AddU64(stats_->control_errors);
+      counters_.Add(ControllerCounter::control_errors);
       MOBIVINE_LOG_DEBUG << "cluster: closing control peer: " << error;
       CloseConn(conn);
       return;
@@ -321,7 +302,7 @@ void Controller::HandleFrame(Conn& conn, const wire::FrameView& frame) {
     ControlMessage message;
     std::string error;
     if (!DecodeControl(frame.payload, frame.payload_size, &message, &error)) {
-      AddU64(stats_->control_errors);
+      counters_.Add(ControllerCounter::control_errors);
       ControlMessage reply;
       reply.op = ControlOp::kError;
       (void)wire::PeekPayloadId(frame.payload, frame.payload_size,
@@ -337,7 +318,7 @@ void Controller::HandleFrame(Conn& conn, const wire::FrameView& frame) {
   // misdirected data client gets a typed error, and tolerate anything
   // else (forward compatibility — same stance as the data plane).
   if (frame.type == wire::FrameType::kRequest) {
-    AddU64(stats_->control_errors);
+    counters_.Add(ControllerCounter::control_errors);
     wire::WireResponse response;
     (void)wire::PeekPayloadId(frame.payload, frame.payload_size,
                               &response.request_id);
@@ -366,20 +347,24 @@ void Controller::HandleControl(Conn& conn, const ControlMessage& message) {
       if (outcome == RegisterOutcome::kRejected) {
         ack.status = AckStatus::kRejected;
         ack.message = "worker_id must be nonzero";
-        AddU64(stats_->control_errors);
+        counters_.Add(ControllerCounter::control_errors);
         SendTo(conn, ack);
         return;
       }
-      AddU64(stats_->registers);
-      if (outcome == RegisterOutcome::kRejoined) AddU64(stats_->rejoins);
-      if (outcome == RegisterOutcome::kReplaced) AddU64(stats_->replaces);
+      counters_.Add(ControllerCounter::registers);
+      if (outcome == RegisterOutcome::kRejoined) {
+        counters_.Add(ControllerCounter::rejoins);
+      }
+      if (outcome == RegisterOutcome::kReplaced) {
+        counters_.Add(ControllerCounter::replaces);
+      }
       conn.worker_id = message.worker_id;
       conn.subscribed = true;
       ack.plan = membership_.plan();
       ack.epoch = ack.plan.epoch;
-      stats_->epoch.store(ack.plan.epoch, std::memory_order_relaxed);
-      stats_->workers_alive.store(membership_.alive_count(),
-                                  std::memory_order_relaxed);
+      epoch_.store(ack.plan.epoch, std::memory_order_relaxed);
+      workers_alive_.store(membership_.alive_count(),
+                           std::memory_order_relaxed);
       SendTo(conn, ack);
       // Everyone else learns about the join via an unsolicited push (the
       // joiner just got the plan in its ack).
@@ -397,7 +382,7 @@ void Controller::HandleControl(Conn& conn, const ControlMessage& message) {
       return;
     }
     case ControlOp::kHeartbeat: {
-      AddU64(stats_->heartbeats);
+      counters_.Add(ControllerCounter::heartbeats);
       const bool known = membership_.Heartbeat(message.worker_id, now_us);
       ControlMessage ack;
       ack.op = ControlOp::kHeartbeatAck;
@@ -420,7 +405,7 @@ void Controller::HandleControl(Conn& conn, const ControlMessage& message) {
       return;
     }
     case ControlOp::kLeave: {
-      AddU64(stats_->leaves);
+      counters_.Add(ControllerCounter::leaves);
       const std::uint64_t worker_id =
           message.worker_id != 0 ? message.worker_id : conn.worker_id;
       conn.worker_id = 0;  // the close that follows is not a death
@@ -431,8 +416,7 @@ void Controller::HandleControl(Conn& conn, const ControlMessage& message) {
       ack.epoch = membership_.plan().epoch;
       SendTo(conn, ack);
       if (changed) {
-        stats_->epoch.store(membership_.plan().epoch,
-                            std::memory_order_relaxed);
+        epoch_.store(membership_.plan().epoch, std::memory_order_relaxed);
         BroadcastPlan();
       }
       // Tell the leaver to drain: it already stopped being routed to by
@@ -440,15 +424,15 @@ void Controller::HandleControl(Conn& conn, const ControlMessage& message) {
       ControlMessage drain;
       drain.op = ControlOp::kDrain;
       drain.epoch = membership_.plan().epoch;
-      AddU64(stats_->drains_sent);
+      counters_.Add(ControllerCounter::drains_sent);
       SendTo(conn, drain);
       return;
     }
     case ControlOp::kDrainAck:
-      AddU64(stats_->drain_acks);
+      counters_.Add(ControllerCounter::drain_acks);
       return;
     case ControlOp::kError:
-      AddU64(stats_->control_errors);
+      counters_.Add(ControllerCounter::control_errors);
       return;
     case ControlOp::kRegisterAck:
     case ControlOp::kHeartbeatAck:
@@ -456,29 +440,18 @@ void Controller::HandleControl(Conn& conn, const ControlMessage& message) {
     case ControlOp::kLeaveAck:
     case ControlOp::kDrain:
       // Server-to-peer ops arriving at the controller: a confused peer.
-      AddU64(stats_->control_errors);
+      counters_.Add(ControllerCounter::control_errors);
       return;
   }
 }
 
 ControllerStatsSnapshot Controller::Stats() const {
   ControllerStatsSnapshot snap;
-  snap.epoch = stats_->epoch.load(std::memory_order_relaxed);
-  snap.workers_alive = stats_->workers_alive.load(std::memory_order_relaxed);
-  snap.workers_suspect =
-      stats_->workers_suspect.load(std::memory_order_relaxed);
-  snap.connections = stats_->connections.load(std::memory_order_relaxed);
-  snap.registers = stats_->registers.load(std::memory_order_relaxed);
-  snap.rejoins = stats_->rejoins.load(std::memory_order_relaxed);
-  snap.replaces = stats_->replaces.load(std::memory_order_relaxed);
-  snap.heartbeats = stats_->heartbeats.load(std::memory_order_relaxed);
-  snap.plan_pushes = stats_->plan_pushes.load(std::memory_order_relaxed);
-  snap.leaves = stats_->leaves.load(std::memory_order_relaxed);
-  snap.deaths = stats_->deaths.load(std::memory_order_relaxed);
-  snap.drains_sent = stats_->drains_sent.load(std::memory_order_relaxed);
-  snap.drain_acks = stats_->drain_acks.load(std::memory_order_relaxed);
-  snap.control_errors =
-      stats_->control_errors.load(std::memory_order_relaxed);
+  snap.epoch = epoch_.load(std::memory_order_relaxed);
+  snap.workers_alive = workers_alive_.load(std::memory_order_relaxed);
+  snap.workers_suspect = workers_suspect_.load(std::memory_order_relaxed);
+  snap.connections = connections_.load(std::memory_order_relaxed);
+  counters_.LoadInto(snap);
   return snap;
 }
 
@@ -492,16 +465,7 @@ support::MetricsRegistry::Registration Controller::RegisterMetrics(
         sink.Gauge("workers_suspect",
                    static_cast<double>(snap.workers_suspect));
         sink.Counter("connections", snap.connections);
-        sink.Counter("registers", snap.registers);
-        sink.Counter("rejoins", snap.rejoins);
-        sink.Counter("replaces", snap.replaces);
-        sink.Counter("heartbeats", snap.heartbeats);
-        sink.Counter("plan_pushes", snap.plan_pushes);
-        sink.Counter("leaves", snap.leaves);
-        sink.Counter("deaths", snap.deaths);
-        sink.Counter("drains_sent", snap.drains_sent);
-        sink.Counter("drain_acks", snap.drain_acks);
-        sink.Counter("control_errors", snap.control_errors);
+        support::ExportCounters(sink, kControllerCounters, snap);
       });
 }
 

@@ -37,36 +37,47 @@
 
 #include "cluster/control.h"
 #include "cluster/membership.h"
+#include "support/counters.h"
 #include "support/metrics.h"
 
 namespace mobivine::cluster {
 
 struct ControllerConfig {
   std::uint16_t port = 0;  ///< 0: kernel-assigned; read back via port()
-  int listen_backlog = 64;
   MembershipConfig membership;
   /// Drop a control peer whose unread output backlog exceeds this.
   std::size_t max_output_backlog = 1u << 20;
 };
 
-/// Cross-thread-readable controller counters (relaxed atomics inside;
-/// same contract as gateway::ShardStats / the wire counters).
+/// The controller's event counters: X(field, metric name, doc).
+#define MOBIVINE_CLUSTER_CONTROLLER_COUNTERS(X)                           \
+  X(registers, "registers", "kJoined + kRejoined + kReplaced")            \
+  X(rejoins, "rejoins", "a known worker id registered again")             \
+  X(replaces, "replaces", "a live worker id re-registered (stale fenced)") \
+  X(heartbeats, "heartbeats", "heartbeat frames received")                \
+  X(plan_pushes, "plan_pushes", "kPlanPush frames sent (incl. replies)")  \
+  X(leaves, "leaves", "graceful departures (kLeave)")                     \
+  X(deaths, "deaths", "by silence sweep or connection close")             \
+  X(drains_sent, "drains_sent", "kDrain frames sent on leave")            \
+  X(drain_acks, "drain_acks", "workers' kDrainAck quiescence acks")       \
+  X(control_errors, "control_errors",                                     \
+    "undecodable/invalid control frames")
+
+/// Cross-thread-readable controller state: four gauges, then the counter
+/// table.
 struct ControllerStatsSnapshot {
   std::uint64_t epoch = 0;
   std::uint64_t workers_alive = 0;
   std::uint64_t workers_suspect = 0;
   std::uint64_t connections = 0;  ///< control connections currently open
-  std::uint64_t registers = 0;    ///< kJoined + kRejoined + kReplaced
-  std::uint64_t rejoins = 0;
-  std::uint64_t replaces = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t plan_pushes = 0;  ///< kPlanPush frames sent (incl. replies)
-  std::uint64_t leaves = 0;
-  std::uint64_t deaths = 0;  ///< by silence sweep or connection close
-  std::uint64_t drains_sent = 0;
-  std::uint64_t drain_acks = 0;
-  std::uint64_t control_errors = 0;  ///< undecodable/invalid control frames
+  MOBIVINE_CLUSTER_CONTROLLER_COUNTERS(MOBIVINE_COUNTER_FIELD)
 };
+
+enum class ControllerCounter : std::size_t {
+  MOBIVINE_CLUSTER_CONTROLLER_COUNTERS(MOBIVINE_COUNTER_ENUM)
+};
+inline constexpr auto kControllerCounters = MOBIVINE_COUNTER_ROWS(
+    ControllerStatsSnapshot, MOBIVINE_CLUSTER_CONTROLLER_COUNTERS);
 
 class Controller {
  public:
@@ -97,7 +108,6 @@ class Controller {
 
  private:
   struct Conn;
-  struct Counters;
 
   void Run();
   void AcceptNew();
@@ -112,7 +122,12 @@ class Controller {
 
   const ControllerConfig config_;
   Membership membership_;
-  std::shared_ptr<Counters> stats_;
+  support::CounterSet<ControllerCounter, kControllerCounters> counters_;
+  // Gauges, set by the control loop and read by Stats() from any thread.
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<std::uint64_t> workers_alive_{0};
+  std::atomic<std::uint64_t> workers_suspect_{0};
+  std::atomic<std::uint64_t> connections_{0};
   std::vector<std::unique_ptr<Conn>> conns_;
   std::thread thread_;
   int listen_fd_ = -1;

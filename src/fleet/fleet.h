@@ -81,7 +81,7 @@ struct FleetConfig {
   /// as fast as possible — for tests that only care about the schedule
   /// or the reconcile, not about rates.
   bool paced = true;
-  /// Per-request deadline; 0 = gateway default.
+  /// Per-request deadline; 0 = no deadline.
   std::chrono::microseconds timeout{0};
   /// Per-request retry; max_attempts 0 = gateway default.
   gateway::RetryPolicy retry;

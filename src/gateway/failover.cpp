@@ -140,11 +140,11 @@ void FailoverEngine::OnDispatchFailure(std::size_t platform_index,
 
 std::uint64_t FailoverEngine::HedgeThresholdUs(std::size_t platform_index) {
   if (profile_samples_[platform_index] < kMinProfileSamples) {
-    return config_.hedge_floor_us;
+    return kHedgeFloorUs;
   }
   const std::uint64_t percentile =
-      profiles_[platform_index].Snapshot().Percentile(config_.hedge_quantile);
-  return std::max(percentile, config_.hedge_floor_us);
+      profiles_[platform_index].Snapshot().Percentile(kHedgeQuantile);
+  return std::max(percentile, kHedgeFloorUs);
 }
 
 }  // namespace mobivine::gateway

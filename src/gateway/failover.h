@@ -39,6 +39,15 @@
 
 namespace mobivine::gateway {
 
+/// Hedge after the platform's q-th latency percentile (virtual µs of its
+/// successful dispatches).
+inline constexpr double kHedgeQuantile = 0.95;
+/// Hedge threshold floor, also used while the histogram is cold.
+inline constexpr std::uint64_t kHedgeFloorUs = 2'000;
+/// Patience budget for a hanging dispatch when hedging is off (or no
+/// candidate remains); the remaining request deadline caps it further.
+inline constexpr std::uint64_t kHangCapUs = 20'000;
+
 /// Per-gateway M-Failover policy (GatewayConfig::failover). Default is
 /// everything off: the serving path is byte-for-byte the pre-failover
 /// one (a single null-pointer test per binding dispatch).
@@ -55,14 +64,6 @@ struct FailoverConfig {
   /// Virtual-clock cooldown before an open breaker admits its half-open
   /// probe.
   std::uint64_t breaker_cooldown_us = 50'000;
-  /// Hedge after the platform's q-th latency percentile (virtual µs of
-  /// its successful dispatches).
-  double hedge_quantile = 0.95;
-  /// Hedge threshold floor, also used while the histogram is cold.
-  std::uint64_t hedge_floor_us = 2'000;
-  /// Patience budget for a hanging dispatch when hedging is off (or no
-  /// candidate remains); the remaining request deadline caps it further.
-  std::uint64_t hang_cap_us = 20'000;
   /// Faults to inject on this gateway's shards (empty = none).
   support::FaultPlan fault_plan;
 
@@ -146,8 +147,8 @@ class FailoverEngine final : public support::FaultGate {
   /// breaker_opens and emits the open instant on transition).
   void OnDispatchFailure(std::size_t platform_index, std::uint64_t now_us);
 
-  /// Virtual-µs hedge threshold for a platform: its hedge_quantile
-  /// latency percentile, floored at hedge_floor_us (the floor alone
+  /// Virtual-µs hedge threshold for a platform: its kHedgeQuantile
+  /// latency percentile, floored at kHedgeFloorUs (the floor alone
   /// while the profile is cold).
   [[nodiscard]] std::uint64_t HedgeThresholdUs(std::size_t platform_index);
 

@@ -25,6 +25,7 @@
 #include "support/logging.h"
 #include "support/seed.h"
 #include "support/trace.h"
+#include "webview/bridge.h"
 
 namespace mobivine::gateway {
 
@@ -57,6 +58,9 @@ namespace {
 constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
 constexpr int kMeterOpCount = static_cast<int>(core::Op::kCount_);
+/// Virtual time one MiniJS step charges to the shard's clock: the WebView
+/// bridge's 2009-handset js_step.
+constexpr sim::SimTime kScriptStepCost = webview::BridgeCost{}.js_step;
 
 /// A work item as it sits in a shard queue: the payload — an invocation
 /// or an M-Script execution — plus the admission stamps.
@@ -158,18 +162,9 @@ void CheckOpTable(const core::DescriptorStore& store) {
   }
 }
 
-template <typename Snapshot, std::size_t N>
-void ExportCounters(support::MetricsSink& sink, const std::string& base,
-                    const CounterField<Snapshot> (&table)[N],
-                    const Snapshot& snap) {
-  for (const auto& counter : table) {
-    sink.Counter(base + counter.metric, snap.*counter.field);
-  }
-}
-
 void ExportShard(support::MetricsSink& sink, const std::string& base,
                  const ShardSnapshot& snap) {
-  ExportCounters(sink, base, kShardCounters, snap);
+  support::ExportCounters(sink, kShardCounters, snap, base);
   sink.Counter(base + "queue_depth", snap.queue_depth);
   sink.Counter(base + "max_queue_depth", snap.max_queue_depth);
 }
@@ -317,10 +312,9 @@ class Gateway::Shard {
       if (auto b = proxy.getProperty<bool>(name)) return *b ? "true" : "false";
       return std::string();
     };
-    const std::uint64_t per_step = config.script.virtual_us_per_step;
-    host_ops.charge_steps = [this, per_step](std::uint64_t steps) {
-      device_->scheduler().AdvanceBy(sim::SimTime::Micros(
-          static_cast<std::int64_t>(steps * per_step)));
+    host_ops.charge_steps = [this](std::uint64_t steps) {
+      device_->scheduler().AdvanceBy(kScriptStepCost *
+                                     static_cast<std::int64_t>(steps));
     };
     host_ops.virtual_now_us = [this] { return VirtualNowUs(); };
     script_engine_ = std::make_unique<ScriptEngine>(
@@ -724,7 +718,7 @@ class Gateway::Shard {
         if (failover_->config().hedging && i + 1 < candidate_count) {
           budget = failover_->HedgeThresholdUs(platform_index);
         } else {
-          budget = failover_->config().hang_cap_us;
+          budget = kHangCapUs;
           if (deadline != kNoDeadline) {
             const auto remaining =
                 std::chrono::duration_cast<std::chrono::microseconds>(
@@ -986,7 +980,6 @@ bool Gateway::Admit(const char* span_name, std::uint64_t client_id,
     // precisely so the overload path stays allocation-free.
     QueuedRequest queued{build(), static_cast<std::uint32_t>(slot),
                          Clock::now()};
-    if (timeout.count() <= 0) timeout = config_.default_timeout;
     if (timeout.count() > 0) queued.deadline = queued.submitted_at + timeout;
     auto& work = std::get<std::invoke_result_t<Build&>>(queued.work);
     work.on_complete = std::move(on_complete);
@@ -1095,7 +1088,7 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
         for (const TenantSnapshot& t : tenant_table_.Snapshot()) {
           const std::string base = "tenant." + t.name + ".";
           sink.Counter(base + "weight", t.weight);
-          ExportCounters(sink, base, kTenantCounters, t);
+          support::ExportCounters(sink, kTenantCounters, t, base);
           ExportLatency(sink, base, t.latency);
         }
         // M-Push feed totals across shards — the notifier/feeder plane's
@@ -1103,12 +1096,10 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
         // already forgotten, how many live listeners are attached.
         PushFeed::Counters push;
         for (const auto& shard : shards_) {
-          const PushFeed::Counters c = shard->feed().GetCounters();
-          for (const auto& counter : kPushCounters) {
-            push.*counter.field += c.*counter.field;
-          }
+          support::AddCounters(kPushCounters, shard->feed().GetCounters(),
+                               push);
         }
-        ExportCounters(sink, "push.", kPushCounters, push);
+        support::ExportCounters(sink, kPushCounters, push, "push.");
         // Per-proxy OverheadMeter counts summed across every shard's nine
         // proxies: the paper's de-fragmentation-overhead attribution, as a
         // live metric.

@@ -75,9 +75,6 @@ struct GatewayConfig {
   std::size_t shed_watermark = 0;
   /// Applied when a request carries retry.max_attempts == 0.
   RetryPolicy default_retry{.max_attempts = 3};
-  /// Applied when a request carries timeout == 0; zero here means no
-  /// deadline at all.
-  std::chrono::microseconds default_timeout{0};
   /// Per-shard devices are built from this template with seed + shard
   /// index, so failure injection (network loss, GPS outage, radio
   /// failures) flows through every shard deterministically.

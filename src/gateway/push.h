@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "gateway/stats.h"
+#include "support/counters.h"
 
 namespace mobivine::gateway {
 
@@ -143,9 +143,7 @@ class PushFeed {
   [[nodiscard]] std::uint64_t last_cursor() const;
 
   struct Counters {
-#define MOBIVINE_X(field, metric, doc) std::uint64_t field = 0;
-    MOBIVINE_GATEWAY_PUSH_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
+    MOBIVINE_GATEWAY_PUSH_COUNTERS(MOBIVINE_COUNTER_FIELD)
   };
   [[nodiscard]] Counters GetCounters() const;
 
@@ -170,10 +168,7 @@ class PushFeed {
   Counters counters_;
 };
 
-inline constexpr CounterField<PushFeed::Counters> kPushCounters[] = {
-#define MOBIVINE_X(field, metric, doc) {metric, &PushFeed::Counters::field},
-    MOBIVINE_GATEWAY_PUSH_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
-};
+inline constexpr auto kPushCounters =
+    MOBIVINE_COUNTER_ROWS(PushFeed::Counters, MOBIVINE_GATEWAY_PUSH_COUNTERS);
 
 }  // namespace mobivine::gateway

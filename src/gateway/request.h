@@ -152,9 +152,9 @@ struct Request {
   std::string content_type;  ///< kHttpPost only
   /// Applied via setProperty() before the op runs (descriptor-validated).
   std::vector<std::pair<std::string, core::PropertyValue>> properties;
-  /// Wall-clock budget from submission; zero defers to the gateway
-  /// default (which may be "none"). Checked at dequeue and between retry
-  /// attempts — a blocking binding call in progress is never interrupted.
+  /// Wall-clock budget from submission; zero means no deadline. Checked
+  /// at dequeue and between retry attempts — a blocking binding call in
+  /// progress is never interrupted.
   std::chrono::microseconds timeout{0};
   RetryPolicy retry;  ///< max_attempts == 0 defers to the gateway default
   /// Invoked exactly once: on the owning shard's worker thread after

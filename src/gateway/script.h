@@ -61,13 +61,12 @@ class Program;
 namespace mobivine::gateway {
 
 /// Operator ceilings, applied when a request's budget field is 0 and as
-/// clamps when it is not. Virtual-clock cost per interpreter step matches
-/// the WebView bridge's 2009-handset calibration (webview::BridgeCost).
+/// clamps when it is not. Each interpreter step costs the WebView
+/// bridge's 2009-handset js_step (webview::BridgeCost) of virtual time.
 struct ScriptLimits {
   std::uint64_t max_steps = 200'000;
   std::uint64_t max_virtual_us = 10'000'000;  // 10 virtual seconds
   std::uint64_t max_result_bytes = 64u << 10;  // == wire kMaxStringBytes
-  std::uint64_t virtual_us_per_step = 30;
   /// Bound on the whole gateway's parse cache, shared by every shard's
   /// engine: at most this many resident Programs (one LRU, keyed by an
   /// FNV-1a hash of the source) and at most this many doorkeeper hashes
@@ -111,7 +110,7 @@ struct ScriptRequest {
   /// Named string arguments, exposed to the script as the `args` object.
   std::vector<std::pair<std::string, std::string>> args;
   /// Wall-clock budget from submission (queue wait + execution); zero
-  /// defers to the gateway default. Checked at dequeue like a request.
+  /// means no deadline. Checked at dequeue like a request.
   std::chrono::microseconds timeout{0};
   std::uint64_t step_budget = 0;        ///< 0: ScriptLimits default
   std::uint64_t virtual_us_budget = 0;  ///< 0: ScriptLimits default

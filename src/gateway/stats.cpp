@@ -9,9 +9,7 @@ GatewaySnapshot Aggregate(std::vector<ShardSnapshot> shards) {
   GatewaySnapshot snap;
   snap.shards = std::move(shards);
   for (const ShardSnapshot& shard : snap.shards) {
-    for (const auto& counter : kShardCounters) {
-      snap.totals.*counter.field += shard.*counter.field;
-    }
+    support::AddCounters(kShardCounters, shard, snap.totals);
     snap.totals.queue_depth += shard.queue_depth;
     snap.totals.max_queue_depth =
         std::max(snap.totals.max_queue_depth, shard.max_queue_depth);

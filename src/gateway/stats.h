@@ -9,55 +9,22 @@
 // exactly once the gateway is quiescent.
 //
 // Every event counter is declared once, as a row of a counter table
-// (MOBIVINE_GATEWAY_SHARD_COUNTERS here, MOBIVINE_GATEWAY_TENANT_COUNTERS in
-// gateway/tenant.h). The table generates the snapshot field, the counter
-// enum that Add() bumps, and the {metric, field} row that Snapshot(),
-// Aggregate() and the metrics export iterate — so adding a counter is one
-// table line plus the line that bumps it. The push feed's mutex-guarded
-// counters use the same {metric, field} rows (MOBIVINE_GATEWAY_PUSH_COUNTERS
-// in gateway/push.h) for their cross-shard sum and export.
+// (support/counters.h): MOBIVINE_GATEWAY_SHARD_COUNTERS here,
+// MOBIVINE_GATEWAY_TENANT_COUNTERS in gateway/tenant.h. The push feed's
+// mutex-guarded counters use the same {metric, field} rows
+// (MOBIVINE_GATEWAY_PUSH_COUNTERS in gateway/push.h) for their
+// cross-shard sum and export.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
+#include "support/counters.h"
 #include "support/histogram.h"
 
 namespace mobivine::gateway {
-
-/// One row of a counter table: the metric name it is exported under and
-/// the snapshot field that holds it.
-template <typename Snapshot>
-struct CounterField {
-  const char* metric;
-  std::uint64_t Snapshot::*field;
-};
-
-/// The live side of a counter table: one relaxed atomic per row, indexed
-/// by the table's enum. Relaxed because the counters are independent
-/// monotonic event counts, not a synchronization protocol.
-template <typename Counter, const auto& kFields>
-class CounterSet {
- public:
-  void Add(Counter counter, std::uint64_t n = 1) {
-    values_[static_cast<std::size_t>(counter)].fetch_add(
-        n, std::memory_order_relaxed);
-  }
-
-  template <typename Snapshot>
-  void LoadInto(Snapshot& snap) const {
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-      snap.*kFields[i].field = values_[i].load(std::memory_order_relaxed);
-    }
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, std::size(kFields)> values_{};
-};
 
 /// The shard plane's event counters: X(field, metric name, doc).
 #define MOBIVINE_GATEWAY_SHARD_COUNTERS(X)                                  \
@@ -94,9 +61,7 @@ class CounterSet {
 
 /// Point-in-time copy of one shard's counters.
 struct ShardSnapshot {
-#define MOBIVINE_X(field, metric, doc) std::uint64_t field = 0;
-  MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
+  MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_COUNTER_FIELD)
   std::uint64_t queue_depth = 0;      ///< at snapshot time
   std::uint64_t max_queue_depth = 0;  ///< high-water mark since start
   /// Completions (ok + failed + timed_out).
@@ -108,16 +73,10 @@ struct ShardSnapshot {
 };
 
 enum class ShardCounter : std::size_t {
-#define MOBIVINE_X(field, metric, doc) field,
-  MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
+  MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_COUNTER_ENUM)
 };
-
-inline constexpr CounterField<ShardSnapshot> kShardCounters[] = {
-#define MOBIVINE_X(field, metric, doc) {metric, &ShardSnapshot::field},
-    MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
-};
+inline constexpr auto kShardCounters =
+    MOBIVINE_COUNTER_ROWS(ShardSnapshot, MOBIVINE_GATEWAY_SHARD_COUNTERS);
 
 /// Aggregate view plus the per-shard breakdown.
 struct GatewaySnapshot {
@@ -137,7 +96,7 @@ struct GatewaySnapshot {
 
 /// The live, written-in-place side: the table's counters (Add) plus the
 /// depth high-water mark and the latency histogram.
-class ShardStats : public CounterSet<ShardCounter, kShardCounters> {
+class ShardStats : public support::CounterSet<ShardCounter, kShardCounters> {
  public:
   void RecordLatency(std::uint64_t micros) { latency_.Record(micros); }
 

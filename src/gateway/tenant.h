@@ -39,7 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gateway/stats.h"
+#include "support/counters.h"
 #include "support/histogram.h"
 
 namespace mobivine::gateway {
@@ -70,9 +70,7 @@ struct TenantSnapshot {
   std::uint32_t id = 0;
   std::string name;
   std::uint32_t weight = 1;
-#define MOBIVINE_X(field, metric, doc) std::uint64_t field = 0;
-  MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
+  MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_COUNTER_FIELD)
   /// Completions (ok + failed + timed_out).
   support::HistogramSnapshot latency;
 
@@ -82,16 +80,10 @@ struct TenantSnapshot {
 };
 
 enum class TenantCounter : std::size_t {
-#define MOBIVINE_X(field, metric, doc) field,
-  MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
+  MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_COUNTER_ENUM)
 };
-
-inline constexpr CounterField<TenantSnapshot> kTenantCounters[] = {
-#define MOBIVINE_X(field, metric, doc) {metric, &TenantSnapshot::field},
-    MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_X)
-#undef MOBIVINE_X
-};
+inline constexpr auto kTenantCounters =
+    MOBIVINE_COUNTER_ROWS(TenantSnapshot, MOBIVINE_GATEWAY_TENANT_COUNTERS);
 
 /// The live, written-in-place side. Same discipline as ShardStats: every
 /// counter is an independent relaxed atomic, written by submitting
@@ -99,7 +91,7 @@ inline constexpr CounterField<TenantSnapshot> kTenantCounters[] = {
 /// anyone; cross-counter invariants hold exactly once quiescent. The
 /// latency histogram's buckets are individually atomic, so one shared
 /// histogram per tenant is safe under concurrent multi-shard writers.
-class TenantStats : public CounterSet<TenantCounter, kTenantCounters> {
+class TenantStats : public support::CounterSet<TenantCounter, kTenantCounters> {
  public:
   void RecordLatency(std::uint64_t micros) { latency_.Record(micros); }
 

@@ -47,7 +47,7 @@ struct TrafficConfig {
   std::uint32_t tenant = 0;
   int window = 32;           ///< closed-loop in-flight cap; 0 = open loop
   double open_loop_rps = 0;  ///< aggregate submit rate when window == 0
-  std::chrono::microseconds timeout{0};  ///< per-request; 0 = gateway default
+  std::chrono::microseconds timeout{0};  ///< per-request; 0 = no deadline
   RetryPolicy retry;                     ///< max_attempts 0 = gateway default
   TrafficMix mix;
   /// When > 0, S60 getLocation requests carry a per-request

@@ -450,29 +450,9 @@ Value Interpreter::Evaluate(const Expr& expr,
       if (unary.op == UnaryOp::kPreIncrement ||
           unary.op == UnaryOp::kPreDecrement) {
         const double delta = unary.op == UnaryOp::kPreIncrement ? 1.0 : -1.0;
-        Value current = Evaluate(*unary.operand, env, this_value);
-        Value next = Value::Number(current.ToNumber() + delta);
-        // Only identifier/member/index targets parse, so re-dispatch:
-        if (unary.operand->kind == ExprKind::kIdentifier) {
-          env->Assign(static_cast<const IdentifierExpr&>(*unary.operand).name,
-                      next);
-        } else if (unary.operand->kind == ExprKind::kMember) {
-          const auto& member = static_cast<const MemberExpr&>(*unary.operand);
-          Value object = Evaluate(*member.object, env, this_value);
-          if (object.is_object()) object.as_object()->Set(member.property, next);
-        } else if (unary.operand->kind == ExprKind::kIndex) {
-          const auto& index = static_cast<const IndexExpr&>(*unary.operand);
-          Value object = Evaluate(*index.object, env, this_value);
-          Value key = Evaluate(*index.index, env, this_value);
-          if (object.is_object() && object.as_object()->is_array() &&
-              key.is_number()) {
-            auto& elements = object.as_object()->elements();
-            size_t i = static_cast<size_t>(key.as_number());
-            if (i < elements.size()) elements[i] = next;
-          } else if (object.is_object()) {
-            object.as_object()->Set(key.ToDisplayString(), next);
-          }
-        }
+        Value next = Value::Number(
+            Evaluate(*unary.operand, env, this_value).ToNumber() + delta);
+        Store(*unary.operand, next, env, this_value);
         return next;
       }
       Value operand = Evaluate(*unary.operand, env, this_value);
@@ -525,40 +505,7 @@ Value Interpreter::Evaluate(const Expr& expr,
           value = Value::Number(current.ToNumber() - value.ToNumber());
         }
       }
-      if (assign.target->kind == ExprKind::kIdentifier) {
-        env->Assign(static_cast<const IdentifierExpr&>(*assign.target).name,
-                    value);
-      } else if (assign.target->kind == ExprKind::kMember) {
-        const auto& member = static_cast<const MemberExpr&>(*assign.target);
-        Value object = Evaluate(*member.object, env, this_value);
-        if (!object.is_object()) {
-          throw ThrowSignal{Value::Obj(MakeErrorObject(
-              "TypeError", "cannot set property '" +
-                               std::string(member.property) + "' of " +
-                               object.ToDisplayString()))};
-        }
-        TrackStore(object.as_object(), value);
-        object.as_object()->Set(member.property, value);
-      } else {  // kIndex
-        const auto& index = static_cast<const IndexExpr&>(*assign.target);
-        Value object = Evaluate(*index.object, env, this_value);
-        Value key = Evaluate(*index.index, env, this_value);
-        if (!object.is_object()) {
-          throw ThrowSignal{Value::Obj(
-              MakeErrorObject("TypeError", "cannot index non-object"))};
-        }
-        auto target = object.as_object();
-        TrackStore(target, value);
-        if (target->is_array() && key.is_number()) {
-          size_t i = static_cast<size_t>(key.as_number());
-          if (i >= target->elements().size()) {
-            target->elements().resize(i + 1);
-          }
-          target->elements()[i] = value;
-        } else {
-          target->Set(key.ToDisplayString(), value);
-        }
-      }
+      Store(*assign.target, value, env, this_value);
       return value;
     }
     case ExprKind::kCall: {
@@ -652,19 +599,48 @@ Value Interpreter::Evaluate(const Expr& expr,
       const auto& postfix = static_cast<const PostfixExpr&>(expr);
       Value current = Evaluate(*postfix.target, env, this_value);
       const double delta = postfix.op == PostfixOp::kIncrement ? 1.0 : -1.0;
-      Value next = Value::Number(current.ToNumber() + delta);
-      if (postfix.target->kind == ExprKind::kIdentifier) {
-        env->Assign(static_cast<const IdentifierExpr&>(*postfix.target).name,
-                    next);
-      } else if (postfix.target->kind == ExprKind::kMember) {
-        const auto& member = static_cast<const MemberExpr&>(*postfix.target);
-        Value object = Evaluate(*member.object, env, this_value);
-        if (object.is_object()) object.as_object()->Set(member.property, next);
-      }
+      Store(*postfix.target, Value::Number(current.ToNumber() + delta), env,
+            this_value);
       return Value::Number(current.ToNumber());
     }
   }
   return Value::Undefined();
+}
+
+void Interpreter::Store(const Expr& target, const Value& value,
+                        const std::shared_ptr<Environment>& env,
+                        const Value& this_value) {
+  if (target.kind == ExprKind::kIdentifier) {
+    env->Assign(static_cast<const IdentifierExpr&>(target).name, value);
+  } else if (target.kind == ExprKind::kMember) {
+    const auto& member = static_cast<const MemberExpr&>(target);
+    Value object = Evaluate(*member.object, env, this_value);
+    if (!object.is_object()) {
+      throw ThrowSignal{Value::Obj(MakeErrorObject(
+          "TypeError", "cannot set property '" +
+                           std::string(member.property) + "' of " +
+                           object.ToDisplayString()))};
+    }
+    TrackStore(object.as_object(), value);
+    object.as_object()->Set(member.property, value);
+  } else {  // kIndex: RequireStoreTarget in the parser admits no other
+    const auto& index = static_cast<const IndexExpr&>(target);
+    Value object = Evaluate(*index.object, env, this_value);
+    Value key = Evaluate(*index.index, env, this_value);
+    if (!object.is_object()) {
+      throw ThrowSignal{Value::Obj(
+          MakeErrorObject("TypeError", "cannot index non-object"))};
+    }
+    const auto& holder = object.as_object();
+    TrackStore(holder, value);
+    if (holder->is_array() && key.is_number()) {
+      size_t i = static_cast<size_t>(key.as_number());
+      if (i >= holder->elements().size()) holder->elements().resize(i + 1);
+      holder->elements()[i] = value;
+    } else {
+      holder->Set(key.ToDisplayString(), value);
+    }
+  }
 }
 
 Value Interpreter::EvaluateBinary(const BinaryExpr& expr, Value left,

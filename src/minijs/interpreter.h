@@ -179,6 +179,12 @@ class Interpreter {
   Value CallFunction(const std::shared_ptr<Function>& function,
                      const Value& this_value, std::vector<Value>& arguments);
   Value EvaluateBinary(const BinaryExpr& expr, Value left, Value right);
+  /// Store `value` into an identifier, member or index target: the one
+  /// store path of `=`, `op=` and prefix/postfix `++`/`--`. Evaluates the
+  /// target's object (and key) afresh; a non-object target is a TypeError
+  /// and an array index past the end extends the array.
+  void Store(const Expr& target, const Value& value,
+             const std::shared_ptr<Environment>& env, const Value& this_value);
   /// Built-in members on primitive values and arrays ("abc".length,
   /// arr.push, ...). Returns true when handled.
   bool BuiltinMember(const Value& object, std::string_view name, Value& out);

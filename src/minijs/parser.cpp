@@ -70,6 +70,16 @@ class Parser {
   [[noreturn]] void Fail(const std::string& message) const {
     throw SyntaxError(message, Peek().line, Peek().column);
   }
+
+  // `=`, `op=` and `++`/`--` store only to an identifier, member or index:
+  // the interpreter's one store path handles exactly those three.
+  void RequireStoreTarget(const Expr& target, const char* message) const {
+    if (target.kind != ExprKind::kIdentifier &&
+        target.kind != ExprKind::kMember && target.kind != ExprKind::kIndex) {
+      Fail(message);
+    }
+  }
+
   int Line() const { return Peek().line; }
 
   // --- statements ---------------------------------------------------------
@@ -279,10 +289,7 @@ class Parser {
     } else {
       return left;
     }
-    if (left->kind != ExprKind::kIdentifier &&
-        left->kind != ExprKind::kMember && left->kind != ExprKind::kIndex) {
-      Fail("invalid assignment target");
-    }
+    RequireStoreTarget(*left, "invalid assignment target");
     int line = Line();
     Advance();
     ExprPtr value = ParseAssignment();
@@ -405,11 +412,13 @@ class Parser {
     if (Match(TokenType::kTypeof)) {
       return New<UnaryExpr>(UnaryOp::kTypeof, ParseUnary(), line);
     }
-    if (Match(TokenType::kPlusPlus)) {
-      return New<UnaryExpr>(UnaryOp::kPreIncrement, ParseUnary(), line);
-    }
-    if (Match(TokenType::kMinusMinus)) {
-      return New<UnaryExpr>(UnaryOp::kPreDecrement, ParseUnary(), line);
+    if (Check(TokenType::kPlusPlus) || Check(TokenType::kMinusMinus)) {
+      UnaryOp op = Check(TokenType::kPlusPlus) ? UnaryOp::kPreIncrement
+                                               : UnaryOp::kPreDecrement;
+      Advance();
+      ExprPtr operand = ParseUnary();
+      RequireStoreTarget(*operand, "invalid increment/decrement target");
+      return New<UnaryExpr>(op, operand, line);
     }
     return ParsePostfix();
   }
@@ -420,11 +429,7 @@ class Parser {
       PostfixOp op = Check(TokenType::kPlusPlus) ? PostfixOp::kIncrement
                                                  : PostfixOp::kDecrement;
       int line = Line();
-      if (expression->kind != ExprKind::kIdentifier &&
-          expression->kind != ExprKind::kMember &&
-          expression->kind != ExprKind::kIndex) {
-        Fail("invalid increment/decrement target");
-      }
+      RequireStoreTarget(*expression, "invalid increment/decrement target");
       Advance();
       expression = New<PostfixExpr>(op, expression, line);
     }

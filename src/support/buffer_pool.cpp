@@ -14,6 +14,7 @@ struct ThreadCache {
   BufferPool* pool = nullptr;
   bool draining = false;
   std::size_t counts[BufferPool::kClassCount] = {};
+  std::size_t bytes[BufferPool::kClassCount] = {};  ///< parked capacity
   std::vector<std::uint8_t> slots[BufferPool::kClassCount]
                                  [BufferPool::kMaxThreadCachePerClass];
 
@@ -25,6 +26,7 @@ struct ThreadCache {
         pool->Return(std::move(slots[c][i]));
       }
       counts[c] = 0;
+      bytes[c] = 0;
     }
   }
 };
@@ -49,6 +51,7 @@ PooledBuffer BufferPool::Acquire(std::size_t size_hint) {
     if (tls.pool == this && tls.counts[cls] > 0) {
       std::vector<std::uint8_t> buf =
           std::move(tls.slots[cls][--tls.counts[cls]]);
+      tls.bytes[cls] -= buf.capacity();
       buf.clear();
       hits_.fetch_add(1, std::memory_order_relaxed);
       return PooledBuffer(this, std::move(buf));
@@ -60,6 +63,7 @@ PooledBuffer BufferPool::Acquire(std::size_t size_hint) {
     if (!shelf.buffers.empty()) {
       std::vector<std::uint8_t> buf = std::move(shelf.buffers.back());
       shelf.buffers.pop_back();
+      shelf.bytes -= buf.capacity();
       buf.clear();
       hits_.fetch_add(1, std::memory_order_relaxed);
       return PooledBuffer(this, std::move(buf));
@@ -73,10 +77,9 @@ PooledBuffer BufferPool::Acquire(std::size_t size_hint) {
 
 void BufferPool::Return(std::vector<std::uint8_t>&& buf) {
   const std::size_t cls = ClassForReturn(buf.capacity());
-  if (cls == kClassCount ||
-      buf.capacity() > 2 * kClassSizes[kClassCount - 1]) {
-    // Under the smallest class (never came from here) or a jumbo frame
-    // not worth parking: let it free.
+  if (cls == kClassCount || buf.capacity() > kMaxParkedBytesPerClass) {
+    // Under the smallest class (never came from here) or over the byte
+    // cap, so no tier could park it: let it free.
     trims_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -84,7 +87,9 @@ void BufferPool::Return(std::vector<std::uint8_t>&& buf) {
     ThreadCache& tls = tls_cache;
     if (tls.pool == nullptr && !tls.draining) tls.pool = this;
     if (tls.pool == this && !tls.draining &&
-        tls.counts[cls] < ParkLimit(cls, kMaxThreadCachePerClass)) {
+        tls.counts[cls] < kMaxThreadCachePerClass &&
+        tls.bytes[cls] + buf.capacity() <= kMaxParkedBytesPerClass) {
+      tls.bytes[cls] += buf.capacity();
       tls.slots[cls][tls.counts[cls]++] = std::move(buf);
       returns_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -98,7 +103,9 @@ void BufferPool::ReturnToGlobal(std::size_t cls,
   {
     Shelf& shelf = shelves_[cls];
     std::lock_guard<std::mutex> lock(shelf.mutex);
-    if (shelf.buffers.size() < ParkLimit(cls, kMaxGlobalPerClass)) {
+    if (shelf.buffers.size() < kMaxGlobalPerClass &&
+        shelf.bytes + buf.capacity() <= kMaxParkedBytesPerClass) {
+      shelf.bytes += buf.capacity();
       shelf.buffers.push_back(std::move(buf));
       returns_.fetch_add(1, std::memory_order_relaxed);
       return;

@@ -8,7 +8,8 @@
 // PooledBuffer RAII handle returns it when the frame has been written.
 //
 // Two tiers:
-//  * a global freelist per size class (mutex-guarded, bounded depth) —
+//  * a global freelist per size class (mutex-guarded, bounded in depth
+//    and in parked bytes) —
 //    the cross-thread hand-off tier, since frames are typically encoded
 //    on one thread (a gateway shard worker) and released on another (the
 //    event loop that finished the writev);
@@ -97,19 +98,15 @@ class BufferPool {
   /// an undersized shelf turns each burst into a miss/trim churn cycle.
   static constexpr std::size_t kMaxGlobalPerClass = 256;
   static constexpr std::size_t kMaxThreadCachePerClass = 16;
-  /// Neither tier parks more than this much of one class, so the depth
-  /// caps above bind only the small classes that carry steady-state
-  /// frames (512 B, 4 KB). The large classes get 16 / 4 / 1 buffers on a
-  /// shelf, and at most that in a thread cache — without the byte cap the
-  /// shelves alone could park 256 x 1.3 MB.
+  /// Neither tier parks more than this much of one class, counted by
+  /// the parked buffers' capacity: a buffer that grew past its class
+  /// (filed under the class it can still serve) counts at its grown
+  /// size. So the depth caps above bind only the small classes that
+  /// carry steady-state frames (512 B, 4 KB). The large classes get at
+  /// most 16 / 4 / 1 buffers on a shelf, and at most that in a thread
+  /// cache — without the byte cap the shelves alone could park
+  /// 256 x 1.3 MB. A buffer over 1 MiB is never parked.
   static constexpr std::size_t kMaxParkedBytesPerClass = 1u << 20;
-
-  /// Buffers class `cls` may park in a tier whose depth cap is `depth`.
-  [[nodiscard]] static constexpr std::size_t ParkLimit(std::size_t cls,
-                                                       std::size_t depth) {
-    const std::size_t by_bytes = kMaxParkedBytesPerClass / kClassSizes[cls];
-    return depth < by_bytes ? depth : by_bytes;
-  }
 
   /// `enable_thread_cache` adds the per-thread tier; see the header
   /// comment for the lifetime requirement it imposes.
@@ -169,6 +166,7 @@ class BufferPool {
   struct Shelf {
     mutable std::mutex mutex;
     std::vector<std::vector<std::uint8_t>> buffers;
+    std::size_t bytes = 0;  ///< parked capacity, under `mutex`
   };
 
   const bool thread_cache_enabled_;

@@ -42,39 +42,10 @@ constexpr int kMaxIov = 64;
 /// Compact the loop-side write run when this many released front slots
 /// accumulate behind a long-lived partial write.
 constexpr std::size_t kWriteRunCompactAt = 64;
-
-void AddU64(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
-  counter.fetch_add(n, std::memory_order_relaxed);
-}
+/// listen(2) backlog of the loopback listener.
+constexpr int kListenBacklog = 128;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
-
-struct WireServer::Counters {
-  std::atomic<std::uint64_t> connections_accepted{0};
-  std::atomic<std::uint64_t> connections_closed{0};
-  std::atomic<std::uint64_t> frames_in{0};
-  std::atomic<std::uint64_t> frames_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> decode_errors{0};
-  std::atomic<std::uint64_t> protocol_errors{0};
-  std::atomic<std::uint64_t> wrong_worker{0};
-  std::atomic<std::uint64_t> unsupported_frames{0};
-  std::atomic<std::uint64_t> backpressure_stalls{0};
-  std::atomic<std::uint64_t> requests_dispatched{0};
-  std::atomic<std::uint64_t> scripts_dispatched{0};
-  std::atomic<std::uint64_t> writev_calls{0};
-  std::atomic<std::uint64_t> epollout_arms{0};
-  std::atomic<std::uint64_t> subscriptions_opened{0};
-  std::atomic<std::uint64_t> subscriptions_closed{0};
-  std::atomic<std::uint64_t> events_out{0};
-  std::atomic<std::uint64_t> events_dropped{0};
-  std::atomic<std::uint64_t> gap_markers{0};
-};
 
 // ---------------------------------------------------------------------------
 // EventLoop
@@ -219,8 +190,9 @@ class WireServer::EventLoop
   void Register(int fd) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto conn = std::make_shared<Connection>(fd, server_.stats_->
-        connections_accepted.fetch_add(1, std::memory_order_relaxed));
+    // The accept count before this one is the connection's id.
+    auto conn = std::make_shared<Connection>(
+        fd, server_.stats_->Add(WireCounter::connections_accepted));
     epoll_event ev{};
     // No EPOLLOUT at rest: write interest is armed only when the kernel
     // refuses bytes (see SetWriteInterest), so an idle or keeping-up
@@ -232,7 +204,7 @@ class WireServer::EventLoop
                          << std::strerror(errno);
       conn->MarkClosed();
       ::close(fd);
-      AddU64(server_.stats_->connections_closed, 1);
+      server_.stats_->Add(WireCounter::connections_closed);
       return;
     }
     conns_.emplace(fd, std::move(conn));
@@ -252,7 +224,7 @@ class WireServer::EventLoop
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd(), nullptr);
     ::close(conn->fd());
     conns_.erase(conn->fd());
-    AddU64(server_.stats_->connections_closed, 1);
+    server_.stats_->Add(WireCounter::connections_closed);
   }
 
   /// Edge-triggered read pass: drain the socket to EAGAIN, then decode
@@ -282,7 +254,7 @@ class WireServer::EventLoop
       break;
     }
     span.Tag("bytes", static_cast<std::int64_t>(total));
-    AddU64(server_.stats_->bytes_in, total);
+    server_.stats_->Add(WireCounter::bytes_in, total);
     if (total > 0) DecodePass(conn);
     if (peer_closed && !conn->closed()) Close(conn);
   }
@@ -315,7 +287,7 @@ class WireServer::EventLoop
         ProtocolError(&fatal);
         break;
       }
-      AddU64(server_.stats_->frames_in, 1);
+      server_.stats_->Add(WireCounter::frames_in);
       ++frames;
       switch (frame.type) {
         case FrameType::kRequest:
@@ -342,7 +314,7 @@ class WireServer::EventLoop
           // on a plain data server, or a newer revision's frame): answer
           // in-band and keep the connection — a mixed-version fleet must
           // degrade to typed errors, not dropped links.
-          AddU64(server_.stats_->unsupported_frames, 1);
+          server_.stats_->Add(WireCounter::unsupported_frames);
           support::trace::Instant("wire.unsupported_frame");
           std::uint64_t request_id = 0;
           (void)PeekPayloadId(frame.payload, frame.payload_size, &request_id);
@@ -367,7 +339,7 @@ class WireServer::EventLoop
   /// request id, a server-to-client type): counted, and the connection
   /// closes once the decode pass ends.
   void ProtocolError(bool* fatal) {
-    AddU64(server_.stats_->protocol_errors, 1);
+    server_.stats_->Add(WireCounter::protocol_errors);
     support::trace::Instant("wire.protocol_error");
     *fatal = true;
   }
@@ -419,7 +391,7 @@ class WireServer::EventLoop
         ProtocolError(fatal);
         return false;
       case BodyStatus::kBadBody:
-        AddU64(server_.stats_->decode_errors, 1);
+        server_.stats_->Add(WireCounter::decode_errors);
         Answer(conn, reply, body->request_id, WireStatus::kMalformedRequest,
                error);
         return false;
@@ -430,7 +402,7 @@ class WireServer::EventLoop
       std::uint64_t plan_epoch = 0;
       if (server_.config_.ownership &&
           !server_.config_.ownership(body->client_id, &plan_epoch)) {
-        AddU64(server_.stats_->wrong_worker, 1);
+        server_.stats_->Add(WireCounter::wrong_worker);
         support::trace::Instant("wire.wrong_worker");
         Answer(conn, reply, body->request_id, WireStatus::kWrongWorker,
                std::to_string(plan_epoch), 0, plan_epoch);
@@ -484,7 +456,7 @@ class WireServer::EventLoop
       Respond(weak_loop, conn, response,
               completed.ok ? completed.payload : completed.message, *stats);
     };
-    AddU64(server_.stats_->requests_dispatched, 1);
+    server_.stats_->Add(WireCounter::requests_dispatched);
     // Submit materializes (admitted) or sheds (callback fires inline)
     // before returning; either way the borrowed views are done. The
     // assert pins the lifetime contract: nothing in dispatch may have
@@ -535,7 +507,7 @@ class WireServer::EventLoop
       Respond(weak_loop, conn, response,
               completed.ok ? completed.result : completed.message, *stats);
     };
-    AddU64(server_.stats_->scripts_dispatched, 1);
+    server_.stats_->Add(WireCounter::scripts_dispatched);
     (void)server_.gateway_.SubmitScript(std::move(gw));
   }
 
@@ -560,7 +532,7 @@ class WireServer::EventLoop
                            support::PooledBuffer buffer,
                            WireServer::Counters& stats) {
     if (conn->QueueOutput(std::move(buffer)) == 0) return;  // closed
-    AddU64(stats.frames_out, 1);
+    stats.Add(WireCounter::frames_out);
     ScheduleFlush(weak_loop, conn);
   }
 
@@ -623,7 +595,7 @@ class WireServer::EventLoop
       sub.MergeGapLocked(sub.pending.front().cursor,
                          sub.pending.front().cursor);
       sub.pending.pop_front();
-      AddU64(stats.events_dropped, 1);
+      stats.Add(WireCounter::events_dropped);
       support::trace::Instant("push.shed", "sub",
                               static_cast<std::int64_t>(sub.id));
     }
@@ -713,7 +685,7 @@ class WireServer::EventLoop
     }
     subs_by_id_.emplace(sub->id, sub);
     subs_by_fd_[conn->fd()].push_back(sub);
-    AddU64(server_.stats_->subscriptions_opened, 1);
+    server_.stats_->Add(WireCounter::subscriptions_opened);
     support::trace::Instant("push.subscribe", "sub",
                             static_cast<std::int64_t>(sub->id), "topic",
                             static_cast<std::int64_t>(req.topic));
@@ -765,7 +737,7 @@ class WireServer::EventLoop
       list.erase(std::remove(list.begin(), list.end(), sub), list.end());
       if (list.empty()) subs_by_fd_.erase(it);
     }
-    AddU64(server_.stats_->subscriptions_closed, 1);
+    server_.stats_->Add(WireCounter::subscriptions_closed);
   }
 
   /// Loop thread, from Flush: encode queued subscription events into the
@@ -810,14 +782,14 @@ class WireServer::EventLoop
             kResponseOverhead + event.body.size());
         EncodeEvent(event, event.body, buffer.bytes());
         if (conn->QueueOutput(std::move(buffer)) == 0) return queued;
-        AddU64(server_.stats_->frames_out, 1);
+        server_.stats_->Add(WireCounter::frames_out);
         queued = true;
         switch (event.kind) {
           case EventKind::kData:
-            AddU64(server_.stats_->events_out, 1);
+            server_.stats_->Add(WireCounter::events_out);
             break;
           case EventKind::kEventsDropped:
-            AddU64(server_.stats_->gap_markers, 1);
+            server_.stats_->Add(WireCounter::gap_markers);
             support::trace::Instant(
                 "push.gap_marker", "first",
                 static_cast<std::int64_t>(event.aux), "last",
@@ -839,7 +811,7 @@ class WireServer::EventLoop
     if (!conn->paused &&
         conn->pending_output_bytes() >= server_.config_.output_high_watermark) {
       conn->paused = true;
-      AddU64(server_.stats_->backpressure_stalls, 1);
+      server_.stats_->Add(WireCounter::backpressure_stalls);
       support::trace::Instant(
           "wire.backpressure_pause", "pending",
           static_cast<std::int64_t>(conn->pending_output_bytes()));
@@ -857,7 +829,7 @@ class WireServer::EventLoop
     ev.data.fd = conn->fd();
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd(), &ev) == 0) {
       conn->out_armed = want;
-      if (want) AddU64(server_.stats_->epollout_arms, 1);
+      if (want) server_.stats_->Add(WireCounter::epollout_arms);
     }
   }
 
@@ -893,7 +865,7 @@ class WireServer::EventLoop
       msg.msg_iov = iov;
       msg.msg_iovlen = static_cast<std::size_t>(iov_count);
       const ssize_t n = ::sendmsg(conn->fd(), &msg, MSG_NOSIGNAL);
-      AddU64(server_.stats_->writev_calls, 1);
+      server_.stats_->Add(WireCounter::writev_calls);
       if (n > 0) {
         std::size_t left = static_cast<std::size_t>(n);
         written += left;
@@ -929,7 +901,7 @@ class WireServer::EventLoop
         break;
       }
       span.Tag("bytes", static_cast<std::int64_t>(written));
-      AddU64(server_.stats_->bytes_out, written);
+      server_.stats_->Add(WireCounter::bytes_out, written);
       Close(conn);  // broken pipe etc.
       return;
     }
@@ -949,7 +921,7 @@ class WireServer::EventLoop
     // moment the run empties.
     SetWriteInterest(conn, blocked && conn->write_bytes > 0);
     span.Tag("bytes", static_cast<std::int64_t>(written));
-    AddU64(server_.stats_->bytes_out, written);
+    server_.stats_->Add(WireCounter::bytes_out, written);
     conn->SetUnsentWriteBytes(conn->write_bytes);
     // Watermark check on the post-flush backlog. The pause side matters
     // here too (not just in DecodePass): async completions can pile up
@@ -1020,7 +992,7 @@ bool WireServer::Start(std::string* error) {
     }
     return false;
   }
-  if (::listen(listen_fd_, config_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     if (error != nullptr) *error = "listen failed";
     return false;
   }
@@ -1092,35 +1064,7 @@ void WireServer::Stop() {
 
 WireStatsSnapshot WireServer::Stats() const {
   WireStatsSnapshot snap;
-  snap.connections_accepted =
-      stats_->connections_accepted.load(std::memory_order_relaxed);
-  snap.connections_closed =
-      stats_->connections_closed.load(std::memory_order_relaxed);
-  snap.frames_in = stats_->frames_in.load(std::memory_order_relaxed);
-  snap.frames_out = stats_->frames_out.load(std::memory_order_relaxed);
-  snap.bytes_in = stats_->bytes_in.load(std::memory_order_relaxed);
-  snap.bytes_out = stats_->bytes_out.load(std::memory_order_relaxed);
-  snap.decode_errors = stats_->decode_errors.load(std::memory_order_relaxed);
-  snap.protocol_errors =
-      stats_->protocol_errors.load(std::memory_order_relaxed);
-  snap.wrong_worker = stats_->wrong_worker.load(std::memory_order_relaxed);
-  snap.unsupported_frames =
-      stats_->unsupported_frames.load(std::memory_order_relaxed);
-  snap.backpressure_stalls =
-      stats_->backpressure_stalls.load(std::memory_order_relaxed);
-  snap.requests_dispatched =
-      stats_->requests_dispatched.load(std::memory_order_relaxed);
-  snap.scripts_dispatched =
-      stats_->scripts_dispatched.load(std::memory_order_relaxed);
-  snap.writev_calls = stats_->writev_calls.load(std::memory_order_relaxed);
-  snap.epollout_arms = stats_->epollout_arms.load(std::memory_order_relaxed);
-  snap.subscriptions_opened =
-      stats_->subscriptions_opened.load(std::memory_order_relaxed);
-  snap.subscriptions_closed =
-      stats_->subscriptions_closed.load(std::memory_order_relaxed);
-  snap.events_out = stats_->events_out.load(std::memory_order_relaxed);
-  snap.events_dropped = stats_->events_dropped.load(std::memory_order_relaxed);
-  snap.gap_markers = stats_->gap_markers.load(std::memory_order_relaxed);
+  stats_->LoadInto(snap);
   const support::BufferPoolStats pool = support::BufferPool::WirePool().Stats();
   snap.pool_hits = pool.hits;
   snap.pool_misses = pool.misses;
@@ -1134,29 +1078,10 @@ support::MetricsRegistry::Registration WireServer::RegisterMetrics(
   return registry.Register(
       std::move(prefix), [this](support::MetricsSink& sink) {
         const WireStatsSnapshot snap = Stats();
-        sink.Counter("connections_accepted", snap.connections_accepted);
-        sink.Counter("connections_closed", snap.connections_closed);
+        support::ExportCounters(sink, kWireCounters, snap);
         sink.Counter("connections_active", snap.connections_active());
-        sink.Counter("frames_in", snap.frames_in);
-        sink.Counter("frames_out", snap.frames_out);
-        sink.Counter("bytes_in", snap.bytes_in);
-        sink.Counter("bytes_out", snap.bytes_out);
-        sink.Counter("decode_errors", snap.decode_errors);
-        sink.Counter("protocol_errors", snap.protocol_errors);
-        sink.Counter("wrong_worker", snap.wrong_worker);
-        sink.Counter("unsupported_frames", snap.unsupported_frames);
-        sink.Counter("backpressure_stalls", snap.backpressure_stalls);
-        sink.Counter("requests_dispatched", snap.requests_dispatched);
-        sink.Counter("scripts_dispatched", snap.scripts_dispatched);
-        sink.Counter("writev_calls", snap.writev_calls);
-        sink.Counter("epollout_arms", snap.epollout_arms);
-        sink.Counter("push_subscriptions_opened", snap.subscriptions_opened);
-        sink.Counter("push_subscriptions_closed", snap.subscriptions_closed);
         sink.Counter("push_subscriptions_active",
                      snap.subscriptions_active());
-        sink.Counter("push_events_out", snap.events_out);
-        sink.Counter("push_events_dropped", snap.events_dropped);
-        sink.Counter("push_gap_markers", snap.gap_markers);
         sink.Counter("pool_hits", snap.pool_hits);
         sink.Counter("pool_misses", snap.pool_misses);
         sink.Counter("pool_returns", snap.pool_returns);

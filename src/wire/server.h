@@ -32,8 +32,8 @@
 //
 // Observability: wire.read / wire.decode / wire.dispatch / wire.write
 // M-Scope spans on the loop threads (named "wire-loop-N"), plus a
-// "wire." MetricsRegistry source (connections, frames, bytes, decode
-// errors, backpressure stalls).
+// "wire." MetricsRegistry source: every MOBIVINE_WIRE_COUNTERS row, the
+// two *_active derivations and the frame-buffer pool's counters.
 //
 // Shutdown contract: Stop() (or the destructor) closes every socket and
 // joins the threads, but gateway completions for already-dispatched
@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "gateway/gateway.h"
+#include "support/counters.h"
 #include "support/metrics.h"
 
 namespace mobivine::wire {
@@ -61,7 +62,6 @@ struct WireServerConfig {
   /// not an internet-facing listener.
   std::uint16_t port = 0;  ///< 0: kernel-assigned; read back via port()
   int event_loops = 2;
-  int listen_backlog = 128;
   /// Stop reading a connection when its queued-but-unsent output reaches
   /// this; resume below `output_low_watermark`.
   std::size_t output_high_watermark = 256 * 1024;
@@ -83,25 +83,39 @@ struct WireServerConfig {
   std::size_t push_queue_capacity = 256;
 };
 
-/// Relaxed-atomic counters, snapshotable while serving (same contract as
-/// gateway::ShardStats).
+/// The wire server's event counters: X(field, metric name, doc). One
+/// relaxed atomic each, snapshotable while serving (support/counters.h).
+#define MOBIVINE_WIRE_COUNTERS(X)                                            \
+  X(connections_accepted, "connections_accepted", "connections accepted")    \
+  X(connections_closed, "connections_closed", "connections closed")          \
+  X(frames_in, "frames_in", "well-formed frames decoded")                    \
+  X(frames_out, "frames_out", "response frames queued")                      \
+  X(bytes_in, "bytes_in", "bytes read from sockets")                         \
+  X(bytes_out, "bytes_out", "bytes written to sockets")                      \
+  X(decode_errors, "decode_errors", "kMalformedRequest responses")           \
+  X(protocol_errors, "protocol_errors",                                      \
+    "framing errors (connection closed)")                                    \
+  X(wrong_worker, "wrong_worker", "requests fenced by the ownership filter") \
+  X(unsupported_frames, "unsupported_frames",                                \
+    "unknown frame types answered")                                          \
+  X(backpressure_stalls, "backpressure_stalls",                              \
+    "read pauses at the watermark")                                          \
+  X(requests_dispatched, "requests_dispatched", "handed to gateway::Submit") \
+  X(scripts_dispatched, "scripts_dispatched",                                \
+    "kScript frames handed to gateway::SubmitScript")                        \
+  X(writev_calls, "writev_calls", "scatter-gather flush syscalls")           \
+  X(epollout_arms, "epollout_arms", "EPOLLOUT registrations (EAGAIN only)")  \
+  X(subscriptions_opened, "push_subscriptions_opened",                       \
+    "M-Push subscriptions opened")                                           \
+  X(subscriptions_closed, "push_subscriptions_closed",                       \
+    "M-Push subscriptions closed")                                           \
+  X(events_out, "push_events_out", "kEvent data frames queued")              \
+  X(events_dropped, "push_events_dropped",                                   \
+    "shed from per-subscription queues")                                     \
+  X(gap_markers, "push_gap_markers", "kEventsDropped frames emitted")
+
 struct WireStatsSnapshot {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_closed = 0;
-  std::uint64_t frames_in = 0;   ///< well-formed frames decoded
-  std::uint64_t frames_out = 0;  ///< response frames queued
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t decode_errors = 0;    ///< kMalformedRequest responses
-  std::uint64_t protocol_errors = 0;  ///< framing errors (connection closed)
-  std::uint64_t wrong_worker = 0;  ///< requests fenced by the ownership filter
-  std::uint64_t unsupported_frames = 0;  ///< unknown frame types answered
-  std::uint64_t backpressure_stalls = 0;  ///< read pauses at the watermark
-  std::uint64_t requests_dispatched = 0;  ///< handed to gateway::Submit
-  std::uint64_t scripts_dispatched = 0;  ///< kScript frames handed to
-                                         ///< gateway::SubmitScript
-  std::uint64_t writev_calls = 0;         ///< scatter-gather flush syscalls
-  std::uint64_t epollout_arms = 0;  ///< EPOLLOUT registrations (EAGAIN only)
+  MOBIVINE_WIRE_COUNTERS(MOBIVINE_COUNTER_FIELD)
   // Frame-buffer pool (support::BufferPool::WirePool()), shared with the
   // wire client in-process. `pool_misses / requests_dispatched` is the
   // allocs-per-request figure — 0 at steady state.
@@ -109,12 +123,6 @@ struct WireStatsSnapshot {
   std::uint64_t pool_misses = 0;  ///< fresh heap allocations
   std::uint64_t pool_returns = 0;
   std::uint64_t pool_trims = 0;  ///< dropped: class full or oversized
-  // M-Push subscription plane.
-  std::uint64_t subscriptions_opened = 0;
-  std::uint64_t subscriptions_closed = 0;
-  std::uint64_t events_out = 0;      ///< kEvent data frames queued
-  std::uint64_t events_dropped = 0;  ///< shed from per-subscription queues
-  std::uint64_t gap_markers = 0;     ///< kEventsDropped frames emitted
 
   [[nodiscard]] std::uint64_t subscriptions_active() const {
     return subscriptions_opened - subscriptions_closed;
@@ -124,6 +132,12 @@ struct WireStatsSnapshot {
     return connections_accepted - connections_closed;
   }
 };
+
+enum class WireCounter : std::size_t {
+  MOBIVINE_WIRE_COUNTERS(MOBIVINE_COUNTER_ENUM)
+};
+inline constexpr auto kWireCounters =
+    MOBIVINE_COUNTER_ROWS(WireStatsSnapshot, MOBIVINE_WIRE_COUNTERS);
 
 class WireServer {
  public:
@@ -155,7 +169,7 @@ class WireServer {
 
  private:
   class EventLoop;
-  struct Counters;
+  using Counters = support::CounterSet<WireCounter, kWireCounters>;
 
   void AcceptLoop();
 

@@ -29,11 +29,13 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/controller.h"
 #include "core/descriptor/proxy_descriptor.h"
 #include "gateway/gateway.h"
 #include "gateway/traffic.h"
 #include "support/fault.h"
 #include "support/metrics.h"
+#include "wire/server.h"
 
 namespace mobivine {
 namespace {
@@ -677,20 +679,50 @@ TEST(GatewayMetrics, ExportCoversEveryCounterTableRow) {
     EXPECT_NE(snapshot.Find(name), nullptr) << name;
   }
   EXPECT_GE(required, 13);
-  const std::size_t list = schema.find("\"tenant_counters\"");
-  ASSERT_NE(list, std::string::npos);
-  const std::size_t list_end = schema.find(']', list);
-  int tenant_counters = 0;
-  for (std::size_t pos = schema.find('"', schema.find('[', list));
-       pos < list_end; pos = schema.find('"', schema.find('"', pos + 1) + 1)) {
-    const std::size_t end = schema.find('"', pos + 1);
-    const std::string name = schema.substr(pos + 1, end - pos - 1);
-    ++tenant_counters;
+  // The quoted names of the schema list that follows `key` (after
+  // `from`).
+  const auto list = [&schema](const char* key, std::size_t from = 0) {
+    const std::size_t at = schema.find(key, from);
+    EXPECT_NE(at, std::string::npos) << key;
+    std::vector<std::string> names;
+    if (at == std::string::npos) return names;
+    const std::size_t list_end = schema.find(']', at);
+    for (std::size_t pos = schema.find('"', schema.find('[', at));
+         pos < list_end;
+         pos = schema.find('"', schema.find('"', pos + 1) + 1)) {
+      names.push_back(
+          schema.substr(pos + 1, schema.find('"', pos + 1) - pos - 1));
+    }
+    return names;
+  };
+  const std::vector<std::string> tenant_counters = list("\"tenant_counters\"");
+  for (const std::string& name : tenant_counters) {
     EXPECT_NE(snapshot.Find("gateway.tenant.default." + name), nullptr)
         << name;
   }
-  EXPECT_EQ(tenant_counters,
-            static_cast<int>(std::size(gateway::kTenantCounters)));
+  EXPECT_EQ(tenant_counters.size(), std::size(gateway::kTenantCounters));
+
+  // Every metric the schema's wire, push and cluster sections require,
+  // from a started wire server and cluster controller registered beside
+  // the gateway: a mistyped counter-table row fails here.
+  wire::WireServer server(gw);
+  ASSERT_TRUE(server.Start());
+  cluster::Controller controller;
+  ASSERT_TRUE(controller.Start());
+  const auto wire_registration = server.RegisterMetrics(registry);
+  const auto cluster_registration = controller.RegisterMetrics(registry);
+  const support::MetricsSnapshot planes = registry.Snapshot();
+  std::size_t plane_metrics = 0;
+  for (const char* section : {"\"wire\": {", "\"push\": {", "\"cluster\": {"}) {
+    for (const std::string& name :
+         list("\"required_metrics\"", schema.find(section))) {
+      ++plane_metrics;
+      EXPECT_NE(planes.Find(name), nullptr) << name;
+    }
+  }
+  EXPECT_GE(plane_metrics, 46u);
+  server.Stop();
+  controller.Stop();
 }
 
 }  // namespace

@@ -121,6 +121,10 @@ TEST(Parser, SyntaxErrorsCarryLocation) {
   EXPECT_THROW(ParseProgram("1 + ;"), SyntaxError);
   EXPECT_THROW(ParseProgram("try {}"), SyntaxError);  // needs catch/finally
   EXPECT_THROW(ParseProgram("1 = 2;"), SyntaxError);  // bad assign target
+  // Prefix and postfix ++/-- take the same targets as assignment.
+  for (const char* source : {"++1;", "++f();", "--(a + b);", "++-x;", "1++;"}) {
+    EXPECT_THROW(ParseProgram(source), SyntaxError) << source;
+  }
 }
 
 TEST(Parser, PrecedenceShape) {
@@ -553,7 +557,19 @@ TEST(Interp, PrefixPostfixIncrement) {
   EXPECT_DOUBLE_EQ(interp.Run("var i = 5; i++;").as_number(), 5);
   EXPECT_DOUBLE_EQ(interp.GetGlobal("i").as_number(), 6);
   EXPECT_DOUBLE_EQ(interp.Run("++i;").as_number(), 7);
-  EXPECT_DOUBLE_EQ(interp.Run("var o = {n: 1}; o.n++; o.n;").as_number(), 2);
+  // Every target kind stores like `=`: members, computed keys and array
+  // elements, and a prefix increment past the end extends the array.
+  const std::pair<const char*, double> cases[] = {
+      {"var o = {n: 1}; o.n++; o.n;", 2},
+      {"var a = [5]; a[0]++; a[0];", 6},
+      {"var o = {k: 1}; o['k']++; o.k;", 2},
+      {"var a = [5]; a[0]--; a[0];", 4},
+      {"var a = [5]; ++a[0]; a[0];", 6},
+      {"var a = [5]; ++a[2]; a.length;", 3},
+  };
+  for (const auto& [source, expected] : cases) {
+    EXPECT_DOUBLE_EQ(RunNumber(source), expected) << source;
+  }
 }
 
 TEST(Interp, MathAndGlobalBuiltins) {

@@ -467,22 +467,48 @@ TEST(BufferPool, ShelfCapBoundsPooledBuffers) {
 }
 
 TEST(BufferPool, LargeClassesParkAtMostOneMiB) {
+  // A burst of 300 buffers of one class, all released at once, parks on
+  // the shelf what the tier's depth and 1 MiB caps allow; the rest trim.
+  const auto parked_after_burst = [](std::size_t size) {
+    BufferPool pool;
+    std::vector<PooledBuffer> held;
+    for (int i = 0; i < 300; ++i) held.push_back(pool.Acquire(size));
+    held.clear();
+    const BufferPoolStats stats = pool.Stats();
+    EXPECT_EQ(stats.returns, pool.PooledCount());
+    EXPECT_EQ(stats.trims, 300u - pool.PooledCount());
+    return pool.PooledCount();
+  };
+  EXPECT_EQ(parked_after_burst(512), BufferPool::kMaxGlobalPerClass);
+  EXPECT_EQ(parked_after_burst(64u << 10), 16u);
+  // One 1 MiB buffer fills its shelf, not 256 MB left parked.
+  EXPECT_EQ(parked_after_burst(1u << 20), 1u);
+
+  // A thread cache parks 4 buffers of 256 KiB, and the shelf 4 more.
+  BufferPool cached(/*enable_thread_cache=*/true);
+  std::thread worker([&cached] {
+    std::vector<PooledBuffer> held;
+    for (int i = 0; i < 20; ++i) held.push_back(cached.Acquire(256u << 10));
+    held.clear();
+    EXPECT_EQ(cached.PooledCount(), 4u);
+    EXPECT_EQ(cached.Stats().returns, 8u);
+  });
+  worker.join();  // the exiting thread flushes its cache into `cached`
+}
+
+TEST(BufferPool, GrownBuffersCountAtTheirCapacity) {
+  // 256 buffers acquired at 4 KiB that grew to 60 KiB all file under the
+  // 4 KiB class; counted by capacity, its 1 MiB bound parks 17 of them,
+  // not 256 (15 MB).
   BufferPool pool;
   std::vector<PooledBuffer> held;
-  for (int i = 0; i < 300; ++i) held.push_back(pool.Acquire(1u << 20));
+  for (int i = 0; i < 256; ++i) {
+    held.push_back(pool.Acquire(4u << 10));
+    held.back().bytes().resize(60u << 10);
+  }
   held.clear();
-  // One 1 MiB buffer fills its shelf; every other return is a trim, not
-  // 256 MB left parked after the burst.
-  EXPECT_LE(pool.PooledCount(), 1u);
-  const BufferPoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.returns, pool.PooledCount());
-  EXPECT_EQ(stats.trims, 300u - pool.PooledCount());
-  static_assert(BufferPool::ParkLimit(0, BufferPool::kMaxGlobalPerClass) ==
-                BufferPool::kMaxGlobalPerClass);
-  static_assert(BufferPool::ParkLimit(2, BufferPool::kMaxGlobalPerClass) ==
-                16);
-  static_assert(
-      BufferPool::ParkLimit(3, BufferPool::kMaxThreadCachePerClass) == 4);
+  EXPECT_LE(pool.PooledCount(), 17u);
+  EXPECT_EQ(pool.Stats().trims, 256u - pool.PooledCount());
 }
 
 TEST(BufferPool, ThreadCacheFlushesToGlobalTierOnThreadExit) {
