@@ -1,15 +1,21 @@
-// wire plane (EXPERIMENTS.md W5, W6): what a socket, a binary codec and an
-// epoll reactor in front of the gateway cost. An in-process RunTraffic
-// baseline and {1, 4, 8} event loops x {window 64, window 1} over
-// loopback TCP serve the same mix on the same 8-shard gateway; the
-// acceptance ratio (best pipelined wire rps / in-process rps) comes from
-// one run, so host speed cancels. --smoke runs one pipelined scenario
-// in kSmokePasses passes and reports the median ratio.
+// wire plane (EXPERIMENTS.md W5, W6, W26): what a socket, a binary codec
+// and an epoll reactor in front of the gateway cost. An in-process
+// RunTraffic baseline and {1, 4, 8} event loops x {window 64, window 1}
+// over loopback TCP serve the same mix on the same 8-shard gateway. Two
+// ratios come from one run: best pipelined wire rps / in-process rps,
+// and the gated one, process CPU (getrusage user+sys) per completed
+// request of that wire scenario over the baseline's. Both sides of the
+// CPU ratio are priced in CPU, so it does not move with how much CPU the
+// host grants; the throughput ratio divides a round-trip-bound closed
+// loop by a CPU-bound baseline and swings with the host. --smoke runs
+// one pipelined scenario in kWireSmokePasses passes and reports medians.
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <thread>
+
+#include <sys/resource.h>
 
 #include "common.h"
 #include "gateway/traffic.h"
@@ -20,6 +26,19 @@ namespace mobivine::bench {
 namespace {
 
 constexpr int kClientThreads = 2;
+/// Passes of the wire smoke. Three-pass medians of the CPU ratio still
+/// overlapped between a healthy build and one sendmsg per frame on a
+/// noisy 4-vCPU host; seven did not (EXPERIMENTS.md W26).
+constexpr int kWireSmokePasses = 7;
+
+/// Process CPU time (user + sys) consumed so far, in microseconds.
+double CpuMicros() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) *
+             1e6 +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
+}
 
 /// One closed-loop client thread: keep up to `window` requests in flight
 /// on a dedicated connection until `requests` have completed. Refills in
@@ -91,6 +110,7 @@ struct WireRun {
   /// in the measured run, per completed request: ~0 at steady state,
   /// because the warm-up populates the pool.
   double allocs_per_req = 0;
+  double cpu_us_per_req = 0;  ///< process user+sys over the measured run
   Row row;
 };
 
@@ -104,6 +124,7 @@ WireRun RunWireScenario(int event_loops, int window,
   // threads flush their thread caches into the global tier on exit, so
   // the measured run's fresh threads inherit those buffers.
   std::uint64_t misses_before = 0;
+  double cpu_before = 0;
   WireRun run;
   run.load = RunClosedLoop(
       kClientThreads, requests_per_thread,
@@ -112,13 +133,20 @@ WireRun RunWireScenario(int event_loops, int window,
         ClientWorker(stack.server.port(), requests, window,
                      warmup ? thread * 104729 + 3 : thread * 7919 + 1, tally);
       },
-      [&] { misses_before = support::BufferPool::WirePool().Stats().misses; });
+      [&] {
+        misses_before = support::BufferPool::WirePool().Stats().misses;
+        cpu_before = CpuMicros();
+      });
+  const double cpu_us = CpuMicros() - cpu_before;
   const std::uint64_t pool_miss_delta =
       support::BufferPool::WirePool().Stats().misses - misses_before;
   run.allocs_per_req =
       run.load.completed > 0 ? static_cast<double>(pool_miss_delta) /
                                    static_cast<double>(run.load.completed)
                              : 0;
+  run.cpu_us_per_req = run.load.completed > 0
+                           ? cpu_us / static_cast<double>(run.load.completed)
+                           : 0;
   const wire::WireStatsSnapshot stats = stack.server.Stats();
   stack.Stop();
 
@@ -143,7 +171,12 @@ WireRun RunWireScenario(int event_loops, int window,
   return run;
 }
 
-gateway::TrafficReport RunInProcessBaseline(std::uint64_t total_requests) {
+struct InProcessRun {
+  gateway::TrafficReport report;
+  double cpu_us_per_req = 0;
+};
+
+InProcessRun RunInProcessBaseline(std::uint64_t total_requests) {
   gateway::Gateway gw(WireGatewayConfig());
   gateway::TrafficConfig traffic;
   traffic.producers = 4;
@@ -157,28 +190,37 @@ gateway::TrafficReport RunInProcessBaseline(std::uint64_t total_requests) {
       std::max<std::uint64_t>(traffic.requests_per_producer / 10, 1);
   (void)gateway::RunTraffic(gw, warmup);
 
-  const gateway::TrafficReport report = gateway::RunTraffic(gw, traffic);
+  InProcessRun run;
+  const double cpu_before = CpuMicros();
+  run.report = gateway::RunTraffic(gw, traffic);
+  const double cpu_us = CpuMicros() - cpu_before;
+  const std::uint64_t served =
+      run.report.ok + run.report.failed + run.report.timed_out;
+  run.cpu_us_per_req = served > 0 ? cpu_us / static_cast<double>(served) : 0;
   gw.Stop();
-  return report;
+  return run;
 }
 
 /// One pass of the plane: the in-process baseline, then the wire
 /// scenarios on the same mix.
 struct WirePass {
-  gateway::TrafficReport in_process;
+  InProcessRun in_process;
   std::vector<Row> scenarios;
   double best_wire_rps = 0;
   double best_allocs_per_req = 0;
-  double ratio = 0;  ///< best pipelined wire rps / in-process rps
+  double ratio = 0;      ///< best pipelined wire rps / in-process rps
+  double cpu_ratio = 0;  ///< its CPU per request / in-process CPU per request
 };
 
 WirePass RunWirePass(const Options& options) {
   const std::uint64_t total_requests = options.smoke ? 8000 : 20000;
   WirePass out;
   out.in_process = RunInProcessBaseline(total_requests);
-  std::printf("in-process baseline (8 shards): %llu served, %.0f req/s\n\n",
-              static_cast<unsigned long long>(out.in_process.ok),
-              out.in_process.completed_per_sec);
+  const gateway::TrafficReport& baseline = out.in_process.report;
+  std::printf("in-process baseline (8 shards): %llu served, %.0f req/s, "
+              "%.2f us CPU/req\n\n",
+              static_cast<unsigned long long>(baseline.ok),
+              baseline.completed_per_sec, out.in_process.cpu_us_per_req);
 
   // Smoke: one pipelined scenario prices the wire path; the full matrix
   // shows the loop-count and window trends.
@@ -187,6 +229,7 @@ WirePass RunWirePass(const Options& options) {
   const std::vector<int> windows =
       options.smoke ? std::vector<int>{64} : std::vector<int>{64, 1};
   Table table;
+  double best_cpu_us_per_req = 0;
   for (int event_loops : loop_counts) {
     for (int window : windows) {
       const WireRun run = RunWireScenario(event_loops, window,
@@ -196,30 +239,35 @@ WirePass RunWirePass(const Options& options) {
       if (window > 1 && run.load.requests_per_sec > out.best_wire_rps) {
         out.best_wire_rps = run.load.requests_per_sec;
         out.best_allocs_per_req = run.allocs_per_req;
+        best_cpu_us_per_req = run.cpu_us_per_req;
       }
     }
   }
-  out.ratio = out.in_process.completed_per_sec > 0
-                  ? out.best_wire_rps / out.in_process.completed_per_sec
+  out.ratio = baseline.completed_per_sec > 0
+                  ? out.best_wire_rps / baseline.completed_per_sec
                   : 0;
+  out.cpu_ratio = out.in_process.cpu_us_per_req > 0
+                      ? best_cpu_us_per_req / out.in_process.cpu_us_per_req
+                      : 0;
   std::printf("\nloopback overhead: best pipelined wire %.0f req/s = %.1f%% "
-              "of in-process %.0f req/s (%.4f frame-buffer allocs/req)\n",
-              out.best_wire_rps, out.ratio * 100.0,
-              out.in_process.completed_per_sec, out.best_allocs_per_req);
+              "of in-process %.0f req/s; %.2f us CPU/req = %.2fx "
+              "in-process (%.4f frame-buffer allocs/req)\n",
+              out.best_wire_rps, out.ratio * 100.0, baseline.completed_per_sec,
+              best_cpu_us_per_req, out.cpu_ratio, out.best_allocs_per_req);
   return out;
 }
 
 }  // namespace
 
-/// A --smoke run makes kSmokePasses passes, a full run one. With more
-/// than one pass the overhead summary reports the median pass with the
-/// min and max ratio and the pass count beside it, and the worst pass's
-/// frame-buffer allocations: a copy back on the hot path shows in every
-/// pass, noise only in some. Each scenario row then carries its `pass`;
-/// a single pass writes none of these extra keys.
+/// A --smoke run makes kWireSmokePasses passes, a full run one. With
+/// more than one pass the overhead summary reports each ratio's median
+/// with its min and max and the pass count beside it, and the worst
+/// pass's frame-buffer allocations: a copy back on the hot path shows in
+/// every pass, noise only in some. Each scenario row then carries its
+/// `pass`; a single pass writes none of these extra keys.
 Row RunWire(const Options& options) {
   Row doc = ResultDocument("wire_throughput");
-  const int pass_count = options.smoke ? kSmokePasses : 1;
+  const int pass_count = options.smoke ? kWireSmokePasses : 1;
   std::vector<WirePass> passes;
   std::vector<Row> scenarios;
   double worst_allocs = 0;
@@ -235,35 +283,41 @@ Row RunWire(const Options& options) {
     }
     worst_allocs = std::max(worst_allocs, passes.back().best_allocs_per_req);
   }
-  std::sort(passes.begin(), passes.end(),
-            [](const WirePass& a, const WirePass& b) {
-              return a.ratio < b.ratio;
-            });
+  if (pass_count > 1) std::printf("\nmedian of %d passes:\n", pass_count);
+  Row overhead;
+  // The median pass of one ratio, with the spread beside it.
+  const auto add_median = [&](const char* key, double WirePass::*ratio) {
+    std::sort(passes.begin(), passes.end(),
+              [ratio](const WirePass& a, const WirePass& b) {
+                return a.*ratio < b.*ratio;
+              });
+    const double median = passes[(passes.size() - 1) / 2].*ratio;
+    overhead.Add(key, median);
+    if (pass_count > 1) {
+      overhead.Add(std::string(key) + "_min", passes.front().*ratio)
+          .Add(std::string(key) + "_max", passes.back().*ratio);
+      std::printf("  %s %.4f (min %.4f, max %.4f)\n", key, median,
+                  passes.front().*ratio, passes.back().*ratio);
+    }
+  };
+  add_median("wire_cpu_over_in_process", &WirePass::cpu_ratio);
+  add_median("wire_over_in_process", &WirePass::ratio);
+  // Sorted by the throughput ratio: the rps fields are its median pass.
   const WirePass& median = passes[(passes.size() - 1) / 2];
   if (pass_count > 1) {
-    std::printf("\nmedian of %d passes: wire_over_in_process %.4f "
-                "(min %.4f, max %.4f), worst %.4f frame-buffer allocs/req\n",
-                pass_count, median.ratio, passes.front().ratio,
-                passes.back().ratio, worst_allocs);
+    std::printf("  worst %.4f frame-buffer allocs/req\n", worst_allocs);
+    overhead.Add("repeat", pass_count);
   }
-
-  const auto in_process_rps =
-      static_cast<std::uint64_t>(median.in_process.completed_per_sec);
+  const auto in_process_rps = static_cast<std::uint64_t>(
+      median.in_process.report.completed_per_sec);
   Row baseline;
-  baseline.Add("served", median.in_process.ok)
+  baseline.Add("served", median.in_process.report.ok)
       .Add("requests_per_sec", in_process_rps);
-  Row overhead;
   overhead
       .Add("best_pipelined_wire_rps",
            static_cast<std::uint64_t>(median.best_wire_rps))
       .Add("in_process_rps", in_process_rps)
-      .Add("wire_over_in_process", median.ratio);
-  if (pass_count > 1) {
-    overhead.Add("wire_over_in_process_min", passes.front().ratio)
-        .Add("wire_over_in_process_max", passes.back().ratio)
-        .Add("repeat", pass_count);
-  }
-  overhead.Add("frame_buffer_allocs_per_req", worst_allocs);
+      .Add("frame_buffer_allocs_per_req", worst_allocs);
   doc.Add("gateway_shards", 8)
       .Add("client_threads", kClientThreads)
       .Add("in_process", baseline)

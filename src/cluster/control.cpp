@@ -1,7 +1,7 @@
 #include "cluster/control.h"
 
-#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -213,23 +213,20 @@ bool ControlChannel::Receive(ControlMessage* message, std::uint64_t timeout_us,
       if (timed_out != nullptr) *timed_out = true;
       return Fail(error, "control receive timed out");
     }
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc =
-        ::poll(&pfd, 1, static_cast<int>(left.count()) + 1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      Close();
-      return Fail(error, "control poll failed");
-    }
-    if (rc == 0) {
-      if (timed_out != nullptr) *timed_out = true;
-      return Fail(error, "control receive timed out");
-    }
+    // The socket blocks; its receive timeout is the deadline (rounded up:
+    // a zero timeval would mean "forever").
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+                          deadline - now).count() + 1;
+    const timeval tv{static_cast<time_t>(left / 1'000'000),
+                     static_cast<suseconds_t>(left % 1'000'000)};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     std::uint8_t chunk[kReadChunk];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);
     if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (timed_out != nullptr) *timed_out = true;
+      return Fail(error, "control receive timed out");
+    }
     if (n <= 0) {
       Close();
       return Fail(error, "control connection closed");

@@ -95,7 +95,7 @@ void EncodeControl(const ControlMessage& message,
 
 /// A blocking control-plane socket: connect with wire::ConnectOptions
 /// (bounded timeout + backoff), send messages whole, receive frames with
-/// a poll() deadline. Single-threaded by design — each user (worker
+/// a receive-timeout deadline. Single-threaded by design — each user (worker
 /// agent, cluster client, test harness) owns one channel and serializes
 /// its use; there is no background reader.
 class ControlChannel {
@@ -135,9 +135,6 @@ class ControlChannel {
   void Close();
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
-  /// The raw fd, for callers that poll the channel alongside other work
-  /// (the worker agent's heartbeat loop). -1 when closed.
-  [[nodiscard]] int fd() const { return fd_; }
 
  private:
   int fd_ = -1;

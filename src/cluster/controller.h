@@ -1,8 +1,12 @@
 // M-Cluster controller: the membership + plan authority, one process per
 // cluster.
 //
-// A single poll-loop thread ("cluster-ctrl") owns a loopback listener
-// and every control connection. Workers register and heartbeat over
+// The controller serves on the process's one reactor (wire/reactor.h):
+// a single loop thread ("cluster-ctrl") owns a loopback listener and
+// every control connection, so membership is single-threaded. The
+// controller is that loop's ConnectionHandler: it hears each decoded
+// frame, each close and the reactor's tick (every heartbeat_interval_us
+// / 2), which runs the silence sweep. Workers register and heartbeat over
 // FrameType::kControl; the Membership state machine (cluster/
 // membership.h) turns those into health transitions on the wall clock,
 // and every plan-changing transition — join, leave, death, replace —
@@ -13,7 +17,7 @@
 //
 // Death detection is two-tier, both on the controller's clock:
 //  * connection close of a registered worker => immediate death (the
-//    kernel tells us first — a SIGKILLed worker is detected in one poll
+//    kernel tells us first — a SIGKILLed worker is detected in one loop
 //    round, long before its heartbeats would time out);
 //  * heartbeat silence sweeps alive -> suspect -> dead at the
 //    MembershipConfig thresholds (catches hangs, not just exits).
@@ -22,23 +26,23 @@
 // then sends kDrain back on the same connection; the worker fences new
 // traffic (ownership filter), drains its gateway, kDrainAcks and exits.
 //
-// Writes are never allowed to wedge the control plane: connection
-// sockets are non-blocking with small per-connection output buffers
-// (control frames are tiny); a peer that stops reading past the cap is
-// dropped.
+// Writes are never allowed to wedge the control plane: control frames
+// are tiny and queue on the reactor's non-blocking connections, and a
+// peer whose unsent output passes max_output_backlog is dropped (the
+// controller's policy; the data plane pauses reading instead).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
+#include <unordered_map>
 
 #include "cluster/control.h"
 #include "cluster/membership.h"
 #include "support/counters.h"
 #include "support/metrics.h"
+#include "wire/reactor.h"
 
 namespace mobivine::cluster {
 
@@ -49,8 +53,12 @@ struct ControllerConfig {
   std::size_t max_output_backlog = 1u << 20;
 };
 
-/// The controller's event counters: X(field, metric name, doc).
+/// The controller's rows: X(field, metric name, doc[, kind]).
 #define MOBIVINE_CLUSTER_CONTROLLER_COUNTERS(X)                           \
+  X(epoch, "epoch", "current plan epoch", kGauge)                         \
+  X(workers_alive, "workers_alive", "alive members", kGauge)              \
+  X(workers_suspect, "workers_suspect", "suspect members", kGauge)        \
+  X(connections, "connections", "control connections open", kGauge)      \
   X(registers, "registers", "kJoined + kRejoined + kReplaced")            \
   X(rejoins, "rejoins", "a known worker id registered again")             \
   X(replaces, "replaces", "a live worker id re-registered (stale fenced)") \
@@ -61,15 +69,10 @@ struct ControllerConfig {
   X(drains_sent, "drains_sent", "kDrain frames sent on leave")            \
   X(drain_acks, "drain_acks", "workers' kDrainAck quiescence acks")       \
   X(control_errors, "control_errors",                                     \
-    "undecodable/invalid control frames")
+    "framing errors and undecodable/invalid control frames")
 
-/// Cross-thread-readable controller state: four gauges, then the counter
-/// table.
+/// Cross-thread-readable controller state.
 struct ControllerStatsSnapshot {
-  std::uint64_t epoch = 0;
-  std::uint64_t workers_alive = 0;
-  std::uint64_t workers_suspect = 0;
-  std::uint64_t connections = 0;  ///< control connections currently open
   MOBIVINE_CLUSTER_CONTROLLER_COUNTERS(MOBIVINE_COUNTER_FIELD)
 };
 
@@ -79,7 +82,9 @@ enum class ControllerCounter : std::size_t {
 inline constexpr auto kControllerCounters = MOBIVINE_COUNTER_ROWS(
     ControllerStatsSnapshot, MOBIVINE_CLUSTER_CONTROLLER_COUNTERS);
 
-class Controller {
+/// The controller is its reactor loop's handler (privately: the reactor
+/// is an implementation detail).
+class Controller : private wire::ConnectionHandler {
  public:
   explicit Controller(ControllerConfig config = {});
   ~Controller();
@@ -91,11 +96,12 @@ class Controller {
   /// failure (`error` says why). Not restartable.
   [[nodiscard]] bool Start(std::string* error = nullptr);
 
-  /// Close the listener and every control connection, join the loop.
-  /// Idempotent; the destructor calls it.
+  /// Close the listener and every control connection (closes during
+  /// Stop are not deaths), join the loop. Idempotent; the destructor
+  /// calls it.
   void Stop();
 
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return reactor_.port(); }
 
   [[nodiscard]] ControllerStatsSnapshot Stats() const;
 
@@ -107,35 +113,35 @@ class Controller {
       std::string prefix = "cluster.") const;
 
  private:
-  struct Conn;
+  /// What the controller knows of one control connection.
+  struct Peer {
+    std::shared_ptr<wire::Connection> conn;
+    std::uint64_t worker_id = 0;  ///< nonzero after a successful kRegister
+    bool subscribed = false;      ///< receives unsolicited kPlanPush
+  };
 
-  void Run();
-  void AcceptNew();
-  void HandleReadable(Conn& conn);
-  void HandleFrame(Conn& conn, const wire::FrameView& frame);
-  void HandleControl(Conn& conn, const ControlMessage& message);
-  void SendTo(Conn& conn, const ControlMessage& message);
-  void BroadcastPlan();
-  void CloseConn(Conn& conn);
-  /// Flush a connection's buffered output; false when the conn died.
-  bool FlushConn(Conn& conn);
+  // The handler calls, all on the one loop thread: a frame, a close (a
+  // registered worker's is a death), the heartbeat sweep.
+  bool OnFrame(const std::shared_ptr<wire::Connection>& conn,
+               const wire::FrameView& frame) override;
+  void OnClose(const std::shared_ptr<wire::Connection>& conn) override;
+  void OnTick() override;
+
+  void HandleControl(Peer& peer, const ControlMessage& message);
+
+  void SendTo(Peer& peer, const ControlMessage& message);
+  /// Push the plan to every subscriber but `except`.
+  void BroadcastPlan(const Peer* except = nullptr);
+  void PublishGauges();
 
   const ControllerConfig config_;
   Membership membership_;
   support::CounterSet<ControllerCounter, kControllerCounters> counters_;
-  // Gauges, set by the control loop and read by Stats() from any thread.
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> workers_alive_{0};
-  std::atomic<std::uint64_t> workers_suspect_{0};
-  std::atomic<std::uint64_t> connections_{0};
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::thread thread_;
-  int listen_fd_ = -1;
-  int stop_eventfd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> started_{false};
+  /// Keyed by connection; shared so a handler call keeps its peer across
+  /// a close of that peer's connection.
+  std::unordered_map<const wire::Connection*, std::shared_ptr<Peer>> peers_;
   std::atomic<bool> stopping_{false};
-  std::vector<std::uint8_t> encode_scratch_;
+  wire::Reactor reactor_;  ///< last: its loop runs the handler over the above
 };
 
 }  // namespace mobivine::cluster

@@ -22,6 +22,7 @@
 //  * it never goes backwards, including across a worker's rejoin.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <unordered_map>
 
@@ -37,6 +38,15 @@ struct MembershipConfig {
   /// …and before it is declared dead and dropped from the plan.
   int dead_after_misses = 8;
 };
+
+/// The membership clock: steady time in microseconds, the `now_us` every
+/// call below takes (the controller and the worker agent read it alike).
+[[nodiscard]] inline std::uint64_t NowMicros() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 enum class WorkerHealth : std::uint8_t {
   kAlive,

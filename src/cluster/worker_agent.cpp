@@ -2,20 +2,10 @@
 
 #include <chrono>
 
+#include "cluster/membership.h"
 #include "support/trace.h"
 
 namespace mobivine::cluster {
-
-namespace {
-
-std::uint64_t NowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 WorkerAgent::WorkerAgent(gateway::Gateway& gateway, WorkerAgentConfig config)
     : gateway_(gateway), config_(config) {}

@@ -162,13 +162,6 @@ void CheckOpTable(const core::DescriptorStore& store) {
   }
 }
 
-void ExportShard(support::MetricsSink& sink, const std::string& base,
-                 const ShardSnapshot& snap) {
-  support::ExportCounters(sink, kShardCounters, snap, base);
-  sink.Counter(base + "queue_depth", snap.queue_depth);
-  sink.Counter(base + "max_queue_depth", snap.max_queue_depth);
-}
-
 void ExportLatency(support::MetricsSink& sink, const std::string& base,
                    const support::HistogramSnapshot& latency) {
   sink.Gauge(base + "latency_p50_us",
@@ -1076,18 +1069,17 @@ support::MetricsRegistry::Registration Gateway::RegisterMetrics(
   return registry.Register(
       std::move(prefix), [this](support::MetricsSink& sink) {
         const GatewaySnapshot snapshot = Stats();
-        ExportShard(sink, "", snapshot.totals);
+        support::ExportCounters(sink, kShardCounters, snapshot.totals);
         ExportLatency(sink, "", snapshot.totals.latency);
         for (std::size_t i = 0; i < snapshot.shards.size(); ++i) {
-          ExportShard(sink, "shard." + std::to_string(i) + ".",
-                      snapshot.shards[i]);
+          support::ExportCounters(sink, kShardCounters, snapshot.shards[i],
+                                  "shard." + std::to_string(i) + ".");
         }
         // Per-tenant serving counters under tenant.<name>.* — the
         // admission-isolation plane. Quiescent, every tenant reconciles
         // exactly: ok + failed + timed_out + shed == submitted.
         for (const TenantSnapshot& t : tenant_table_.Snapshot()) {
           const std::string base = "tenant." + t.name + ".";
-          sink.Counter(base + "weight", t.weight);
           support::ExportCounters(sink, kTenantCounters, t, base);
           ExportLatency(sink, base, t.latency);
         }

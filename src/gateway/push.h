@@ -77,7 +77,7 @@ struct PushEvent {
   X(published, "published", "events ever published")                  \
   X(evicted, "evicted",                                                \
     "pushed out of the replay ring (every event when it holds none)")  \
-  X(listeners, "listeners", "currently registered")                    \
+  X(listeners, "listeners", "currently registered", kGauge)            \
   X(replays, "replays", "ReplayAfter calls")                           \
   X(replay_gaps, "replay_gaps", "replays that reported a gap")
 

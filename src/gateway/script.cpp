@@ -68,10 +68,21 @@ Op ParseOpName(const std::string& name) {
 struct ParseCache::Entry {
   std::uint64_t hash = 0;
   std::shared_ptr<const minijs::Program> program;
+  std::uint32_t uses = 0;  ///< counted sightings: admission, then hits
 };
 
 ParseCache::ParseCache(std::size_t capacity)
-    : capacity_(capacity), seen_(capacity, 0) {}
+    : capacity_(capacity),
+      sample_(std::max<std::size_t>(4096, 16 * capacity)),
+      seen_(capacity) {}
+
+void ParseCache::CountLocked(std::uint32_t& count) {
+  ++count;
+  if (++counts_ < sample_) return;
+  counts_ = 0;
+  for (Entry& entry : lru_) entry.uses /= 2;
+  for (Seen& slot : seen_) slot.count /= 2;
+}
 
 ParseCache::~ParseCache() = default;
 
@@ -94,7 +105,10 @@ ParseCache::Lookup ParseCache::Get(const std::string& source) {
   };
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (resident()) return {lru_.front().program, true};
+    if (resident()) {
+      CountLocked(lru_.front().uses);
+      return {lru_.front().program, true};
+    }
   }
 
   // Parse outside the lock: other shards keep hitting meanwhile. A
@@ -107,27 +121,34 @@ ParseCache::Lookup ParseCache::Get(const std::string& source) {
   // Another thread admitted the same source while this one parsed: keep
   // the resident Program and drop this copy, so shards share one.
   if (resident()) return {lru_.front().program, false};
-  std::uint64_t& door = seen_[hash % capacity_];
-  if (door != hash) {
+  Seen& door = seen_[hash % capacity_];
+  if (door.hash != hash) {
     // First sighting (or the hash lost its slot since): remember the
     // hash only. This Program serves this run and is freed after it, so
     // a one-shot source holds no LRU entry.
-    door = hash;
+    door = {hash, 1};
     return {std::move(program), false};
   }
-  // Second sighting: admit the parse of the source actually presented.
-  door = 0;
-  lru_.push_front(Entry{hash, std::move(program)});
+  // Second sighting or later. A full cache keeps its victim unless this
+  // source has been seen more often than the victim has run (the slot
+  // keeps its count, so the next sighting asks again).
+  CountLocked(door.count);
+  if (lru_.size() >= capacity_ && door.count <= lru_.back().uses) {
+    return {std::move(program), false};
+  }
+  // Admit the parse of the source actually presented.
+  lru_.push_front(Entry{hash, std::move(program), door.count});
   index_[hash] = lru_.begin();
+  door = {};
   if (lru_.size() > capacity_) {
     const Entry& oldest = lru_.back();
     // A collision replacement redirects the index to the newer entry;
     // only erase when the index still points at the victim.
     const auto idx = index_.find(oldest.hash);
     if (idx != index_.end() && &*idx->second == &oldest) index_.erase(idx);
-    // The victim's hash stays known: its next run re-admits it, unless
-    // another hash takes its doorkeeper slot first.
-    seen_[oldest.hash % capacity_] = oldest.hash;
+    // The victim's hash and count stay known: its next run asks for
+    // re-admission, unless another hash takes its doorkeeper slot first.
+    seen_[oldest.hash % capacity_] = {oldest.hash, oldest.uses};
     lru_.pop_back();
   }
   return {lru_.front().program, false};

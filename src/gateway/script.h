@@ -161,15 +161,22 @@ struct ScriptHostOps {
 /// enter the LRU, so its third run is the first hit. One-shot sources
 /// cost a hash, not a Program, and a stream of sources each run once
 /// only cycles the doorkeeper: it can never evict a resident Program.
-/// A source run twice is admitted like any other, so repeated sources
-/// can still push hot programs out (the doorkeeper is a membership
-/// filter, not a frequency comparison against the LRU victim). A
-/// Program evicted from the LRU leaves its hash in the doorkeeper, so a
-/// hot program pushed out under pressure is re-admitted on its next run
-/// unless another hash takes its slot first.
+/// Once the LRU is full, admission is also by frequency (TinyLFU,
+/// Einziger et al. 2017): each doorkeeper slot counts its hash's
+/// sightings and each resident Program its admission count plus hits,
+/// and a newcomer evicts the LRU victim only if it has been seen more
+/// often than the victim has run, so a client that sends each new
+/// script twice cannot push out programs that run more. The counts add
+/// 8 bytes per doorkeeper slot and at most 8 per entry; every count
+/// halves after max(4096, 16 x capacity) counted lookups (hits and
+/// repeat sightings), so a program that stops running loses its claim.
+/// A Program evicted from the LRU leaves its hash and count in the
+/// doorkeeper, so a hot program pushed out under pressure can be
+/// re-admitted on its next run unless another hash takes its slot first.
 ///
 /// Thread-safe: one mutex guards the index probe, the source compare,
-/// the doorkeeper and the LRU splice; parsing runs outside it.
+/// the doorkeeper, the counts and the LRU splice; parsing runs outside
+/// it.
 class ParseCache {
  public:
   /// `capacity` bounds the resident Programs and, separately, sizes the
@@ -189,8 +196,9 @@ class ParseCache {
   /// The Program for `source`: the resident one when its own source
   /// copy matches byte for byte (an FNV collision is a miss, never a
   /// wrong program), else a fresh parse — admitted as most recent when
-  /// the doorkeeper has seen the hash before, else returned unshared
-  /// with the hash remembered. When two threads parse the same source
+  /// the doorkeeper has seen the hash before (and, in a full cache, more
+  /// often than the victim has run), else returned unshared with the
+  /// hash remembered. When two threads parse the same source
   /// at once and one admits it first, the other returns the resident
   /// Program in place of its own. Parse failures throw through and touch
   /// neither the LRU nor the doorkeeper.
@@ -205,10 +213,20 @@ class ParseCache {
   std::list<Entry> lru_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
   /// The doorkeeper: `capacity_` slots, each holding the last hash
-  /// parsed once and not admitted that maps to it (hash % capacity_); 0
-  /// is empty. A newer hash overwrites an older one in the same slot, and
-  /// a zero hash counts as seen, so it is admitted on its first parse.
-  std::vector<std::uint64_t> seen_;
+  /// parsed and not admitted that maps to it (hash % capacity_) and its
+  /// sightings; 0 is empty. A newer hash overwrites an older one in the
+  /// same slot, and a zero hash counts as seen, so it is admitted on its
+  /// first parse.
+  struct Seen {
+    std::uint64_t hash = 0;
+    std::uint32_t count = 0;
+  };
+  const std::size_t sample_;  ///< counted lookups between halvings
+  std::size_t counts_ = 0;
+  std::vector<Seen> seen_;
+
+  /// Bump one count; every `sample_` bumps, halve them all.
+  void CountLocked(std::uint32_t& count);
 };
 
 /// One engine per shard, single-threaded like everything the shard owns.

@@ -8,13 +8,13 @@ namespace mobivine::gateway {
 GatewaySnapshot Aggregate(std::vector<ShardSnapshot> shards) {
   GatewaySnapshot snap;
   snap.shards = std::move(shards);
+  std::uint64_t deepest = 0;
   for (const ShardSnapshot& shard : snap.shards) {
     support::AddCounters(kShardCounters, shard, snap.totals);
-    snap.totals.queue_depth += shard.queue_depth;
-    snap.totals.max_queue_depth =
-        std::max(snap.totals.max_queue_depth, shard.max_queue_depth);
+    deepest = std::max(deepest, shard.max_queue_depth);
     snap.totals.latency.Merge(shard.latency);
   }
+  snap.totals.max_queue_depth = deepest;  // high-water marks do not add
   return snap;
 }
 

@@ -57,13 +57,14 @@ namespace mobivine::gateway {
     "parse-cache hits: reused a cached AST (fresh sandbox either way); "    \
     "hits + misses == scripts once quiescent")                              \
   X(script_cache_misses, "script.cache_misses",                             \
-    "parse-cache misses: paid the lexer/parser")
+    "parse-cache misses: paid the lexer/parser")                            \
+  X(queue_depth, "queue_depth", "queued at snapshot time", kGauge)          \
+  X(max_queue_depth, "max_queue_depth",                                     \
+    "high-water mark since start; the total is the deepest shard's", kGauge)
 
 /// Point-in-time copy of one shard's counters.
 struct ShardSnapshot {
   MOBIVINE_GATEWAY_SHARD_COUNTERS(MOBIVINE_COUNTER_FIELD)
-  std::uint64_t queue_depth = 0;      ///< at snapshot time
-  std::uint64_t max_queue_depth = 0;  ///< high-water mark since start
   /// Completions (ok + failed + timed_out).
   support::HistogramSnapshot latency;
 
@@ -94,32 +95,27 @@ struct GatewaySnapshot {
   }
 };
 
-/// The live, written-in-place side: the table's counters (Add) plus the
-/// depth high-water mark and the latency histogram.
+/// The live, written-in-place side: the table's rows plus the latency
+/// histogram.
 class ShardStats : public support::CounterSet<ShardCounter, kShardCounters> {
  public:
   void RecordLatency(std::uint64_t micros) { latency_.Record(micros); }
 
   /// Monotonic high-water mark of the queue depth seen at admission.
   void ObserveDepth(std::uint64_t depth) {
-    std::uint64_t seen = max_depth_.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !max_depth_.compare_exchange_weak(seen, depth,
-                                             std::memory_order_relaxed)) {
-    }
+    Max(ShardCounter::max_queue_depth, depth);
   }
 
+  /// `queue_depth` is read off the queue itself, not kept here.
   [[nodiscard]] ShardSnapshot Snapshot(std::uint64_t queue_depth) const {
     ShardSnapshot snap;
     LoadInto(snap);
     snap.queue_depth = queue_depth;
-    snap.max_queue_depth = max_depth_.load(std::memory_order_relaxed);
     snap.latency = latency_.Snapshot();
     return snap;
   }
 
  private:
-  std::atomic<std::uint64_t> max_depth_{0};
   support::LatencyHistogram latency_;
 };
 

@@ -63,13 +63,13 @@ struct TenantConfig {
   X(ok, "ok", "served successfully")                                       \
   X(failed, "failed", "served, ended in any error but kDeadlineExceeded")  \
   X(timed_out, "timed_out", "every kDeadlineExceeded completion")          \
-  X(retries, "retries", "extra retry rounds beyond the first")
+  X(retries, "retries", "extra retry rounds beyond the first")             \
+  X(weight, "weight", "admission weight, as configured", kGauge)
 
 /// Point-in-time copy of one tenant's counters.
 struct TenantSnapshot {
   std::uint32_t id = 0;
   std::string name;
-  std::uint32_t weight = 1;
   MOBIVINE_GATEWAY_TENANT_COUNTERS(MOBIVINE_COUNTER_FIELD)
   /// Completions (ok + failed + timed_out).
   support::HistogramSnapshot latency;

@@ -1,8 +1,10 @@
-// Counter tables: every monotonic event counter is declared once.
+// Counter tables: every event counter and table-kept gauge is declared
+// once.
 //
-// A plane declares its counters as one X-macro table, one row per
-// counter: X(field, metric, doc). The helpers below turn that table into
-// everything else the counter needs:
+// A plane declares its metrics as one X-macro table, one row per value:
+// X(field, metric, doc) for a counter, X(field, metric, doc, kGauge) for
+// a gauge. The helpers below turn that table into everything else the
+// value needs:
 //
 //   struct PlaneSnapshot { PLANE_COUNTERS(MOBIVINE_COUNTER_FIELD) ... };
 //   enum class PlaneCounter : std::size_t {
@@ -11,11 +13,12 @@
 //   inline constexpr auto kPlaneCounters =
 //       MOBIVINE_COUNTER_ROWS(PlaneSnapshot, PLANE_COUNTERS);
 //
-// That is the snapshot field, the enum that CounterSet::Add() bumps, and
-// the {metric, field} rows that CounterSet::LoadInto(), AddCounters() and
-// ExportCounters() iterate. Adding a counter is one table row plus the
-// line that bumps it. Gauges (values that go down or are set directly)
-// stay outside the tables, as plain snapshot fields.
+// That is the snapshot field, the enum that CounterSet bumps, and the
+// {metric, field, kind} rows that CounterSet::LoadInto(), AddCounters()
+// and ExportCounters() iterate. A counter only ever goes up, so a scraper
+// may take its rate; a gauge is a level that also goes down (or is set
+// outright) and exports through MetricsSink::Gauge. Adding a value is one
+// table row plus the line that moves it.
 #pragma once
 
 #include <array>
@@ -28,12 +31,14 @@
 
 #include "support/metrics.h"
 
-#define MOBIVINE_COUNTER_FIELD(field, metric, doc) std::uint64_t field = 0;
-#define MOBIVINE_COUNTER_ENUM(field, metric, doc) field,
-#define MOBIVINE_COUNTER_ROW(field, metric, doc) \
-  {metric, &CounterSnapshot::field},
-/// The {metric, field} rows of `TABLE` over `Snapshot`, in table order,
-/// as a constexpr std::array of support::CounterField<Snapshot>.
+#define MOBIVINE_COUNTER_FIELD(field, metric, doc, ...) \
+  std::uint64_t field = 0;
+#define MOBIVINE_COUNTER_ENUM(field, metric, doc, ...) field,
+#define MOBIVINE_COUNTER_ROW(field, metric, doc, ...) \
+  {metric, &CounterSnapshot::field                    \
+   __VA_OPT__(, ::mobivine::support::__VA_ARGS__)},
+/// The {metric, field, kind} rows of `TABLE` over `Snapshot`, in table
+/// order, as a constexpr std::array of support::CounterField<Snapshot>.
 #define MOBIVINE_COUNTER_ROWS(Snapshot, TABLE)                         \
   [] {                                                                 \
     using CounterSnapshot = Snapshot;                                  \
@@ -43,18 +48,22 @@
 
 namespace mobivine::support {
 
-/// One row of a counter table: the metric name it is exported under and
-/// the snapshot field that holds it.
+/// How a table row exports (see the file comment).
+enum MetricKind : bool { kCounter, kGauge };
+
+/// One row of a counter table: the metric name it is exported under, the
+/// snapshot field that holds it and its kind.
 template <typename Snapshot>
 struct CounterField {
   const char* metric;
   std::uint64_t Snapshot::*field;
+  MetricKind kind = kCounter;
 };
 
 /// The live side of a counter table: one relaxed atomic per row, indexed
-/// by the table's enum. Relaxed because the counters are independent
-/// monotonic event counts, not a synchronization protocol; a snapshot is
-/// consistent per counter, not across counters.
+/// by the table's enum. Relaxed because the rows are independent values,
+/// not a synchronization protocol; a snapshot is consistent per row, not
+/// across rows. Sub, Set and Max move gauge rows.
 template <typename Counter, const auto& kFields>
 class CounterSet {
  public:
@@ -63,6 +72,22 @@ class CounterSet {
   std::uint64_t Add(Counter counter, std::uint64_t n = 1) {
     return values_[static_cast<std::size_t>(counter)].fetch_add(
         n, std::memory_order_relaxed);
+  }
+  void Sub(Counter gauge, std::uint64_t n = 1) {
+    values_[static_cast<std::size_t>(gauge)].fetch_sub(
+        n, std::memory_order_relaxed);
+  }
+  void Set(Counter gauge, std::uint64_t value) {
+    values_[static_cast<std::size_t>(gauge)].store(value,
+                                                   std::memory_order_relaxed);
+  }
+  /// Raise a high-water-mark gauge to `value` if it is below.
+  void Max(Counter gauge, std::uint64_t value) {
+    std::atomic<std::uint64_t>& mark = values_[static_cast<std::size_t>(gauge)];
+    std::uint64_t seen = mark.load(std::memory_order_relaxed);
+    while (value > seen && !mark.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
+    }
   }
 
   template <typename Snapshot>
@@ -76,18 +101,24 @@ class CounterSet {
   std::array<std::atomic<std::uint64_t>, std::size(kFields)> values_{};
 };
 
-/// Add every counter of `from` into `into`.
+/// Add every row of `from` into `into` (gauges too: the tables' gauges
+/// are levels that add up across shards or loops).
 template <typename Table, typename Snapshot>
 void AddCounters(const Table& table, const Snapshot& from, Snapshot& into) {
   for (const auto& counter : table) into.*counter.field += from.*counter.field;
 }
 
-/// Export every counter of `snap` as `<base><metric>`.
+/// Export every row of `snap` as `<base><metric>`, each by its kind.
 template <typename Table, typename Snapshot>
 void ExportCounters(MetricsSink& sink, const Table& table,
                     const Snapshot& snap, std::string_view base = {}) {
-  for (const auto& counter : table) {
-    sink.Counter(std::string(base) + counter.metric, snap.*counter.field);
+  for (const auto& row : table) {
+    const std::string name = std::string(base) + row.metric;
+    if (row.kind == kGauge) {
+      sink.Gauge(name, static_cast<double>(snap.*row.field));
+    } else {
+      sink.Counter(name, snap.*row.field);
+    }
   }
 }
 

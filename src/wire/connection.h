@@ -1,13 +1,14 @@
-// One accepted TCP connection inside a WireServer event loop.
+// One accepted TCP connection inside a reactor loop (wire/reactor.h).
 //
-// Threading model: the owning event loop is the only thread that touches
-// the socket, the input ring and epoll state. Gateway shard workers touch
-// exactly one thing — the bounded output queue (QueueOutput, under its
-// own mutex) — and then poke the loop's eventfd; the loop drains the
-// queue into the socket. A connection is held by shared_ptr: the loop's
-// fd map keeps one reference, and every in-flight gateway completion
-// callback keeps another, so a completion arriving after the socket
-// closed lands on a live object, sees `closed()`, and drops the bytes.
+// Threading model: the owning loop is the only thread that touches the
+// socket, the input ring and epoll state. Other threads (gateway shard
+// workers, push publishers) touch exactly one thing — the bounded output
+// queue (QueueOutput, under its own mutex) — and then poke the loop's
+// eventfd; the loop drains the queue into the socket. A connection is
+// held by shared_ptr: the loop's fd map keeps one reference, and every
+// in-flight completion callback keeps another, so a completion arriving
+// after the socket closed lands on a live object, sees `closed()`, and
+// drops the bytes. It holds its loop weakly for the same reason.
 //
 // Output is a queue of pooled frame buffers, not one flat byte vector:
 // a completion moves its encoded frame in (zero copy), and the loop
@@ -27,7 +28,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "support/buffer_pool.h"
@@ -84,12 +87,18 @@ class ByteRing {
   std::uint64_t generation_ = 0;
 };
 
+class ReactorLoop;
+
 class Connection {
  public:
-  Connection(int fd, std::uint64_t id) : fd_(fd), id_(id) {}
+  Connection(int fd, std::uint64_t id, std::weak_ptr<ReactorLoop> loop)
+      : fd_(fd), id_(id), loop_(std::move(loop)) {}
 
   [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] std::uint64_t id() const { return id_; }
+  [[nodiscard]] const std::weak_ptr<ReactorLoop>& loop() const {
+    return loop_;
+  }
   [[nodiscard]] bool closed() const {
     return closed_.load(std::memory_order_acquire);
   }
@@ -159,11 +168,11 @@ class Connection {
   std::size_t write_bytes = 0;
   bool out_armed = false;   ///< EPOLLOUT currently registered for this fd
   bool paused = false;      ///< reading stopped by the output watermark
-  bool want_close = false;  ///< close after the output queue drains
 
  private:
   const int fd_;
   const std::uint64_t id_;
+  const std::weak_ptr<ReactorLoop> loop_;
   std::atomic<bool> closed_{false};
   ByteRing input_;
 

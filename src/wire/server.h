@@ -1,46 +1,36 @@
-// M-Wire server: a non-blocking epoll reactor front-end that serves the
-// M-Gateway over real TCP sockets.
+// M-Wire server: the M-Gateway's data plane over real TCP sockets, served
+// by the process's one reactor (wire/reactor.h, which draws the loop).
 //
-// Architecture — one acceptor, N event loops:
-//
-//     acceptor thread ── accept4 ──▶ round-robin ──▶ event loop 0..N-1
-//     event loop: epoll_wait → edge-triggered reads landing directly in
-//       per-connection rings → DecodeFrame/DecodeRequestView (string
-//       fields are views into the ring — zero copy) → the gateway's
-//       borrowed-request Submit, which materializes only if the request
-//       is admitted (shed responses cost no string allocation)…
-//       completion fires on a gateway shard worker, which encodes the
-//       response into a pooled buffer, moves it onto the connection's
-//       bounded output queue and pokes the loop's eventfd; the loop
-//       drains the whole run with one writev, returning each buffer to
-//       the pool as it completes. EPOLLOUT is armed only when the kernel
-//       refuses bytes and dropped as soon as the run empties, so a
-//       keeping-up connection performs no epoll_ctl at all.
+// Each reactor loop runs a DataPlane handler. A decoded frame (string
+// fields are views into the input ring — zero copy) passes admission —
+// body decode and the M-Cluster ownership fence — and goes to the
+// gateway's borrowed-request Submit, which materializes only if the
+// request is admitted (a shed costs no string allocation). The shard
+// worker that completes it encodes the response into a pooled buffer and
+// hands it to Reactor::Send. kSubscribe frames open M-Push subscriptions
+// whose events the flush hook pumps into the same output run.
 //
 // Failure containment: framing violations (bad magic/version, oversized
 // length prefix, CRC mismatch, undecodable request id) close the
 // connection; a well-framed request whose body breaks a rule is answered
 // with a typed kMalformedRequest response and the connection lives on.
-// Either way the server never crashes or leaks on hostile input — the
-// frame-mutation fuzz suite in tests/wire_test.cpp runs under ASan.
+// The frame-mutation fuzz suite in tests/wire_test.cpp runs under ASan.
 //
-// Backpressure: per-connection output above the high watermark stops
-// reading that socket until it drains below the low watermark (TCP's
-// receive window then pushes back on the peer). What the server does
-// admit still faces the gateway's shed/deadline admission — the two
-// compose; neither buffers unboundedly.
+// Backpressure is the handler's watermarks: output above the high one
+// stops reading the socket until it drains below the low one (TCP's
+// window then pushes back on the peer); what is admitted still faces the
+// gateway's shed/deadline admission, so neither buffers unboundedly.
 //
 // Observability: wire.read / wire.decode / wire.dispatch / wire.write
-// M-Scope spans on the loop threads (named "wire-loop-N"), plus a
-// "wire." MetricsRegistry source: every MOBIVINE_WIRE_COUNTERS row, the
-// two *_active derivations and the frame-buffer pool's counters.
+// M-Scope spans on the loop threads ("wire-loop-N") and a "wire."
+// MetricsRegistry source: the reactor's and the data plane's table rows
+// and the frame-buffer pool's counters.
 //
 // Shutdown contract: Stop() (or the destructor) closes every socket and
-// joins the threads, but gateway completions for already-dispatched
+// joins the loops, but gateway completions for already-dispatched
 // requests may still arrive afterwards — they hold the connection alive
-// via shared_ptr and drop their bytes. The WireServer object itself must
-// therefore outlive the Gateway's in-flight work: stop order is
-// server.Stop() then gateway.Stop() then destruction of either.
+// via shared_ptr and drop their bytes. Stop order is server.Stop() then
+// gateway.Stop() then destruction of either.
 #pragma once
 
 #include <atomic>
@@ -48,12 +38,12 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gateway/gateway.h"
 #include "support/counters.h"
 #include "support/metrics.h"
+#include "wire/reactor.h"
 
 namespace mobivine::wire {
 
@@ -83,38 +73,29 @@ struct WireServerConfig {
   std::size_t push_queue_capacity = 256;
 };
 
-/// The wire server's event counters: X(field, metric name, doc). One
-/// relaxed atomic each, snapshotable while serving (support/counters.h).
+/// The data plane's rows: X(field, metric name, doc[, kind]). One relaxed
+/// atomic each, snapshotable while serving (support/counters.h); the
+/// transport rows are the reactor's (MOBIVINE_REACTOR_COUNTERS).
 #define MOBIVINE_WIRE_COUNTERS(X)                                            \
-  X(connections_accepted, "connections_accepted", "connections accepted")    \
-  X(connections_closed, "connections_closed", "connections closed")          \
-  X(frames_in, "frames_in", "well-formed frames decoded")                    \
-  X(frames_out, "frames_out", "response frames queued")                      \
-  X(bytes_in, "bytes_in", "bytes read from sockets")                         \
-  X(bytes_out, "bytes_out", "bytes written to sockets")                      \
   X(decode_errors, "decode_errors", "kMalformedRequest responses")           \
-  X(protocol_errors, "protocol_errors",                                      \
-    "framing errors (connection closed)")                                    \
   X(wrong_worker, "wrong_worker", "requests fenced by the ownership filter") \
   X(unsupported_frames, "unsupported_frames",                                \
     "unknown frame types answered")                                          \
-  X(backpressure_stalls, "backpressure_stalls",                              \
-    "read pauses at the watermark")                                          \
   X(requests_dispatched, "requests_dispatched", "handed to gateway::Submit") \
   X(scripts_dispatched, "scripts_dispatched",                                \
     "kScript frames handed to gateway::SubmitScript")                        \
-  X(writev_calls, "writev_calls", "scatter-gather flush syscalls")           \
-  X(epollout_arms, "epollout_arms", "EPOLLOUT registrations (EAGAIN only)")  \
   X(subscriptions_opened, "push_subscriptions_opened",                       \
     "M-Push subscriptions opened")                                           \
   X(subscriptions_closed, "push_subscriptions_closed",                       \
     "M-Push subscriptions closed")                                           \
+  X(subscriptions_open, "push_subscriptions_active",                         \
+    "M-Push subscriptions open now", kGauge)                                 \
   X(events_out, "push_events_out", "kEvent data frames queued")              \
   X(events_dropped, "push_events_dropped",                                   \
     "shed from per-subscription queues")                                     \
   X(gap_markers, "push_gap_markers", "kEventsDropped frames emitted")
 
-struct WireStatsSnapshot {
+struct WireStatsSnapshot : ReactorStats {
   MOBIVINE_WIRE_COUNTERS(MOBIVINE_COUNTER_FIELD)
   // Frame-buffer pool (support::BufferPool::WirePool()), shared with the
   // wire client in-process. `pool_misses / requests_dispatched` is the
@@ -125,11 +106,7 @@ struct WireStatsSnapshot {
   std::uint64_t pool_trims = 0;  ///< dropped: class full or oversized
 
   [[nodiscard]] std::uint64_t subscriptions_active() const {
-    return subscriptions_opened - subscriptions_closed;
-  }
-
-  [[nodiscard]] std::uint64_t connections_active() const {
-    return connections_accepted - connections_closed;
+    return subscriptions_open;
   }
 };
 
@@ -149,8 +126,8 @@ class WireServer {
   WireServer(const WireServer&) = delete;
   WireServer& operator=(const WireServer&) = delete;
 
-  /// Bind 127.0.0.1, listen, start the acceptor and event loops. False
-  /// on socket-layer failure (`error` says why). Not restartable.
+  /// Bind 127.0.0.1, listen, start the event loops. False on
+  /// socket-layer failure (`error` says why). Not restartable.
   [[nodiscard]] bool Start(std::string* error = nullptr);
 
   /// Close the listener and every connection, join all threads.
@@ -158,7 +135,7 @@ class WireServer {
   void Stop();
 
   /// The bound port (valid after Start succeeds).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return reactor_.port(); }
 
   [[nodiscard]] WireStatsSnapshot Stats() const;
 
@@ -168,27 +145,19 @@ class WireServer {
       support::MetricsRegistry& registry, std::string prefix = "wire.") const;
 
  private:
-  class EventLoop;
+  class DataPlane;
   using Counters = support::CounterSet<WireCounter, kWireCounters>;
-
-  void AcceptLoop();
 
   gateway::Gateway& gateway_;
   const WireServerConfig config_;
-  /// Shared (not unique) so in-flight completion callbacks can keep the
-  /// counters alive past the server object (see shutdown contract).
+  /// Shared (not unique) so feed listeners that outlive the server can
+  /// keep the counters alive (see shutdown contract).
   std::shared_ptr<Counters> stats_;
-  std::vector<std::shared_ptr<EventLoop>> loops_;
-  std::thread acceptor_;
-  int listen_fd_ = -1;
-  int stop_eventfd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> next_loop_{0};
   /// Subscription ids are server-wide unique (loops allocate from one
   /// counter) so a client can demux event frames across connections.
   std::atomic<std::uint64_t> next_subscription_id_{1};
+  std::vector<std::unique_ptr<DataPlane>> planes_;  ///< one per loop
+  Reactor reactor_;  ///< last: its loops run handlers over the above
 };
 
 }  // namespace mobivine::wire

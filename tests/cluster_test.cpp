@@ -16,20 +16,34 @@
 //  * M-Push: subscriptions follow the plan — a stale route is fenced
 //    with kWrongWorker (epoch in the ack's start_cursor varint) and the
 //    client re-subscribes against the real owner, carrying its cursor.
+//
+// And, on an in-process cluster::Controller over raw sockets:
+//  * hostile control bytes (deterministic frame-mutation fuzz) are
+//    answered or closed, never fatal, and leave no connection behind;
+//  * a control peer that stops reading is dropped past
+//    max_output_backlog instead of wedging the control plane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
+#include <future>
 #include <mutex>
+#include <thread>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "cluster/client.h"
+#include "cluster/control.h"
+#include "cluster/controller.h"
 #include "cluster/plan.h"
 #include "gateway/gateway.h"
+#include "support/seed.h"
 #include "tests/cluster_harness.h"
+#include "tests/raw_conn.h"
 #include "wire/client.h"
 #include "wire/protocol.h"
 
@@ -620,6 +634,221 @@ TEST_F(ClusterEndToEnd, ScriptFollowsPlanAcrossStaleRoutes) {
   }
   caller.Stop();
   submitter.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Controller: socket-level fuzz and a stalled control peer
+// ---------------------------------------------------------------------------
+
+using cluster::ControlMessage;
+using cluster::ControlOp;
+using wire_testing::RawConn;
+
+std::vector<std::uint8_t> EncodedControl(ControlOp op,
+                                         std::uint64_t correlation_id,
+                                         std::uint64_t worker_id) {
+  ControlMessage message;
+  message.op = op;
+  message.correlation_id = correlation_id;
+  message.worker_id = worker_id;
+  message.data_port = 4000;
+  std::vector<std::uint8_t> bytes;
+  cluster::EncodeControl(message, bytes);
+  return bytes;
+}
+
+/// Poll `done` for up to ten seconds.
+template <typename Predicate>
+bool Eventually(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ClusterController, SocketFuzzNeverKillsTheController) {
+  cluster::Controller controller;
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  const std::uint64_t connections_before = controller.Stats().connections;
+
+  // Every control op a peer sends, plus a data frame the controller must
+  // answer in-band with kUnsupportedFrame.
+  std::vector<std::vector<std::uint8_t>> corpus = {
+      EncodedControl(ControlOp::kRegister, 1, 7),
+      EncodedControl(ControlOp::kHeartbeat, 2, 7),
+      EncodedControl(ControlOp::kPlanGet, 3, 0),
+      EncodedControl(ControlOp::kLeave, 4, 7),
+      {}};
+  wire::WireRequest request;
+  request.request_id = 5;
+  request.client_id = 1;
+  request.target = std::string("http://") + gateway::kGatewayHttpHost + "/ping";
+  wire::EncodeRequest(request, corpus.back());
+
+  support::SplitMix64 rng{0xc0deface5eedull};
+  int answered = 0;
+  for (int round = 0; round < 60; ++round) {
+    const std::vector<std::uint8_t>& pristine = corpus[round % corpus.size()];
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(controller.port(), /*rcvbuf=*/0,
+                             /*rcvtimeo_ms=*/5000))
+        << "controller died on round " << round;
+    std::vector<std::uint8_t> bytes = pristine;
+    switch (rng.Next() % 4) {
+      case 0:
+        bytes[rng.Next() % bytes.size()] ^=
+            static_cast<std::uint8_t>(1u << (rng.Next() % 8));
+        break;
+      case 1:
+        bytes.resize(1 + rng.Next() % (bytes.size() - 1));
+        break;
+      case 2: {  // duplicate the frame then corrupt the second copy
+        const std::size_t n = bytes.size();
+        bytes.insert(bytes.end(), pristine.begin(), pristine.end());
+        bytes[n + rng.Next() % n] ^= 0x10;
+        break;
+      }
+      default:
+        bytes.assign(4 + rng.Next() % 64, 0);
+        for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.Next());
+        break;
+    }
+    // Half-close after the bytes: a frame the controller is still
+    // waiting on (a truncation) ends in EOF, so every round must end
+    // with the controller closing, after whatever answers it sent.
+    if (conn.Send(bytes)) conn.ShutdownWrite();
+    wire::FrameType type{};
+    std::vector<std::uint8_t> payload;
+    bool got_frame = false;
+    while (conn.RecvFrame(&type, &payload)) got_frame = true;
+    answered += got_frame ? 1 : 0;
+    EXPECT_TRUE(conn.peer_closed())
+        << "round " << round << " was neither answered to a close nor closed";
+  }
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(controller.Stats().control_errors, 0u);
+  EXPECT_TRUE(Eventually([&] {
+    return controller.Stats().connections == connections_before;
+  })) << controller.Stats().connections << " connections left open";
+
+  cluster::ControlChannel channel;
+  ASSERT_TRUE(
+      channel.Connect(controller.port(), wire::ConnectOptions{}, &error))
+      << error;
+  ControlMessage register_worker;
+  register_worker.op = ControlOp::kRegister;
+  register_worker.worker_id = 9;
+  register_worker.data_port = 4009;
+  ControlMessage ack;
+  ASSERT_TRUE(channel.Roundtrip(register_worker, &ack, 5'000'000, &error))
+      << error;
+  EXPECT_EQ(ack.op, ControlOp::kRegisterAck);
+  EXPECT_EQ(ack.status, cluster::AckStatus::kOk);
+  EXPECT_NE(std::find(ack.plan.members.begin(), ack.plan.members.end(),
+                      cluster::PlanMember{9, 4009}),
+            ack.plan.members.end());
+  channel.Close();
+
+  // A data request is answered in-band, not dropped.
+  RawConn data;
+  ASSERT_TRUE(data.Connect(controller.port()));
+  ASSERT_TRUE(data.Send(corpus.back()));
+  wire::WireResponse response;
+  ASSERT_TRUE(data.RecvResponse(&response));
+  EXPECT_EQ(response.request_id, 5u);
+  EXPECT_EQ(response.status, wire::WireStatus::kUnsupportedFrame);
+  controller.Stop();
+}
+
+TEST(ClusterController, RunsOneThread) {
+  // Another thread runs first: a sanitizer runtime starts a helper
+  // thread of its own beside the process's first extra thread.
+  std::promise<void> release;
+  std::thread idle([ready = release.get_future()] { ready.wait(); });
+  cluster::Controller controller;
+  const std::size_t before = wire_testing::ProcessThreads();
+  ASSERT_TRUE(controller.Start());
+  EXPECT_EQ(wire_testing::ProcessThreads(), before + 1);
+  controller.Stop();
+  EXPECT_EQ(wire_testing::ProcessThreads(), before);
+  release.set_value();
+  idle.join();
+}
+
+/// Largest send buffer the kernel autotunes a TCP socket to (tcp_wmem's
+/// third field; the controller never sets SO_SNDBUF).
+std::size_t KernelSendBufferMax() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t min = 0;
+  std::size_t initial = 0;
+  std::size_t max = 0;
+  if (in >> min >> initial >> max && max > 0) return max;
+  return std::size_t{4} << 20;  // the Linux default
+}
+
+TEST(ClusterController, StalledControlPeerIsDroppedPastItsBacklog) {
+  cluster::ControllerConfig config;
+  config.max_output_backlog = 256 * 1024;
+  // No silence deaths mid-test: the plan only changes by registration.
+  config.membership.heartbeat_interval_us = 60'000'000;
+  cluster::Controller controller(config);
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+
+  // A 256-member plan makes every kPlanPush about a kilobyte.
+  cluster::ControlChannel loader;
+  ASSERT_TRUE(loader.Connect(controller.port(), wire::ConnectOptions{}, &error))
+      << error;
+  ControlMessage ack;
+  for (std::uint64_t id = 1; id <= 256; ++id) {
+    ControlMessage register_worker;
+    register_worker.op = ControlOp::kRegister;
+    register_worker.worker_id = id;
+    register_worker.data_port = 40000;
+    ASSERT_TRUE(loader.Roundtrip(register_worker, &ack, 5'000'000, &error))
+        << error;
+  }
+  ASSERT_EQ(ack.plan.members.size(), 256u);
+  std::vector<std::uint8_t> plan_push;
+  ControlMessage push;
+  push.op = ControlOp::kPlanPush;
+  push.plan = ack.plan;
+  cluster::EncodeControl(push, plan_push);
+
+  // A peer that asks for the plan over and over and never reads: more
+  // answers than its receive buffer, the controller's kernel send buffer
+  // and the backlog cap hold together. Each burst's answers fit well
+  // inside the cap, so only a peer that stops reading can reach it.
+  RawConn stalled;
+  ASSERT_TRUE(stalled.Connect(controller.port(), /*rcvbuf=*/4096));
+  const std::size_t asks =
+      (KernelSendBufferMax() + 4 * config.max_output_backlog) /
+          plan_push.size() +
+      16;
+  std::vector<std::uint8_t> one_ask =
+      EncodedControl(ControlOp::kPlanGet, 1, 0);
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < 16; ++i) {
+    burst.insert(burst.end(), one_ask.begin(), one_ask.end());
+  }
+  for (std::size_t sent = 0; sent < asks; sent += 16) {
+    if (!stalled.Send(burst)) break;  // already dropped
+  }
+  // Only the loader is left: nothing but the backlog cap closes a peer
+  // that sends well-formed kPlanGets.
+  EXPECT_TRUE(Eventually([&] { return controller.Stats().connections == 1; }))
+      << "the stalled peer is still connected";
+  // The control plane is not wedged: the loader is still served.
+  ControlMessage plan_get;
+  plan_get.op = ControlOp::kPlanGet;
+  ASSERT_TRUE(loader.Roundtrip(plan_get, &ack, 5'000'000, &error)) << error;
+  EXPECT_EQ(ack.plan.members.size(), 256u);
+  loader.Close();
+  controller.Stop();
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 //    and per tenant — and every gateway.* name the M-Scope schema requires.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -700,7 +701,12 @@ TEST(GatewayMetrics, ExportCoversEveryCounterTableRow) {
     EXPECT_NE(snapshot.Find("gateway.tenant.default." + name), nullptr)
         << name;
   }
-  EXPECT_EQ(tenant_counters.size(), std::size(gateway::kTenantCounters));
+  EXPECT_EQ(static_cast<std::ptrdiff_t>(tenant_counters.size()),
+            std::count_if(std::begin(gateway::kTenantCounters),
+                          std::end(gateway::kTenantCounters),
+                          [](const auto& row) {
+                            return row.kind == support::kCounter;
+                          }));
 
   // Every metric the schema's wire, push and cluster sections require,
   // from a started wire server and cluster controller registered beside
@@ -721,6 +727,26 @@ TEST(GatewayMetrics, ExportCoversEveryCounterTableRow) {
     }
   }
   EXPECT_GE(plane_metrics, 46u);
+
+  // Values that go down export as gauges, so a scraper never takes the
+  // rate of a level; the monotonic counts beside them stay counters.
+  for (const char* gauge :
+       {"cluster.connections", "cluster.epoch", "wire.connections_active",
+        "wire.push_subscriptions_active", "gateway.queue_depth",
+        "gateway.max_queue_depth", "gateway.shard.0.queue_depth",
+        "gateway.shard.1.max_queue_depth", "gateway.push.listeners",
+        "gateway.tenant.default.weight", "gateway.tenant.alpha.weight"}) {
+    const support::MetricsSink::Entry* entry = planes.Find(gauge);
+    ASSERT_NE(entry, nullptr) << gauge;
+    EXPECT_FALSE(entry->is_counter) << gauge << " must be a gauge";
+  }
+  for (const char* counter :
+       {"cluster.registers", "wire.connections_accepted", "gateway.accepted",
+        "gateway.push.published", "gateway.tenant.alpha.submitted"}) {
+    const support::MetricsSink::Entry* entry = planes.Find(counter);
+    ASSERT_NE(entry, nullptr) << counter;
+    EXPECT_TRUE(entry->is_counter) << counter << " must be a counter";
+  }
   server.Stop();
   controller.Stop();
 }

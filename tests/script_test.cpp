@@ -729,35 +729,42 @@ TEST(ScriptCache, LruEvictsTheColdestProgram) {
   EXPECT_TRUE(RunHits(gateway, "'a';"));
   EXPECT_FALSE(RunHits(gateway, "'b';"));
   EXPECT_FALSE(RunHits(gateway, "'b';"));
-  // Third admitted program evicts 'a' (the coldest).
-  EXPECT_FALSE(RunHits(gateway, "'c';"));
-  EXPECT_FALSE(RunHits(gateway, "'c';"));
+  // The cache is full: a third program is admitted only once it has run
+  // more often than the LRU victim, 'a' (three runs), and then evicts it.
+  for (int run = 0; run < 4; ++run) EXPECT_FALSE(RunHits(gateway, "'c';"));
   EXPECT_FALSE(RunHits(gateway, "'a';"));
-  // 'c' stayed resident through the re-parse of 'a' ('b' was evicted).
+  // 'c' stayed resident through the re-parse of 'a' ('b', which ran
+  // least, was evicted).
   EXPECT_TRUE(RunHits(gateway, "'c';"));
   const auto totals = gateway.Stats().totals;
   EXPECT_EQ(totals.script_cache_hits, 2u);
-  EXPECT_EQ(totals.script_cache_misses, 7u);
+  EXPECT_EQ(totals.script_cache_misses, 9u);
 }
 
 TEST(ScriptCache, EvictedProgramIsReadmittedOnNextRun) {
   GatewayConfig config = BaseConfig();
   config.script.parse_cache_entries = 2;
   Gateway gateway(config);
-  for (const char* source : {"'a';", "'b';", "'c';"}) {
+  for (const char* source : {"'a';", "'b';"}) {
     EXPECT_FALSE(RunHits(gateway, source));
     EXPECT_FALSE(RunHits(gateway, source));  // admitted
   }
-  // 'c' evicted 'a', whose hash stayed in the doorkeeper: its next run
-  // is re-admitted at once (evicting 'b'), and the run after that hits.
+  // 'c' outruns the victim 'a' on its third run and evicts it.
+  for (int run = 0; run < 3; ++run) EXPECT_FALSE(RunHits(gateway, "'c';"));
+  // 'a''s hash stayed in the doorkeeper: its next run is re-admitted at
+  // once (evicting 'b', which ran less), and the run after that hits.
   EXPECT_FALSE(RunHits(gateway, "'a';"));
   EXPECT_TRUE(RunHits(gateway, "'a';"));
   EXPECT_TRUE(RunHits(gateway, "'c';"));
+  // 'b' kept its hash and its two runs in the doorkeeper, but the victim
+  // is now 'a' (four runs): 'b''s third and fourth runs do not outrun
+  // it, so both miss and 'a' stays resident.
   EXPECT_FALSE(RunHits(gateway, "'b';"));
-  EXPECT_TRUE(RunHits(gateway, "'b';"));
+  EXPECT_FALSE(RunHits(gateway, "'b';"));
+  EXPECT_TRUE(RunHits(gateway, "'a';"));
   const auto totals = gateway.Stats().totals;
   EXPECT_EQ(totals.script_cache_hits, 3u);
-  EXPECT_EQ(totals.script_cache_misses, 8u);
+  EXPECT_EQ(totals.script_cache_misses, 10u);
 }
 
 TEST(ScriptCache, FloodOfUniqueSourcesKeepsHotProgramsResident) {
@@ -776,9 +783,19 @@ TEST(ScriptCache, FloodOfUniqueSourcesKeepsHotProgramsResident) {
   }
   EXPECT_TRUE(RunHits(gateway, "'a';"));
   EXPECT_TRUE(RunHits(gateway, "'b';"));
+  // Sources sent twice each pass the doorkeeper, but a full cache admits
+  // a newcomer only when it has run more often than the victim would
+  // have: none of them evicts a hot program.
+  for (int i = 0; i < kUnique; ++i) {
+    const std::string twice = "'twice " + std::to_string(i) + "';";
+    EXPECT_FALSE(RunHits(gateway, twice));
+    EXPECT_FALSE(RunHits(gateway, twice));
+  }
+  EXPECT_TRUE(RunHits(gateway, "'a';"));
+  EXPECT_TRUE(RunHits(gateway, "'b';"));
   const auto totals = gateway.Stats().totals;
-  EXPECT_EQ(totals.script_cache_hits, 2u);
-  EXPECT_EQ(totals.script_cache_misses, 4u + kUnique);
+  EXPECT_EQ(totals.script_cache_hits, 4u);
+  EXPECT_EQ(totals.script_cache_misses, 4u + 3 * kUnique);
 }
 
 TEST(ScriptCache, ShardsShareOneCache) {
@@ -913,17 +930,19 @@ TEST(ScriptCache, LruOrderHoldsAcrossShards) {
   EXPECT_TRUE(RunHits(gateway, "'a';", left));
   EXPECT_FALSE(RunHits(gateway, "'b';", right));
   EXPECT_FALSE(RunHits(gateway, "'b';", left));
-  // Third admitted program, from either shard, evicts 'a' (the coldest):
-  // the bound is the gateway's, not each shard's.
-  EXPECT_FALSE(RunHits(gateway, "'c';", left));
-  EXPECT_FALSE(RunHits(gateway, "'c';", right));
+  // A third program, run from either shard, is admitted once it has run
+  // more often than the victim 'a' and evicts it: the bound and the
+  // frequencies are the gateway's, not each shard's.
+  for (int run = 0; run < 4; ++run) {
+    EXPECT_FALSE(RunHits(gateway, "'c';", run % 2 == 0 ? left : right));
+  }
   EXPECT_FALSE(RunHits(gateway, "'a';", right));
   // 'c' stayed resident through the re-parse of 'a' ('b' was evicted).
   EXPECT_TRUE(RunHits(gateway, "'c';", right));
   EXPECT_FALSE(RunHits(gateway, "'b';", left));
   const auto totals = gateway.Stats().totals;
   EXPECT_EQ(totals.script_cache_hits, 2u);
-  EXPECT_EQ(totals.script_cache_misses, 8u);
+  EXPECT_EQ(totals.script_cache_misses, 10u);
 }
 
 TEST(ScriptCache, ZeroEntriesDisablesCaching) {

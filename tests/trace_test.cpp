@@ -358,7 +358,7 @@ TEST_F(TraceTest, GatewayCyclesRetainNoBuffersWhenDisabled) {
     server.Stop();
     gw.Stop();
   }
-  // Shard, wire-loop and acceptor threads all named themselves, but none
+  // Shard and wire-loop threads all named themselves, but none
   // recorded an event, so none holds a buffer.
   trace::ExportStats stats;
   Export(&stats);

@@ -46,6 +46,7 @@
 #include "support/metrics.h"
 #include "support/seed.h"
 #include "support/varint.h"
+#include "tests/raw_conn.h"
 #include "wire/client.h"
 #include "wire/connection.h"
 #include "wire/protocol.h"
@@ -76,6 +77,7 @@ using wire::WireResponse;
 using wire::WireServer;
 using wire::WireServerConfig;
 using wire::WireStatus;
+using wire_testing::RawConn;
 
 const core::DescriptorStore& Store() {
   static const core::DescriptorStore store =
@@ -736,95 +738,8 @@ TEST(WireRing, RequestViewsAreGuardedByTheGenerationCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// Server fixture and raw-socket helpers
+// Server fixture (RawConn, the raw-socket helper, is in tests/raw_conn.h)
 // ---------------------------------------------------------------------------
-
-/// A blocking loopback socket that speaks frames by hand — for tests
-/// that need byte-level control the WireClient deliberately forbids.
-class RawConn {
- public:
-  ~RawConn() { CloseNow(); }
-
-  [[nodiscard]] bool Connect(std::uint16_t port, int rcvbuf = 0,
-                             int rcvtimeo_ms = 10000) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return false;
-    if (rcvbuf > 0) {
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    }
-    // Reads fail loud instead of hanging the test.
-    timeval tv{rcvtimeo_ms / 1000, (rcvtimeo_ms % 1000) * 1000};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-           0;
-  }
-
-  [[nodiscard]] bool Send(const std::vector<std::uint8_t>& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Read until one whole response frame decodes. False on EOF, read
-  /// timeout, or malformed bytes from the server.
-  [[nodiscard]] bool RecvResponse(WireResponse* response) {
-    while (true) {
-      FrameView frame;
-      std::size_t consumed = 0;
-      const DecodeStatus status = DecodeFrame(
-          buf_.data() + start_, buf_.size() - start_, &frame, &consumed,
-          nullptr);
-      if (status == DecodeStatus::kMalformed) return false;
-      if (status == DecodeStatus::kOk) {
-        if (frame.type != FrameType::kResponse) return false;
-        const bool ok = wire::DecodeResponse(frame.payload, frame.payload_size,
-                                             response, nullptr);
-        start_ += consumed;
-        if (start_ == buf_.size()) {
-          buf_.clear();
-          start_ = 0;
-        }
-        return ok;
-      }
-      std::uint8_t chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buf_.insert(buf_.end(), chunk, chunk + n);
-    }
-  }
-
-  /// True if the server closed this connection (EOF within the timeout).
-  [[nodiscard]] bool WaitForClose() {
-    std::uint8_t chunk[4096];
-    while (true) {
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      return n == 0;  // timeout or error means "not closed"
-    }
-  }
-
-  void CloseNow() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::vector<std::uint8_t> buf_;
-  std::size_t start_ = 0;
-};
 
 class WireServerTest : public ::testing::Test {
  protected:
@@ -849,6 +764,70 @@ class WireServerTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // Server: serving semantics over real sockets
 // ---------------------------------------------------------------------------
+
+TEST_F(WireServerTest, RunsOneThreadPerEventLoop) {
+  gateway_ = std::make_unique<Gateway>(BaseConfig(2));
+  WireServerConfig wire_config;
+  wire_config.event_loops = 3;
+  server_ = std::make_unique<WireServer>(*gateway_, wire_config);
+  const std::size_t before = wire_testing::ProcessThreads();
+  ASSERT_TRUE(server_->Start());
+  // The loops are the whole server: loop 0 also accepts.
+  EXPECT_EQ(wire_testing::ProcessThreads(), before + 3);
+  server_->Stop();
+  EXPECT_EQ(wire_testing::ProcessThreads(), before);
+}
+
+TEST_F(WireServerTest, BacklogWaitingAtStartIsServedOnEveryLoop) {
+  // A fixed port with clients already dialling when Start runs (a
+  // restart under retrying clients): their connects land in the listen
+  // backlog before any loop runs, and loop 0's first accept pass deals
+  // them to every loop at once. Each must be answered.
+  const int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+  ::close(probe);
+
+  constexpr int kClients = 4;
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      RawConn conn;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!conn.Connect(port)) {
+        if (std::chrono::steady_clock::now() > deadline) return;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      WireRequest request = HttpGet(static_cast<std::uint64_t>(i));
+      request.request_id = 1;
+      std::vector<std::uint8_t> bytes;
+      EncodeRequest(request, bytes);
+      WireResponse response;
+      if (conn.Send(bytes) && conn.RecvResponse(&response) &&
+          response.status == WireStatus::kOk) {
+        answered.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all dialling
+  gateway_ = std::make_unique<Gateway>(BaseConfig(2));
+  WireServerConfig wire_config;
+  wire_config.port = port;
+  wire_config.event_loops = 2;
+  server_ = std::make_unique<WireServer>(*gateway_, wire_config);
+  std::string error;
+  ASSERT_TRUE(server_->Start(&error)) << error;
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(answered.load(), kClients);
+}
 
 TEST_F(WireServerTest, ServesEveryOpOverLoopback) {
   StartAll(BaseConfig(2), {});
@@ -1183,10 +1162,10 @@ TEST_F(WireServerTest, DuplicateRequestIdsBothGetAnswered) {
 TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
   StartAll(BaseConfig(1), {});
   SplitMix64 rng{0xfeedbeefull};
-  // Alternate between the two client-originated frame families so the
-  // server's kScript dispatch path faces the same hostile bytes as
-  // kRequest.
-  std::vector<std::vector<std::uint8_t>> corpus(2);
+  // Rotate through the client-originated frame families so the server's
+  // kScript, kSubscribe and kUnsubscribe dispatch paths face the same
+  // hostile bytes as kRequest.
+  std::vector<std::vector<std::uint8_t>> corpus(4);
   WireRequest base = HttpGet(1);
   base.request_id = 1;
   base.properties.emplace_back("powerConsumption", std::string("low"));
@@ -1198,6 +1177,15 @@ TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
   script.source = "mobile.invoke('android', 'getLocation')";
   script.args.emplace_back("k", "v");
   wire::EncodeScript(script, corpus[1]);
+  wire::WireSubscribe subscribe;
+  subscribe.request_id = 3;
+  subscribe.client_id = 1;
+  subscribe.mode = wire::SubscribeMode::kLiveOnly;
+  wire::EncodeSubscribe(subscribe, corpus[2]);
+  wire::WireUnsubscribe unsubscribe;
+  unsubscribe.request_id = 4;
+  unsubscribe.subscription_id = 1;
+  wire::EncodeUnsubscribe(unsubscribe, corpus[3]);
 
   for (int round = 0; round < 48; ++round) {
     const std::vector<std::uint8_t>& pristine = corpus[round % corpus.size()];
@@ -1229,11 +1217,12 @@ TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
         break;
     }
     if (!conn.Send(bytes)) continue;  // server closed mid-send: fine
-    // Drain whatever comes back (typed responses and/or a close); the
-    // only forbidden outcome — a crash — shows up as Connect failing on
-    // the next round or the final round trip failing.
-    WireResponse response;
-    while (conn.RecvResponse(&response)) {
+    // Drain whatever comes back (typed responses, subscribe acks and/or
+    // a close); the only forbidden outcome — a crash — shows up as
+    // Connect failing on the next round or the final round trip failing.
+    FrameType type{};
+    std::vector<std::uint8_t> payload;
+    while (conn.RecvFrame(&type, &payload)) {
     }
   }
 
@@ -1248,6 +1237,17 @@ TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
   ASSERT_TRUE(conn.RecvResponse(&response));
   EXPECT_EQ(response.status, WireStatus::kOk);
   EXPECT_EQ(response.body, "pong");
+  // Every fuzzed connection is gone, and with it every subscription a
+  // surviving kSubscribe opened: none outlives its connection.
+  conn.CloseNow();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->Stats().connections_open != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->Stats().connections_open, 0u);
+  EXPECT_EQ(server_->Stats().subscriptions_active(), 0u);
 }
 
 // ---------------------------------------------------------------------------
