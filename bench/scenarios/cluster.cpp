@@ -6,7 +6,9 @@
 // blocks its shard for tau of wall time ("*:*:latency=<tau>:wall").
 // Per-worker capacity is then shards/tau, and adding workers multiplies
 // it because stalled shards cost no CPU; routing overhead shows as
-// scaling short of Nx.
+// scaling short of Nx. --smoke repeats the 1- and 3-worker pair
+// kSmokePasses times and reports the median pass's 3-worker over
+// 1-worker rate, which CI gates (scripts/perf_bounds.json).
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
@@ -166,8 +168,15 @@ void DriverThread(cluster::Client* client, std::uint64_t worker_count,
   tally.ok = ok;
 }
 
-Row RunClusterScenario(int worker_count, int window, int driver_threads,
-                       std::uint64_t requests_per_thread) {
+/// One scenario's result row and its rate, for the scaling ratio.
+struct ClusterRun {
+  Row row;
+  double requests_per_sec = 0;
+};
+
+ClusterRun RunClusterScenario(int worker_count, int window,
+                              int driver_threads,
+                              std::uint64_t requests_per_thread) {
   cluster::Controller controller;
   StartController(controller);
   std::vector<std::unique_ptr<Worker>> workers;
@@ -184,13 +193,21 @@ Row RunClusterScenario(int worker_count, int window, int driver_threads,
     clients.push_back(StartClient(controller.port()));
   }
 
+  double cpu_before = 0;
   const ClosedLoopResult load = RunClosedLoop(
       driver_threads, requests_per_thread,
       [&](int t, std::uint64_t requests, bool, Tally& tally) {
         DriverThread(clients[static_cast<std::size_t>(t)].get(),
                      static_cast<std::uint64_t>(worker_count), requests,
                      window, static_cast<std::uint64_t>(t) * 7919 + 1, tally);
-      });
+      },
+      [&] { cpu_before = CpuMicros(); });
+  // Cores busy over the timed part: well under the host's core count
+  // means the rate is bound by the backend's wall-clock tau, not by CPU.
+  const double cpu_cores =
+      load.wall_seconds > 0
+          ? (CpuMicros() - cpu_before) / (load.wall_seconds * 1e6)
+          : 0;
 
   std::uint64_t plan_epoch = 0;
   cluster::ClientStats totals;
@@ -226,31 +243,58 @@ Row RunClusterScenario(int worker_count, int window, int driver_threads,
       .Add("ok", load.ok, {"ok", 10})
       .Add("wall_seconds", load.wall_seconds)
       .Add("requests_per_sec", load.requests_per_sec, {"req/s", 10})
+      .Add("cpu_cores", cpu_cores, {"cpu", 6, 2})
       .Add("latency_us", latency)
       .Add("plan_epoch", plan_epoch, {"epoch", 6})
       .Add("client", client)
       .Add("controller", control);
-  return row;
+  return {row, load.requests_per_sec};
 }
 
 }  // namespace
 
+/// A --smoke run makes kSmokePasses passes of the 1- and 3-worker pair, a
+/// full run one. `scaling` reports the 3-worker over 1-worker rate of the
+/// median pass, with the min and max beside it when there are several.
 Row RunCluster(const Options& options) {
   Row doc = ResultDocument("cluster_throughput");
   const int driver_threads = 2;
   const int window = 16;
   const std::uint64_t per_thread = options.smoke ? 600 : 4'000;
+  const int pass_count = options.smoke ? kSmokePasses : 1;
   std::printf("window %d x %d driver threads, %llu requests/thread\n\n",
               window, driver_threads,
               static_cast<unsigned long long>(per_thread));
   Table table;
   std::vector<Row> scenarios;
-  for (const int workers : {1, 3}) {
-    scenarios.push_back(
-        RunClusterScenario(workers, window, driver_threads, per_thread));
-    table.Print(scenarios.back());
+  std::vector<double> ratios;
+  for (int pass = 0; pass < pass_count; ++pass) {
+    double rps[2] = {0, 0};
+    for (const int workers : {1, 3}) {
+      ClusterRun run =
+          RunClusterScenario(workers, window, driver_threads, per_thread);
+      table.Print(run.row);
+      if (pass_count > 1) run.row.Add("pass", pass);
+      scenarios.push_back(std::move(run.row));
+      rps[workers == 1 ? 0 : 1] = run.requests_per_sec;
+    }
+    ratios.push_back(rps[0] > 0 ? rps[1] / rps[0] : 0);
   }
   doc.Add("scenarios", scenarios);
+
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[(ratios.size() - 1) / 2];
+  Row scaling;
+  scaling.Add("workers3_over_workers1_rps", median);
+  if (pass_count > 1) {
+    std::printf("\nmedian of %d passes: workers3_over_workers1_rps %.2f "
+                "(min %.2f, max %.2f)\n",
+                pass_count, median, ratios.front(), ratios.back());
+    scaling.Add("workers3_over_workers1_rps_min", ratios.front())
+        .Add("workers3_over_workers1_rps_max", ratios.back())
+        .Add("repeat", pass_count);
+  }
+  doc.Add("scaling", scaling);
   return doc;
 }
 

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "support/trace.h"
 
 #include "../bench_io.h"
@@ -42,6 +44,14 @@ std::uint64_t MicrosSince(Clock::time_point start) {
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                             start)
           .count());
+}
+
+double CpuMicros() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) *
+             1e6 +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
 }
 
 std::string Row::Format(const char* format, int precision, double value) {

@@ -29,6 +29,8 @@ gateway::GatewayConfig ShardedConfig(int shards);
 using Clock = std::chrono::steady_clock;
 double SecondsSince(Clock::time_point start);
 std::uint64_t MicrosSince(Clock::time_point start);
+/// Process CPU time (user + sys) consumed so far, in microseconds.
+double CpuMicros();
 
 /// Print "error: <message>" on stderr and exit with status 1. Safe to
 /// call from a load thread: it flushes stdio and skips the static

@@ -15,8 +15,6 @@
 #include <mutex>
 #include <thread>
 
-#include <sys/resource.h>
-
 #include "common.h"
 #include "gateway/traffic.h"
 #include "sim/clock.h"
@@ -30,15 +28,6 @@ constexpr int kClientThreads = 2;
 /// overlapped between a healthy build and one sendmsg per frame on a
 /// noisy 4-vCPU host; seven did not (EXPERIMENTS.md W26).
 constexpr int kWireSmokePasses = 7;
-
-/// Process CPU time (user + sys) consumed so far, in microseconds.
-double CpuMicros() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) *
-             1e6 +
-         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
-}
 
 /// One closed-loop client thread: keep up to `window` requests in flight
 /// on a dedicated connection until `requests` have completed. Refills in

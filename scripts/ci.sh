@@ -104,16 +104,19 @@ python3 scripts/validate_mscope.py \
 # keep frame-buffer allocations ~0; the script smoke's median ns/step of
 # a MiniJS call, `continue` and `break` loop over a plain arithmetic
 # loop must stay under their ceilings, and its median requests/script
-# p50 ratio must clear its floor. One pass flaked on a 4-core
+# p50 ratio must clear its floor; the cluster smoke's median 3-worker
+# over 1-worker requests/s (both bound by the backend's wall-clock tau,
+# not CPU) must clear its floor. One pass flaked on a 4-core
 # shared host; a median of passes absorbs a noisy one. Skip with
 # MOBIVINE_CI_PERF=0 on hosts too noisy to bench (the bounds assume a
 # mostly-idle machine).
 if [[ "${MOBIVINE_CI_PERF:-1}" != "0" ]]; then
-  echo "==== [perf] wire and script smokes vs checked-in bounds ===="
+  echo "==== [perf] wire, script and cluster smokes vs checked-in bounds ===="
   ./build/bench/bench_scenarios wire "$MSCOPE_DIR/wire_perf.json" --smoke
   ./build/bench/bench_scenarios script "$MSCOPE_DIR/script_perf.json" --smoke
+  ./build/bench/bench_scenarios cluster "$MSCOPE_DIR/cluster_perf.json" --smoke
   python3 scripts/check_perf.py "$MSCOPE_DIR/wire_perf.json" \
-    "$MSCOPE_DIR/script_perf.json"
+    "$MSCOPE_DIR/script_perf.json" "$MSCOPE_DIR/cluster_perf.json"
 fi
 
 # M-Cluster leg: the distributed topology's traced scenario (controller

@@ -8,19 +8,16 @@
 #include <chrono>
 #include <cstring>
 
-#include "support/varint.h"
 #include "wire/payload.h"
 
 namespace mobivine::cluster {
 
 namespace {
 
-using support::PutVarint;
-using wire::PutString;
-
 /// Plans are small (a handful of workers), but the decoder still bounds
 /// the count before reserving — same discipline as the data plane's caps.
 constexpr std::uint64_t kMaxPlanMembers = 4096;
+constexpr std::uint64_t kMaxPort = 0xffff;
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 
@@ -28,6 +25,30 @@ constexpr std::size_t kReadChunk = 16 * 1024;
   if (error != nullptr) *error = why;
   return false;
 }
+
+/// The control payload, every op alike. Each group of fields fails with
+/// one label (the reader runs label-only).
+constexpr auto ControlLayout = [](auto& io, auto& m) {
+  constexpr const char* kHeader = "control: truncated header";
+  constexpr const char* kFields = "control: truncated fields";
+  constexpr const char* kMember = "control: truncated plan member";
+  return io.Varint(m.correlation_id, kHeader) && io.Byte(m.op, kHeader) &&
+         io.Check(IsKnown(m.op), "control: unknown op") &&
+         io.Varint(m.worker_id, kFields) && io.Varint(m.data_port, kFields) &&
+         io.Varint(m.epoch, kFields) && io.Byte(m.status, kFields) &&
+         io.Check(IsKnown(m.status), "control: unknown ack status") &&
+         io.Check(m.data_port <= kMaxPort, "control: data_port out of range") &&
+         io.Varint(m.plan.epoch, "control: truncated plan") &&
+         io.Seq(m.plan.members, kMaxPlanMembers, "control: truncated plan",
+                "control: plan member count over cap",
+                [&](auto& member) {
+                  return io.Varint(member.worker_id, kMember) &&
+                         io.Varint(member.data_port, kMember, kMaxPort,
+                                   "control: member port out of range");
+                }) &&
+         io.String(m.message, "control: bad message string") &&
+         io.End("control: trailing bytes");
+};
 
 }  // namespace
 
@@ -42,82 +63,16 @@ const char* ToString(ControlOp op) {
   return "unknown";
 }
 
-void EncodeControl(const ControlMessage& message,
+bool EncodeControl(const ControlMessage& message,
                    std::vector<std::uint8_t>& out) {
-  const std::size_t frame_start = out.size();
-  PutVarint(out, message.correlation_id);
-  out.push_back(static_cast<std::uint8_t>(message.op));
-  PutVarint(out, message.worker_id);
-  PutVarint(out, message.data_port);
-  PutVarint(out, message.epoch);
-  out.push_back(static_cast<std::uint8_t>(message.status));
-  PutVarint(out, message.plan.epoch);
-  PutVarint(out, message.plan.members.size());
-  for (const PlanMember& member : message.plan.members) {
-    PutVarint(out, member.worker_id);
-    PutVarint(out, member.data_port);
-  }
-  PutString(out, message.message);
-  wire::FinishFrame(out, frame_start, wire::FrameType::kControl);
+  return wire::WriteFrame(out, wire::FrameType::kControl, ControlLayout,
+                          message);
 }
 
 bool DecodeControl(const std::uint8_t* payload, std::size_t size,
                    ControlMessage* message, std::string* error) {
-  wire::PayloadReader reader(payload, size);
-  std::uint8_t op = 0;
-  std::uint8_t status = 0;
-  std::uint64_t member_count = 0;
-  if (!reader.Varint(&message->correlation_id, "correlation_id") ||
-      !reader.Byte(&op, "op")) {
-    return Fail(error, "control: truncated header");
-  }
-  if (op < static_cast<std::uint8_t>(ControlOp::kRegister) ||
-      op > static_cast<std::uint8_t>(ControlOp::kError)) {
-    return Fail(error, "control: unknown op");
-  }
-  message->op = static_cast<ControlOp>(op);
-  if (!reader.Varint(&message->worker_id, "worker_id") ||
-      !reader.Varint(&message->data_port, "data_port") ||
-      !reader.Varint(&message->epoch, "epoch") ||
-      !reader.Byte(&status, "status")) {
-    return Fail(error, "control: truncated fields");
-  }
-  if (status > static_cast<std::uint8_t>(AckStatus::kRejected)) {
-    return Fail(error, "control: unknown ack status");
-  }
-  if (message->data_port > 0xffff) {
-    return Fail(error, "control: data_port out of range");
-  }
-  message->status = static_cast<AckStatus>(status);
-  if (!reader.Varint(&message->plan.epoch, "plan epoch") ||
-      !reader.Varint(&member_count, "member_count")) {
-    return Fail(error, "control: truncated plan");
-  }
-  if (member_count > kMaxPlanMembers) {
-    return Fail(error, "control: plan member count over cap");
-  }
-  message->plan.members.clear();
-  message->plan.members.reserve(static_cast<std::size_t>(member_count));
-  for (std::uint64_t i = 0; i < member_count; ++i) {
-    PlanMember member;
-    std::uint64_t port = 0;
-    if (!reader.Varint(&member.worker_id, "member worker_id") ||
-        !reader.Varint(&port, "member port")) {
-      return Fail(error, "control: truncated plan member");
-    }
-    if (port > 0xffff) return Fail(error, "control: member port out of range");
-    member.data_port = static_cast<std::uint16_t>(port);
-    message->plan.members.push_back(member);
-  }
-  std::string_view text;
-  if (!reader.String(&text, "message")) {
-    return Fail(error, "control: bad message string");
-  }
-  message->message.assign(text.data(), text.size());
-  if (!reader.End("control body")) {
-    return Fail(error, "control: trailing bytes");
-  }
-  return true;
+  return wire::ReadPayload<bool, /*kLabelOnly=*/true>(
+      payload, size, error, ControlLayout, *message);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,21 +4,13 @@
 // Control traffic rides the same M-Wire envelope as data (magic/version/
 // type/varint-length/CRC — wire/protocol.h) under FrameType::kControl, so
 // one socket layer, one fuzzer and one failure table cover both planes.
-// A control payload is:
-//
-//     var  correlation_id    (0 on unsolicited pushes)
-//     u8   op                (ControlOp)
-//     var  worker_id
-//     var  data_port
-//     var  epoch
-//     u8   status            (AckStatus)
-//     var  member_count      then per member: var worker_id, var data_port
-//     str  message           (varint length + bytes; diagnostics)
-//
-// Every op encodes the full field set (control frames are rare and tiny;
-// uniformity beats per-op schemas), and the leading varint id keeps the
-// kUnsupportedFrame convention intact: a data-only server answering a
-// control frame in-band echoes an id the sender can correlate.
+// The payload is one ControlMessage, declared once by ControlLayout in
+// control.cpp (docs/wire-protocol.md#kcontrol lists its fields). Every
+// op encodes the full field set (control frames are rare and tiny;
+// uniformity beats per-op schemas), and the leading varint correlation
+// id keeps the kUnsupportedFrame convention intact: a data-only server
+// answering a control frame in-band echoes an id the sender can
+// correlate.
 //
 // Message flow (C = controller, W = worker agent, R = cluster client):
 //
@@ -58,18 +50,14 @@ namespace mobivine::cluster {
   X(kDrainAck, 10, "drain-ack")         \
   X(kError, 11, "error")
 
-enum class ControlOp : std::uint8_t {
-#define MOBIVINE_X(op, code, name) op = code,
-  MOBIVINE_CLUSTER_CONTROL_OPS(MOBIVINE_X)
-#undef MOBIVINE_X
-};
+MOBIVINE_WIRE_ENUM(ControlOp, MOBIVINE_CLUSTER_CONTROL_OPS)
 
 [[nodiscard]] const char* ToString(ControlOp op);
 
-enum class AckStatus : std::uint8_t {
-  kOk = 0,
-  kRejected = 1,  ///< e.g. register with worker_id 0
-};
+#define MOBIVINE_CLUSTER_ACK_STATUSES(X) \
+  X(kOk, 0, "ok")                        \
+  X(kRejected, 1, "e.g. register with worker_id 0")
+MOBIVINE_WIRE_ENUM(AckStatus, MOBIVINE_CLUSTER_ACK_STATUSES)
 
 /// One control message, any direction. Unused fields stay zero/empty.
 struct ControlMessage {
@@ -84,7 +72,7 @@ struct ControlMessage {
 };
 
 /// Append one kControl frame carrying `message` to `out`.
-void EncodeControl(const ControlMessage& message,
+bool EncodeControl(const ControlMessage& message,
                    std::vector<std::uint8_t>& out);
 
 /// Decode a kControl frame payload. False (with `error`) on any

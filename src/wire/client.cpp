@@ -32,6 +32,17 @@ constexpr std::size_t kMaxFreeNodes = 512;
          request.content_type.size();
 }
 
+/// Answer a frame the encoder refused (payload over kMaxFramePayload)
+/// without sending it: the server would close the connection on it, and
+/// every later call on this client would fail with it.
+void RefuseOversized(std::uint64_t id, const WireClient::Callback& callback) {
+  WireResponse refused;
+  refused.request_id = id;
+  refused.status = WireStatus::kMalformedRequest;
+  refused.body = "payload length over cap";
+  callback(refused);
+}
+
 /// Write the whole buffer to a blocking socket. False on any error.
 /// MSG_NOSIGNAL: a Submit racing Close() must see EPIPE on the shut-down
 /// socket, not die on SIGPIPE.
@@ -255,7 +266,10 @@ bool WireClient::Submit(const WireRequest& request, Callback callback) {
   // allocation at steady state.
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(EncodedSizeHint(request));
-  EncodeRequest(request, id, buffer.bytes());
+  if (!EncodeRequest(request, id, buffer.bytes())) {
+    RefuseOversized(id, callback);
+    return false;
+  }
   return Send(buffer.bytes(), id, 1,
               [&] { EmplacePendingLocked(id, std::move(callback)); });
 }
@@ -302,18 +316,33 @@ std::size_t WireClient::SubmitBatchImpl(
   // One pooled buffer holds the whole batch; requests are encoded in
   // place from the caller's structs (no per-request copy), ids stamped
   // into the frames only.
+  // A request over the frame cap is rolled back out of the buffer and
+  // refused alone; the rest of the batch still goes out.
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(size_hint);
+  std::vector<std::size_t> refused;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    EncodeRequest(requests[i], first + i, buffer.bytes());
+    const std::size_t frame_start = buffer.bytes().size();
+    if (!EncodeRequest(requests[i], first + i, buffer.bytes())) {
+      buffer.bytes().resize(frame_start);
+      refused.push_back(i);
+    }
   }
   std::size_t failed = 0;
   (void)Send(buffer.bytes(), first, requests.size(), [&] {
+    auto next_refused = refused.begin();
     for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (next_refused != refused.end() && *next_refused == i) {
+        ++next_refused;
+        continue;
+      }
       EmplacePendingLocked(first + i, callback_at(i));
     }
   }, &failed);
-  return requests.size() - failed;
+  for (const std::size_t i : refused) {
+    RefuseOversized(first + i, callback_at(i));
+  }
+  return requests.size() - refused.size() - failed;
 }
 
 bool WireClient::Subscribe(const WireSubscribe& subscribe,
@@ -402,7 +431,10 @@ bool WireClient::SubmitScript(const WireScriptRequest& script,
   }
   support::PooledBuffer buffer =
       support::BufferPool::WirePool().Acquire(size_hint);
-  EncodeScript(script, id, buffer.bytes());
+  if (!EncodeScript(script, id, buffer.bytes())) {
+    RefuseOversized(id, callback);
+    return false;
+  }
   return Send(buffer.bytes(), id, 1,
               [&] { EmplacePendingLocked(id, std::move(callback)); });
 }

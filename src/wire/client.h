@@ -97,7 +97,10 @@ class WireClient {
                              std::string* error = nullptr);
 
   /// Pipelined async send. Returns false (callback fired with
-  /// kTransportError) if the connection is down or the send fails.
+  /// kTransportError) if the connection is down or the send fails. A
+  /// request whose payload is over kMaxFramePayload is not sent: false,
+  /// with the callback fired kMalformedRequest ("payload length over
+  /// cap"), and the connection lives on.
   bool Submit(const WireRequest& request, Callback callback);
 
   /// Pipelined batch: encode every request into one pooled buffer and
@@ -105,7 +108,8 @@ class WireClient {
   /// dominates small-frame loopback throughput. `callback` fires once
   /// per response (any order). Returns the number of requests actually
   /// sent; on a transport failure the unsent remainder's callbacks fire
-  /// with kTransportError.
+  /// with kTransportError. A request over the frame cap is refused alone,
+  /// as in Submit, and the rest of the batch is sent.
   std::size_t SubmitBatch(const std::vector<WireRequest>& requests,
                           const Callback& callback);
 
@@ -129,7 +133,7 @@ class WireClient {
   /// answer arrives as an ordinary kResponse frame: kOk with the result
   /// display string as the body, kScriptError with the thrown value's
   /// display string, or a normal status band (deadline, overload,
-  /// malformed). Same transport-failure contract as Submit.
+  /// malformed). Same transport-failure and frame-cap contract as Submit.
   bool SubmitScript(const WireScriptRequest& script, Callback callback);
 
   /// Synchronous script round trip, mirroring Call().

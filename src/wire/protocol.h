@@ -53,46 +53,53 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 20;  // 1 MiB
 inline constexpr std::size_t kMaxStringBytes = 64u << 10;  // per field
 inline constexpr std::size_t kMaxProperties = 64;
 
-enum class FrameType : std::uint8_t {
-  kRequest = 1,
-  kResponse = 2,
-  /// M-Cluster control plane (register/heartbeat/plan/drain — see
-  /// src/cluster/control.h). Same frame envelope, different payload
-  /// schema; data-plane peers that predate it answer kUnsupportedFrame.
-  kControl = 3,
-  /// M-Push subscription plane (client -> server): open a topic
-  /// subscription, optionally replaying from a cursor. Answered with a
-  /// kSubscribeAck, then zero or more server-initiated kEvent frames.
-  kSubscribe = 4,
-  /// M-Push event (server -> client): a pushed platform callback, a
-  /// kEventsDropped gap marker, or an end-of-drain marker. Never
-  /// acknowledged — the server sheds instead of waiting.
-  kEvent = 5,
-  /// M-Push teardown (client -> server): stop a subscription by id.
-  /// Answered with a kSubscribeAck echoing the request id.
-  kUnsubscribe = 6,
-  /// M-Push ack (server -> client): typed outcome of a kSubscribe or
-  /// kUnsubscribe, carrying the assigned subscription id and the cursor
-  /// the event stream actually starts from.
-  kSubscribeAck = 7,
-  /// M-Script composite invocation (client -> server): a MiniJS program
-  /// plus named string arguments, executed inside the owning shard with
-  /// the proxy registry exposed as host objects. Answered with one
-  /// ordinary kResponse frame carrying the aggregated result (kOk), the
-  /// thrown value's display string (kScriptError), or a budget/queue
-  /// outcome (kDeadlineExceeded / kOverloaded).
-  kScript = 8,
-};
+/// Declares a one-byte wire enum from its rows X(enumerator, code, doc),
+/// together with IsKnown(Name): true for exactly the declared codes, so a
+/// decoder's validity check reads the declaration instead of comparing
+/// with a last enumerator.
+#define MOBIVINE_WIRE_ENUM(Name, ROWS)                               \
+  enum class Name : std::uint8_t { ROWS(MOBIVINE_WIRE_ENUM_VALUE) }; \
+  [[nodiscard]] constexpr bool IsKnown(Name value) {                 \
+    switch (static_cast<std::uint8_t>(value)) {                      \
+      ROWS(MOBIVINE_WIRE_ENUM_CASE)                                  \
+      return true;                                                   \
+    }                                                                \
+    return false;                                                    \
+  }
+#define MOBIVINE_WIRE_ENUM_VALUE(name, code, doc) name = code,
+#define MOBIVINE_WIRE_ENUM_CASE(name, code, doc) case code:
+
+/// The frame types. Client -> server: kRequest; kScript (M-Script: a
+/// MiniJS program plus named string arguments, run inside the owning
+/// shard and answered with one ordinary kResponse: the result (kOk), the
+/// thrown value (kScriptError) or a budget/queue outcome); kSubscribe
+/// (M-Push: open a topic subscription, optionally replaying from a
+/// cursor; answered with a kSubscribeAck, then zero or more kEvent
+/// frames); kUnsubscribe (answered with a kSubscribeAck). Server ->
+/// client: kResponse; kSubscribeAck (the typed outcome, the assigned
+/// subscription id and the cursor the stream starts from); kEvent (a
+/// pushed callback, a gap marker or an end-of-drain marker, never
+/// acknowledged: the server sheds instead of waiting). kControl is the
+/// M-Cluster control plane (src/cluster/control.h): same envelope,
+/// another payload; data-plane peers that predate it answer
+/// kUnsupportedFrame.
+#define MOBIVINE_WIRE_FRAME_TYPES(X)      \
+  X(kRequest, 1, "request")               \
+  X(kResponse, 2, "response")             \
+  X(kControl, 3, "cluster control")       \
+  X(kSubscribe, 4, "push subscribe")      \
+  X(kEvent, 5, "push event")              \
+  X(kUnsubscribe, 6, "push unsubscribe")  \
+  X(kSubscribeAck, 7, "push ack")         \
+  X(kScript, 8, "composite script")
+MOBIVINE_WIRE_ENUM(FrameType, MOBIVINE_WIRE_FRAME_TYPES)
 
 /// Is this a frame type this build knows how to handle? Unknown types
 /// still *frame* correctly (DecodeFrame validates the envelope only), so
 /// a newer peer's frames can be answered in-band instead of killing the
 /// connection — mixed-version fleets degrade gracefully.
 [[nodiscard]] constexpr bool IsKnownFrameType(FrameType type) {
-  return type == FrameType::kRequest || type == FrameType::kResponse ||
-         type == FrameType::kControl || type == FrameType::kSubscribe ||
-         type == FrameType::kEvent || type == FrameType::kUnsubscribe ||
-         type == FrameType::kSubscribeAck || type == FrameType::kScript;
+  return IsKnown(type);
 }
 
 /// Wire status codes. 0 is success; 1..13 mirror core::ErrorCode one to
@@ -139,6 +146,11 @@ MOBIVINE_ERROR_CODES(MOBIVINE_X)
 /// Inverse for the mirrored band; the wire-only band maps to kUnknown.
 [[nodiscard]] core::ErrorCode ToErrorCode(WireStatus status);
 
+// Each message struct below is one payload kind. Its byte layout is
+// declared once, by its layout template in wire/protocol.cpp (or
+// cluster/control.cpp); docs/wire-protocol.md lists the fields in order
+// and tests/golden/codec_frames.hex pins the bytes.
+
 /// A request as it travels: the gateway::Request envelope minus the
 /// completion callback, plus the correlation id.
 struct WireRequest {
@@ -171,13 +183,10 @@ struct WireResponse {
 // M-Script frame body (kScript)
 // ---------------------------------------------------------------------------
 
-/// kScript payload: varint request_id, varint client_id, varint
-/// timeout_micros, varint step_budget, varint virtual_us_budget, varint
-/// max_result_bytes, string source, varint arg_count, then arg_count
-/// (string name, string value) pairs. Budget fields of 0 mean "server
-/// default" — the server clamps everything to its own ceilings anyway, so
-/// a client cannot buy itself a bigger sandbox than the operator allows.
-/// Answered with an ordinary kResponse frame (same correlation id).
+/// A kScript body. Budget fields of 0 mean "server default" — the server
+/// clamps everything to its own ceilings anyway, so a client cannot buy
+/// itself a bigger sandbox than the operator allows. Answered with an
+/// ordinary kResponse frame (same correlation id).
 struct WireScriptRequest {
   std::uint64_t request_id = 0;
   std::uint64_t client_id = 0;       ///< shard/plan routing key
@@ -197,30 +206,27 @@ struct WireScriptRequest {
 
 /// What a subscription listens to. Topics are small enum codes like the
 /// proxy/method symbols: one agreed byte per distinct callback family.
-enum class PushTopic : std::uint8_t {
-  kAll = 0,          ///< wildcard: every topic on the owning shard
-  kProximity = 1,    ///< ProximityListener::proximityEvent
-  kSmsDelivery = 2,  ///< SmsListener::smsStatusChanged delivery reports
-  kCallState = 3,    ///< CallListener::callStateChanged
-  kNotification = 4, ///< WebView NotificationTable posts (paper Fig 6)
-};
-
-[[nodiscard]] constexpr bool IsKnownPushTopic(std::uint8_t raw) {
-  return raw <= static_cast<std::uint8_t>(PushTopic::kNotification);
-}
+#define MOBIVINE_PUSH_TOPICS(X)                                          \
+  X(kAll, 0, "wildcard: every topic on the owning shard")                \
+  X(kProximity, 1, "ProximityListener::proximityEvent")                  \
+  X(kSmsDelivery, 2, "SmsListener::smsStatusChanged delivery reports")   \
+  X(kCallState, 3, "CallListener::callStateChanged")                     \
+  X(kNotification, 4, "WebView NotificationTable posts (paper Fig 6)")
+MOBIVINE_WIRE_ENUM(PushTopic, MOBIVINE_PUSH_TOPICS)
 
 /// How the subscription starts relative to the shard's replay ring.
-enum class SubscribeMode : std::uint8_t {
-  kLiveOnly = 0,    ///< events from now on; `cursor` ignored
-  kFromCursor = 1,  ///< replay retained events after `cursor`, then live
-  /// Replay retained events after `cursor`, emit an end-of-drain marker,
-  /// and auto-close — the poll primitive (bench baseline and migration
-  /// path for NotificationTable-style clients).
-  kDrainOnce = 2,
-};
+/// kDrainOnce is the poll primitive (bench baseline and migration path
+/// for NotificationTable-style clients).
+#define MOBIVINE_SUBSCRIBE_MODES(X)                                     \
+  X(kLiveOnly, 0, "events from now on; cursor ignored")                 \
+  X(kFromCursor, 1, "replay retained events after cursor, then live")   \
+  X(kDrainOnce, 2,                                                      \
+    "replay retained events after cursor, emit an end-of-drain "        \
+    "marker, and auto-close")
+MOBIVINE_WIRE_ENUM(SubscribeMode, MOBIVINE_SUBSCRIBE_MODES)
 
-/// kSubscribe payload: varint request_id, varint client_id (shard/plan
-/// routing key, same as requests), u8 topic, u8 mode, varint cursor.
+/// A kSubscribe body; client_id is the shard/plan routing key, as in
+/// requests.
 struct WireSubscribe {
   std::uint64_t request_id = 0;
   std::uint64_t client_id = 0;
@@ -229,17 +235,16 @@ struct WireSubscribe {
   std::uint64_t cursor = 0;  ///< last cursor already seen (kFromCursor)
 };
 
-/// kUnsubscribe payload: varint request_id, varint subscription_id.
+/// A kUnsubscribe body.
 struct WireUnsubscribe {
   std::uint64_t request_id = 0;
   std::uint64_t subscription_id = 0;
 };
 
-/// kSubscribeAck payload: varint request_id, u8 status, varint
-/// subscription_id, varint start_cursor. Acks both subscribe (the
-/// assigned id + the cursor the stream starts after — a clamped
-/// start_cursor < the requested cursor means the ring no longer retained
-/// the gap) and unsubscribe (ids echo back).
+/// A kSubscribeAck body. Acks both subscribe (the assigned id + the
+/// cursor the stream starts after — a clamped start_cursor < the
+/// requested cursor means the ring no longer retained the gap) and
+/// unsubscribe (ids echo back).
 struct WireSubscribeAck {
   std::uint64_t request_id = 0;
   WireStatus status = WireStatus::kUnknown;
@@ -247,17 +252,16 @@ struct WireSubscribeAck {
   std::uint64_t start_cursor = 0;
 };
 
-/// What a kEvent frame carries.
-enum class EventKind : std::uint8_t {
-  kData = 0,          ///< a pushed platform callback; body is the payload
-  /// The per-connection queue overflowed and events [aux_cursor, cursor]
-  /// were shed — re-sync from `cursor` instead of silently missing them.
-  kEventsDropped = 1,
-  kEndOfDrain = 2,    ///< kDrainOnce replay finished; subscription closed
-};
+/// What a kEvent frame carries. On kEventsDropped the per-connection
+/// queue overflowed and events [aux, cursor] were shed — re-sync from
+/// `cursor` instead of silently missing them.
+#define MOBIVINE_EVENT_KINDS(X)                                        \
+  X(kData, 0, "a pushed platform callback; body is the payload")       \
+  X(kEventsDropped, 1, "events [aux, cursor] were shed")               \
+  X(kEndOfDrain, 2, "kDrainOnce replay finished; subscription closed")
+MOBIVINE_WIRE_ENUM(EventKind, MOBIVINE_EVENT_KINDS)
 
-/// kEvent payload: varint subscription_id, u8 kind, u8 topic, varint
-/// cursor, varint aux, string body.
+/// A kEvent body:
 ///  * kData:          cursor = the event's ring cursor; aux = origin
 ///                    client id (0 = device-wide broadcast).
 ///  * kEventsDropped: [aux, cursor] is the shed cursor range; body empty.
@@ -295,46 +299,47 @@ struct WireRequestView {
 // ---------------------------------------------------------------------------
 // Encoding (append-to-buffer; callers reuse buffers across frames)
 // ---------------------------------------------------------------------------
+//
+// Every encoder appends one whole frame and returns false when its
+// payload is over kMaxFramePayload: every string may be within its cap
+// while their sum is not. The frame is written all the same (a peer
+// would close the connection on it); a sender rolls it back instead of
+// sending it, as WireClient does.
 
-void EncodeRequest(const WireRequest& request, std::vector<std::uint8_t>& out);
+bool EncodeRequest(const WireRequest& request, std::vector<std::uint8_t>& out);
 /// Encode with the correlation id supplied separately, so a client can
 /// stamp ids without mutating (or copying) the caller's request.
-void EncodeRequest(const WireRequest& request, std::uint64_t request_id,
+bool EncodeRequest(const WireRequest& request, std::uint64_t request_id,
                    std::vector<std::uint8_t>& out);
-void EncodeResponse(const WireResponse& response,
+bool EncodeResponse(const WireResponse& response,
                     std::vector<std::uint8_t>& out);
 /// Encode with the body supplied separately as a borrowed view — the
 /// server's completion path hands the gateway payload straight through
 /// without copying it into a WireResponse first. `response.body` is
 /// ignored.
-void EncodeResponse(const WireResponse& response, std::string_view body,
+bool EncodeResponse(const WireResponse& response, std::string_view body,
                     std::vector<std::uint8_t>& out);
 
-void EncodeScript(const WireScriptRequest& script,
+bool EncodeScript(const WireScriptRequest& script,
                   std::vector<std::uint8_t>& out);
 /// Encode with the correlation id supplied separately (client id-stamping,
 /// mirroring the EncodeRequest overload).
-void EncodeScript(const WireScriptRequest& script, std::uint64_t request_id,
+bool EncodeScript(const WireScriptRequest& script, std::uint64_t request_id,
                   std::vector<std::uint8_t>& out);
 
-void EncodeSubscribe(const WireSubscribe& subscribe,
+bool EncodeSubscribe(const WireSubscribe& subscribe,
                      std::vector<std::uint8_t>& out);
-void EncodeUnsubscribe(const WireUnsubscribe& unsubscribe,
+bool EncodeUnsubscribe(const WireUnsubscribe& unsubscribe,
                        std::vector<std::uint8_t>& out);
-void EncodeSubscribeAck(const WireSubscribeAck& ack,
+bool EncodeSubscribeAck(const WireSubscribeAck& ack,
                         std::vector<std::uint8_t>& out);
-void EncodeEvent(const WireEvent& event, std::vector<std::uint8_t>& out);
-/// Encode with the body supplied separately as a borrowed view — the
-/// server's push pump hands the feed's payload straight through without
-/// copying it into a WireEvent first. `event.body` is ignored.
-void EncodeEvent(const WireEvent& event, std::string_view body,
-                 std::vector<std::uint8_t>& out);
+bool EncodeEvent(const WireEvent& event, std::vector<std::uint8_t>& out);
 
 /// Wrap payload bytes the caller appended at out[payload_start..) in the
 /// frame header + CRC trailer (the payload is moved right by the header
-/// length — one insert). Building block for additional frame families
-/// (the cluster control codec); EncodeRequest/EncodeResponse use it too.
-void FinishFrame(std::vector<std::uint8_t>& out, std::size_t payload_start,
+/// length — one insert). Every encoder ends with it, the cluster control
+/// codec's too. False when the payload is over kMaxFramePayload.
+bool FinishFrame(std::vector<std::uint8_t>& out, std::size_t payload_start,
                  FrameType type);
 
 // ---------------------------------------------------------------------------

@@ -490,7 +490,7 @@ class WireServer::DataPlane final : public ConnectionHandler {
         if (!have) break;
         support::PooledBuffer buffer = support::BufferPool::WirePool().Acquire(
             kResponseOverhead + event.body.size());
-        EncodeEvent(event, event.body, buffer.bytes());
+        EncodeEvent(event, buffer.bytes());
         if (conn->QueueOutput(std::move(buffer)) == 0) return queued;
         queued = true;
         switch (event.kind) {

@@ -1159,6 +1159,66 @@ TEST_F(WireServerTest, DuplicateRequestIdsBothGetAnswered) {
 // Server: socket-level fuzz
 // ---------------------------------------------------------------------------
 
+/// What a server does with `bytes` sent on a fresh connection: it answers
+/// each well-framed frame with exactly one reply until the bytes run out
+/// (it then waits for more) or a frame makes it close: a framing error, a
+/// server-to-client frame type, or a client frame whose id is unreadable.
+struct ServerVerdict {
+  int replies = 0;
+  bool closes = false;
+};
+
+ServerVerdict PredictServer(const std::vector<std::uint8_t>& bytes) {
+  ServerVerdict verdict;
+  std::size_t offset = 0;
+  while (true) {
+    FrameView frame;
+    std::size_t consumed = 0;
+    const DecodeStatus status = DecodeFrame(
+        bytes.data() + offset, bytes.size() - offset, &frame, &consumed,
+        nullptr);
+    if (status == DecodeStatus::kNeedMore) return verdict;
+    if (status == DecodeStatus::kMalformed) break;
+    offset += consumed;
+    const std::uint8_t* payload = frame.payload;
+    const std::size_t size = frame.payload_size;
+    BodyStatus body = BodyStatus::kOk;
+    switch (frame.type) {
+      case FrameType::kRequest: {
+        WireRequest request;
+        body = DecodeRequest(payload, size, &request, nullptr);
+        break;
+      }
+      case FrameType::kScript: {
+        wire::WireScriptRequest script;
+        body = wire::DecodeScript(payload, size, &script, nullptr);
+        break;
+      }
+      case FrameType::kSubscribe: {
+        wire::WireSubscribe subscribe;
+        body = wire::DecodeSubscribe(payload, size, &subscribe, nullptr);
+        break;
+      }
+      case FrameType::kUnsubscribe: {
+        wire::WireUnsubscribe unsubscribe;
+        body = wire::DecodeUnsubscribe(payload, size, &unsubscribe, nullptr);
+        break;
+      }
+      case FrameType::kResponse:
+      case FrameType::kEvent:
+      case FrameType::kSubscribeAck:
+        body = BodyStatus::kBadId;  // a direction violation closes too
+        break;
+      default:  // answered kUnsupportedFrame
+        break;
+    }
+    if (body == BodyStatus::kBadId) break;
+    ++verdict.replies;
+  }
+  verdict.closes = true;
+  return verdict;
+}
+
 TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
   StartAll(BaseConfig(1), {});
   SplitMix64 rng{0xfeedbeefull};
@@ -1190,11 +1250,7 @@ TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
   for (int round = 0; round < 48; ++round) {
     const std::vector<std::uint8_t>& pristine = corpus[round % corpus.size()];
     RawConn conn;
-    // Short read timeout: a mutation that leaves the connection idle
-    // (e.g. a truncated frame the server is still waiting on) must not
-    // stall the round for the full default timeout.
-    ASSERT_TRUE(conn.Connect(server_->port(), /*rcvbuf=*/0,
-                             /*rcvtimeo_ms=*/200))
+    ASSERT_TRUE(conn.Connect(server_->port()))
         << "server died on round " << round;
     std::vector<std::uint8_t> bytes = pristine;
     switch (rng.Next() % 4) {
@@ -1216,13 +1272,27 @@ TEST_F(WireServerTest, SocketFuzzNeverKillsTheServer) {
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.Next());
         break;
     }
-    if (!conn.Send(bytes)) continue;  // server closed mid-send: fine
-    // Drain whatever comes back (typed responses, subscribe acks and/or
-    // a close); the only forbidden outcome — a crash — shows up as
+    // Read exactly what the server owes these bytes, never waiting out
+    // a timeout: the predicted replies, or everything up to the close.
+    // The close may drop answers still in flight. A crash shows up as
     // Connect failing on the next round or the final round trip failing.
+    const ServerVerdict expected = PredictServer(bytes);
+    if (!conn.Send(bytes)) {  // server closed mid-send
+      EXPECT_TRUE(expected.closes) << "round " << round;
+      continue;
+    }
     FrameType type{};
     std::vector<std::uint8_t> payload;
-    while (conn.RecvFrame(&type, &payload)) {
+    int replies = 0;
+    while ((expected.closes || replies < expected.replies) &&
+           conn.RecvFrame(&type, &payload)) {
+      ++replies;
+    }
+    if (expected.closes) {
+      EXPECT_TRUE(conn.peer_closed()) << "round " << round;
+      EXPECT_LE(replies, expected.replies) << "round " << round;
+    } else {
+      EXPECT_EQ(replies, expected.replies) << "round " << round;
     }
   }
 
@@ -1373,6 +1443,71 @@ TEST_F(WireServerTest, ClientSurfacesTransportErrorAfterServerStops) {
     EXPECT_EQ(dead.status, WireStatus::kTransportError);
   }));
   EXPECT_TRUE(called);
+}
+
+/// Twenty 60 KB arguments: every string is within kMaxStringBytes, but
+/// the payload is past kMaxFramePayload.
+wire::WireScriptRequest OversizedScript() {
+  wire::WireScriptRequest script;
+  script.client_id = 1;
+  script.source = "args.a0";
+  for (int i = 0; i < 20; ++i) {
+    script.args.emplace_back("a" + std::to_string(i),
+                             std::string(60'000, 'x'));
+  }
+  return script;
+}
+
+TEST_F(WireServerTest, OversizedFrameIsRefusedByTheClientNotSent) {
+  StartAll(BaseConfig(1), {});
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+
+  WireResponse response;
+  EXPECT_TRUE(client.CallScript(OversizedScript(), &response));
+  EXPECT_EQ(response.status, WireStatus::kMalformedRequest);
+  EXPECT_EQ(response.body, "payload length over cap");
+
+  // The connection lives on: the server never saw the frame.
+  ASSERT_TRUE(client.Call(HttpGet(1), &response));
+  EXPECT_EQ(response.status, WireStatus::kOk);
+  EXPECT_EQ(response.body, "pong");
+  EXPECT_EQ(server_->Stats().protocol_errors, 0u);
+}
+
+TEST_F(WireServerTest, OversizedFrameInABatchFailsAloneAndTheRestIsSent) {
+  StartAll(BaseConfig(1), {});
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+
+  WireRequest oversized = HttpGet(1);
+  for (int i = 0; i < 20; ++i) {
+    oversized.properties.emplace_back("p" + std::to_string(i),
+                                      std::string(60'000, 'x'));
+  }
+  const std::vector<WireRequest> batch = {HttpGet(1), oversized, HttpGet(2)};
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<WireResponse> responses(batch.size());
+  int fired = 0;
+  std::vector<WireClient::Callback> callbacks;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    callbacks.emplace_back([&, i](const WireResponse& response) {
+      std::lock_guard<std::mutex> lock(mutex);
+      responses[i] = response;
+      ++fired;
+      cv.notify_one();
+    });
+  }
+  EXPECT_EQ(client.SubmitBatch(batch, std::move(callbacks)), 2u);
+  std::unique_lock<std::mutex> lock(mutex);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return fired == 3; }));
+  EXPECT_EQ(responses[0].status, WireStatus::kOk);
+  EXPECT_EQ(responses[1].status, WireStatus::kMalformedRequest);
+  EXPECT_EQ(responses[1].body, "payload length over cap");
+  EXPECT_EQ(responses[2].status, WireStatus::kOk);
+  EXPECT_TRUE(client.connected());
 }
 
 TEST(WireClientTeardown, ClosedClientFailsEachSendOnceUnderItsOwnId) {
