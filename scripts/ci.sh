@@ -10,7 +10,9 @@
 # full-suite TSan run is slow; the wire leg below runs a *filtered* TSan
 # pass (-R 'Script|Push|Cluster|Wire|Gateway|Tenant|Fleet|Trace|Failover|Interner|BufferPool') instead.
 # The filter covers the shard queue too: its suites (GatewayQueue.*, with
-# the 4-producer/1-consumer test, and GatewayPin.*) match 'Gateway'.
+# the 4-producer/1-consumer test, and GatewayPin.*) match 'Gateway', as
+# does GatewayHeap.*, the live-heap check that mobivine_heap_tests runs
+# in every preset (it replaces operator new, so it has its own binary).
 # 'Trace' adds the M-Scope suite, where threads create their span buffers
 # on their first event while the exporter reads the registry. 'Failover',
 # 'Interner' and 'BufferPool' add the threaded fault-injection soak, the

@@ -249,10 +249,6 @@ IPhoneSmsProxy::IPhoneSmsProxy(iphone::IPhonePlatform& platform,
                                const BindingPlane* binding)
     : SmsProxy(platform.device().scheduler(), binding), platform_(platform) {}
 
-IPhoneSmsProxy::~IPhoneSmsProxy() {
-  platform_.set_composer_observer(nullptr);
-}
-
 int IPhoneSmsProxy::segmentCount(const std::string& text) {
   support::trace::Span span("iphone.segmentCount");
   meter().Charge(Op::kDispatch);
@@ -278,26 +274,29 @@ long long IPhoneSmsProxy::sendTextMessage(const std::string& destination,
 
   // iPhone OS cannot send silently: the composer opens and the USER
   // decides. The proxy turns the outcome into uniform statuses —
-  // cancellation included.
-  if (listener != nullptr) {
-    meter().Charge(Op::kListenerAdaptation);
-    platform_.set_composer_observer(
-        [this, listener, id](iphone::IPhonePlatform::ComposerOutcome outcome) {
-          meter().Charge(Op::kListenerAdaptation);
-          switch (outcome) {
-            case iphone::IPhonePlatform::ComposerOutcome::kSent:
-              listener->smsStatusChanged(id, SmsDeliveryStatus::kSubmitted);
-              break;
-            case iphone::IPhonePlatform::ComposerOutcome::kCancelled:
-            case iphone::IPhonePlatform::ComposerOutcome::kFailed:
-              listener->smsStatusChanged(id, SmsDeliveryStatus::kFailed);
-              break;
-            case iphone::IPhonePlatform::ComposerOutcome::kNone:
-              break;
-          }
-        });
-  }
-  const bool opened = platform_.openURL("sms:" + destination, text);
+  // cancellation included. Each compose reports to its own session
+  // observer, so a second send before the first one's user decides
+  // cannot take over the first one's report.
+  if (listener != nullptr) meter().Charge(Op::kListenerAdaptation);
+  const std::weak_ptr<bool> alive = alive_;
+  const bool opened = platform_.openURL(
+      "sms:" + destination, text,
+      [this, alive, listener, id](
+          iphone::IPhonePlatform::ComposerOutcome outcome) {
+        if (listener == nullptr || alive.expired()) return;
+        meter().Charge(Op::kListenerAdaptation);
+        switch (outcome) {
+          case iphone::IPhonePlatform::ComposerOutcome::kSent:
+            listener->smsStatusChanged(id, SmsDeliveryStatus::kSubmitted);
+            break;
+          case iphone::IPhonePlatform::ComposerOutcome::kCancelled:
+          case iphone::IPhonePlatform::ComposerOutcome::kFailed:
+            listener->smsStatusChanged(id, SmsDeliveryStatus::kFailed);
+            break;
+          case iphone::IPhonePlatform::ComposerOutcome::kNone:
+            break;
+        }
+      });
   if (!opened) {
     meter().Charge(Op::kExceptionMap);
     throw ProxyError(ErrorCode::kIllegalArgument,
@@ -315,10 +314,6 @@ IPhoneCallProxy::IPhoneCallProxy(iphone::IPhonePlatform& platform,
                                  const BindingPlane* binding)
     : CallProxy(platform.device().scheduler(), binding), platform_(platform) {}
 
-IPhoneCallProxy::~IPhoneCallProxy() {
-  platform_.set_composer_observer(nullptr);
-}
-
 bool IPhoneCallProxy::makeCall(const std::string& number,
                                CallListener* listener) {
   meter().Charge(Op::kDispatch);
@@ -329,8 +324,11 @@ bool IPhoneCallProxy::makeCall(const std::string& number,
   if (composing_) return false;
 
   meter().Charge(Op::kListenerAdaptation);
-  platform_.set_composer_observer(
-      [this, listener](iphone::IPhonePlatform::ComposerOutcome outcome) {
+  const std::weak_ptr<bool> alive = alive_;
+  const bool opened = platform_.openURL(
+      "tel:" + number, "",
+      [this, alive, listener](iphone::IPhonePlatform::ComposerOutcome outcome) {
+        if (alive.expired()) return;
         composing_ = false;
         meter().Charge(Op::kListenerAdaptation);
         switch (outcome) {
@@ -353,7 +351,6 @@ bool IPhoneCallProxy::makeCall(const std::string& number,
             break;
         }
       });
-  const bool opened = platform_.openURL("tel:" + number);
   if (!opened) {
     meter().Charge(Op::kExceptionMap);
     throw ProxyError(ErrorCode::kIllegalArgument,

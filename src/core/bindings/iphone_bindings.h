@@ -55,7 +55,6 @@ class IPhoneLocationProxy : public LocationProxy {
 class IPhoneSmsProxy : public SmsProxy {
  public:
   IPhoneSmsProxy(iphone::IPhonePlatform& platform, const BindingPlane* binding);
-  ~IPhoneSmsProxy() override;
 
   long long sendTextMessage(const std::string& destination,
                             const std::string& text,
@@ -65,13 +64,15 @@ class IPhoneSmsProxy : public SmsProxy {
  private:
   iphone::IPhonePlatform& platform_;
   long long next_message_id_ = 1;
+  /// Expires with the proxy, so a compose that finishes after the
+  /// proxy is gone reports nothing.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 class IPhoneCallProxy : public CallProxy {
  public:
   IPhoneCallProxy(iphone::IPhonePlatform& platform,
                   const BindingPlane* binding);
-  ~IPhoneCallProxy() override;
 
   bool makeCall(const std::string& number, CallListener* listener) override;
   void endCall() override;
@@ -81,6 +82,9 @@ class IPhoneCallProxy : public CallProxy {
   iphone::IPhonePlatform& platform_;
   CallProgress last_known_ = CallProgress::kEnded;
   bool composing_ = false;
+  /// Expires with the proxy, so a dial that finishes after the proxy is
+  /// gone reports nothing.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 class IPhoneHttpProxy : public HttpProxy {

@@ -297,15 +297,6 @@ S60SmsProxy::S60SmsProxy(s60::S60Platform& platform,
                          const BindingPlane* binding)
     : SmsProxy(platform.device().scheduler(), binding), platform_(platform) {}
 
-std::shared_ptr<s60::MessageConnection> S60SmsProxy::ConnectionFor(
-    const std::string& destination) {
-  auto it = connections_.find(destination);
-  if (it != connections_.end() && it->second->isOpen()) return it->second;
-  auto connection = platform_.openMessageConnection("sms://" + destination);
-  connections_[destination] = connection;
-  return connection;
-}
-
 int S60SmsProxy::segmentCount(const std::string& text) {
   support::trace::Span span("s60.segmentCount");
   meter().Charge(Op::kDispatch);
@@ -331,7 +322,10 @@ long long S60SmsProxy::sendTextMessage(const std::string& destination,
   RequireProperties();
   const long long id = next_message_id_++;
   try {
-    auto connection = ConnectionFor(destination);
+    // One connection per send, closed when it goes out of scope: caching
+    // one per destination would keep every number a client ever named.
+    const auto connection =
+        platform_.openMessageConnection("sms://" + destination);
     s60::TextMessage message = connection->newTextMessage();
     meter().Charge(Op::kTypeConversion);
     message.setPayloadText(text);

@@ -15,7 +15,6 @@
 // No Call proxy: S60 does not expose the core call functionality.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,11 +68,7 @@ class S60SmsProxy : public SmsProxy {
   int segmentCount(const std::string& text) override;
 
  private:
-  std::shared_ptr<s60::MessageConnection> ConnectionFor(
-      const std::string& destination);
-
   s60::S60Platform& platform_;
-  std::map<std::string, std::shared_ptr<s60::MessageConnection>> connections_;
   long long next_message_id_ = 1;
 };
 

@@ -46,8 +46,13 @@ class MobileDevice {
 
   /// Convenience: run the simulation for a stretch of virtual time.
   void RunFor(sim::SimTime duration) { scheduler_.RunFor(duration); }
-  /// Drain every pending event (bounded by `limit` as a runaway guard).
-  void RunAll(std::size_t limit = 1'000'000) { scheduler_.Run(limit); }
+  /// Run every pending event, at most `limit` of them (a runaway
+  /// guard); whatever a runaway leaves past `limit` is dropped unrun, so
+  /// the device is empty on return. Returns the number of events dropped.
+  std::size_t RunAll(std::size_t limit = 1'000'000) {
+    scheduler_.Run(limit);
+    return scheduler_.Clear();
+  }
 
  private:
   sim::Scheduler scheduler_;

@@ -10,7 +10,6 @@
 #include <string>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -400,44 +399,26 @@ class Gateway::Shard {
  private:
   /// Routes the uniform SmsListener callback surface into the shard's
   /// push feed. One long-lived instance per shard, handed to every
-  /// sendTextMessage dispatch — the bindings retain it for the delivery
-  /// broadcasts that fire later (during RunAll or a later serve), so it
-  /// must outlive every in-flight message, which shard ownership gives.
+  /// sendTextMessage dispatch. Every status fires on the worker while the
+  /// request that sent its message is still being served (inside
+  /// sendTextMessage, or in the device drain that ends that serve), so
+  /// the status goes to the serving client and no id -> client map is
+  /// kept. Such a map could not work anyway: each platform numbers its
+  /// messages with its own counter, so one id can name an S60 and an
+  /// iPhone message at once.
   class SmsDeliveryBridge : public core::SmsListener {
    public:
     explicit SmsDeliveryBridge(Shard& shard) : shard_(shard) {}
     void smsStatusChanged(long long message_id,
                           core::SmsDeliveryStatus status) override {
-      shard_.PublishSmsStatus(message_id, status);
+      shard_.feed_.Publish(
+          PushTopic::kSmsDelivery, shard_.serving_client_id_,
+          std::to_string(message_id) + ":" + core::ToString(status));
     }
 
    private:
     Shard& shard_;
   };
-
-  /// Worker-thread only (bindings fire callbacks on the serving thread).
-  /// The kSubmitted callback fires inside sendTextMessage, while the
-  /// originating request is still the one being served — that is when a
-  /// message id gets bound to its client; later delivery broadcasts for
-  /// the same id (which fire while a DIFFERENT request is current) look
-  /// the owner up instead of trusting serving_client_id_.
-  void PublishSmsStatus(long long message_id,
-                        core::SmsDeliveryStatus status) {
-    std::uint64_t client = serving_client_id_;
-    const auto it = sms_owners_.find(message_id);
-    if (it != sms_owners_.end()) {
-      client = it->second;
-    } else {
-      sms_owners_.emplace(message_id, client);
-    }
-    // Delivered/failed are terminal — drop the binding so the map stays
-    // bounded by in-flight messages.
-    if (status != core::SmsDeliveryStatus::kSubmitted) {
-      sms_owners_.erase(message_id);
-    }
-    feed_.Publish(PushTopic::kSmsDelivery, client,
-                  std::to_string(message_id) + ":" + core::ToString(status));
-  }
 
   static constexpr std::size_t PlatformIndex(Platform platform) {
     return static_cast<std::size_t>(platform);
@@ -501,9 +482,14 @@ class Gateway::Shard {
       } else {
         RunRequest(queued, work, response);
       }
-      // Drain device-side follow-ups (delivery intents, polling ticks)
-      // before the next item so per-item virtual work stays bounded.
-      device_->RunAll();
+    }
+    // Every device event this item scheduled (delivery intents, polling
+    // ticks) fires before the next item is taken, so per-item virtual
+    // work stays bounded and each status reaches the client that caused
+    // it. What a runaway leaves past RunAll's limit is dropped and
+    // counted, never left to fire under a later request.
+    if (const std::size_t dropped = device_->RunAll()) {
+      stats_.Add(ShardCounter::device_events_dropped, dropped);
     }
     Finish(queued, work, response);
   }
@@ -870,9 +856,6 @@ class Gateway::Shard {
   SmsDeliveryBridge sms_bridge_;
   /// Client id of the request currently being served; worker-only.
   std::uint64_t serving_client_id_ = 0;
-  /// In-flight message id -> originating client; worker-only, entries
-  /// dropped on terminal delivery status.
-  std::unordered_map<long long, std::uint64_t> sms_owners_;
   /// Null unless GatewayConfig::failover.enabled(); worker-thread-only
   /// after construction (its ShardStats writes are the shared part).
   std::unique_ptr<FailoverEngine> failover_;

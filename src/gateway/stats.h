@@ -41,6 +41,9 @@ namespace mobivine::gateway {
   X(hedges_won, "hedges_won", "hedge dispatches that produced the win")     \
   X(breaker_opens, "breaker_opens", "closed/half-open -> open transitions") \
   X(faults_injected, "faults_injected", "FaultPlan decisions that fired")   \
+  X(device_events_dropped, "device_events_dropped",                         \
+    "device events a serve's drain left past its runaway limit, dropped "   \
+    "unrun so none fires under a later request")                            \
   X(scripts, "script.executed",                                             \
     "M-Script executions dequeued and run (also counted in accepted + "     \
     "ok/failed/timed_out: scripts ride the same serving machinery)")        \

@@ -10,12 +10,14 @@ IPhonePlatform::IPhonePlatform(device::MobileDevice& device,
 
 IPhonePlatform::~IPhonePlatform() { *alive_ = false; }
 
-void IPhonePlatform::FinishComposer(ComposerOutcome outcome) {
+void IPhonePlatform::FinishComposer(ComposerOutcome outcome,
+                                    const ComposerObserver& on_finish) {
   composer_outcome_ = outcome;
-  if (composer_observer_) composer_observer_(outcome);
+  if (on_finish) on_finish(outcome);
 }
 
-bool IPhonePlatform::openURL(const std::string& url, const std::string& body) {
+bool IPhonePlatform::openURL(const std::string& url, const std::string& body,
+                             ComposerObserver on_finish) {
   const bool is_sms = support::StartsWith(url, "sms:");
   const bool is_tel = support::StartsWith(url, "tel:");
   if (!is_sms && !is_tel) return false;  // UIKit: unhandled scheme -> NO
@@ -29,28 +31,31 @@ bool IPhonePlatform::openURL(const std::string& url, const std::string& body) {
   const sim::SimTime think = cost_.user_confirmation.Sample(device_.rng());
   std::weak_ptr<bool> alive = alive_;
   device_.scheduler().ScheduleAfter(
-      think, [this, alive, is_sms, number, body] {
+      think, [this, alive, is_sms, number, body,
+              on_finish = std::move(on_finish)] {
         auto locked = alive.lock();
         if (!locked || !*locked) return;
         if (!user_confirms_compose_) {
-          FinishComposer(ComposerOutcome::kCancelled);
+          FinishComposer(ComposerOutcome::kCancelled, on_finish);
           return;
         }
         if (is_sms) {
           device_.modem().SendSms(
-              number, body, [this, alive](const device::SmsResult& result) {
+              number, body,
+              [this, alive, on_finish](const device::SmsResult& result) {
                 auto still = alive.lock();
                 if (!still || !*still) return;
                 if (result.status == device::SmsStatus::kSent) {
-                  FinishComposer(ComposerOutcome::kSent);
+                  FinishComposer(ComposerOutcome::kSent, on_finish);
                 } else if (result.status != device::SmsStatus::kDelivered) {
-                  FinishComposer(ComposerOutcome::kFailed);
+                  FinishComposer(ComposerOutcome::kFailed, on_finish);
                 }
               });
         } else {
           const bool started = device_.modem().Dial(number, nullptr);
-          FinishComposer(started ? ComposerOutcome::kSent
-                                 : ComposerOutcome::kFailed);
+          FinishComposer(
+              started ? ComposerOutcome::kSent : ComposerOutcome::kFailed,
+              on_finish);
         }
       });
   return true;

@@ -76,20 +76,21 @@ class IPhonePlatform {
   bool user_confirms_compose() const { return user_confirms_compose_; }
 
   // --- UIApplication openURL: ---------------------------------------------
+  /// Completion of the last openURL-driven action, observable by tests and
+  /// by bindings that poll (kNone until the user decides).
+  enum class ComposerOutcome { kNone, kSent, kCancelled, kFailed };
+  using ComposerObserver = std::function<void(ComposerOutcome)>;
+
   /// Open an "sms:+number" or "tel:+number" URL: switches to the system
   /// UI, waits for the user, and (if confirmed) hands the action to the
   /// modem. Returns NO for malformed/unsupported URLs (UIKit contract).
   /// `body` is the prefilled SMS text (the app cannot send silently).
-  bool openURL(const std::string& url, const std::string& body = "");
+  /// `on_finish`, when set, hears this session's outcome, so sessions
+  /// that overlap each report their own.
+  bool openURL(const std::string& url, const std::string& body = "",
+               ComposerObserver on_finish = {});
 
-  /// Completion of the last openURL-driven action, observable by tests and
-  /// by bindings that poll (kNone until the user decides).
-  enum class ComposerOutcome { kNone, kSent, kCancelled, kFailed };
   ComposerOutcome last_composer_outcome() const { return composer_outcome_; }
-  /// Observer invoked when a composer session finishes.
-  void set_composer_observer(std::function<void(ComposerOutcome)> observer) {
-    composer_observer_ = std::move(observer);
-  }
 
   // --- NSURLConnection sendSynchronousRequest ------------------------------
   struct NSURLResponse {
@@ -108,14 +109,14 @@ class IPhonePlatform {
   std::shared_ptr<bool> alive_token() const { return alive_; }
 
  private:
-  void FinishComposer(ComposerOutcome outcome);
+  void FinishComposer(ComposerOutcome outcome,
+                      const ComposerObserver& on_finish);
 
   device::MobileDevice& device_;
   IPhoneApiCost cost_;
   bool user_allows_location_ = true;
   bool user_confirms_compose_ = true;
   ComposerOutcome composer_outcome_ = ComposerOutcome::kNone;
-  std::function<void(ComposerOutcome)> composer_observer_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -92,6 +92,16 @@ std::size_t Scheduler::Run(std::size_t limit) {
   return executed;
 }
 
+std::size_t Scheduler::Clear() {
+  while (!queue_.empty()) {
+    ReleaseSlot(queue_.top().slot);
+    queue_.pop();
+  }
+  const std::size_t dropped = pending_count_;
+  pending_count_ = 0;
+  return dropped;
+}
+
 std::size_t Scheduler::RunUntil(SimTime deadline) {
   std::size_t executed = 0;
   while (!queue_.empty()) {

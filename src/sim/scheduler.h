@@ -67,6 +67,10 @@ class Scheduler {
   /// Run events for a further `duration` of virtual time.
   std::size_t RunFor(SimTime duration) { return RunUntil(now_ + duration); }
 
+  /// Drop every pending event unrun (their EventIds go stale). Returns
+  /// how many live, uncancelled events were dropped.
+  std::size_t Clear();
+
   std::size_t pending_count() const { return pending_count_; }
 
  private:

@@ -203,6 +203,26 @@ TEST(IPhoneCallProxy, CancellationBecomesFailed) {
   EXPECT_EQ(listener.states[0], CallProgress::kFailed);
 }
 
+TEST(IPhoneCallProxy, DialAndSmsComposeEachReportTheirOwnOutcome) {
+  Fixture fx;
+  auto call = fx.registry.CreateCallProxy(fx.platform);
+  auto sms = fx.registry.CreateSmsProxy(fx.platform);
+  RecordingCall call_listener;
+  RecordingSms sms_listener;
+  // A compose opened while the dial is still waiting for the user must
+  // not take over the dial's report, nor leave the call proxy composing.
+  ASSERT_TRUE(call->makeCall("+15550123", &call_listener));
+  const long long id = sms->sendTextMessage("+15550123", "x", &sms_listener);
+  fx.dev->RunFor(sim::SimTime::Seconds(30));
+  ASSERT_EQ(call_listener.states.size(), 1u);
+  EXPECT_EQ(call_listener.states[0], CallProgress::kDialing);
+  ASSERT_EQ(sms_listener.events.size(), 1u);
+  EXPECT_EQ(sms_listener.events[0].first, id);
+  EXPECT_EQ(sms_listener.events[0].second, SmsDeliveryStatus::kSubmitted);
+  call->endCall();
+  EXPECT_TRUE(call->makeCall("+15550123", &call_listener));
+}
+
 // ---------------------------------------------------------------------------
 // Http: NSError mapping
 // ---------------------------------------------------------------------------

@@ -60,6 +60,22 @@ TEST(Gps, PeriodicFixesStopOnUnsubscribe) {
   EXPECT_EQ(count, 5);
 }
 
+TEST(Gps, RunAllDropsPeriodicFixesPastItsLimit) {
+  auto dev = MakeDevice();
+  int count = 0;
+  dev->gps().StartPeriodicFixes(GpsMode::kLowPower, sim::SimTime::Seconds(1),
+                                [&](const GpsFix&) { ++count; });
+  // A subscription nobody stops reschedules forever: RunAll runs its
+  // limit, then drops the rest, so nothing is left to fire later.
+  EXPECT_GE(dev->RunAll(10), 1u);
+  EXPECT_EQ(dev->scheduler().pending_count(), 0u);
+  const int drained = count;
+  EXPECT_GT(drained, 0);
+  dev->RunFor(sim::SimTime::Seconds(5));
+  EXPECT_EQ(count, drained);
+  EXPECT_EQ(dev->RunAll(), 0u);  // an empty device drops nothing
+}
+
 TEST(Gps, FixFailureProbabilityProducesInvalidFixes) {
   DeviceConfig config;
   config.gps.fix_failure_probability = 1.0;

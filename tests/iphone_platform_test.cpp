@@ -103,11 +103,10 @@ TEST(IPhoneOpenUrl, SmsComposerSendsAfterUserConfirms) {
   auto dev = MakeDevice();
   IPhonePlatform platform(*dev);
   std::vector<IPhonePlatform::ComposerOutcome> outcomes;
-  platform.set_composer_observer(
-      [&](IPhonePlatform::ComposerOutcome outcome) {
-        outcomes.push_back(outcome);
-      });
-  ASSERT_TRUE(platform.openURL("sms:+15550123", "hello"));
+  ASSERT_TRUE(platform.openURL("sms:+15550123", "hello",
+                               [&](IPhonePlatform::ComposerOutcome outcome) {
+                                 outcomes.push_back(outcome);
+                               }));
   EXPECT_TRUE(outcomes.empty());  // user has not decided yet
   dev->RunFor(sim::SimTime::Seconds(30));
   ASSERT_EQ(outcomes.size(), 1u);

@@ -14,6 +14,8 @@
 //    markers — every published cursor is either delivered or covered by
 //    a gap range (no silent loss) — and request/response traffic on the
 //    same connection still completes;
+//  * an SMS status reaches only the client whose request sent the
+//    message, in process and over a per-client wire subscription;
 //  * NotificationTable bounds + counts loss instead of growing without
 //    bound (the lost-notification bugfix regression);
 //  * WireClient teardown never races an in-flight Submit into a recycled
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -924,6 +927,113 @@ TEST_F(PushServerTest, MalformedSubscribeBodyGetsTypedAck) {
   ASSERT_TRUE(conn.Send(request_bytes));
   ASSERT_TRUE(conn.ReadFrame(&frame, &storage));
   EXPECT_EQ(frame.type, FrameType::kResponse);
+}
+
+// ---------------------------------------------------------------------------
+// SMS statuses reach the client that sent the message
+// ---------------------------------------------------------------------------
+
+/// Client 1 sends via S60, client 2 via iPhone, client 3 via Android
+/// three times, each with `send`, which returns the message id. Returns
+/// the kSmsDelivery bodies each client's own sends must produce, in
+/// order: S60 and iPhone stop at `submitted`, Android goes on to
+/// `delivered`. S60 and iPhone count ids separately, so clients 1 and 2
+/// get the same one.
+std::map<std::uint64_t, std::vector<std::string>> SendSmsFromThreeClients(
+    const std::function<std::string(std::uint64_t, Platform)>& send) {
+  const std::pair<std::uint64_t, Platform> sends[] = {
+      {1, Platform::kS60},
+      {2, Platform::kIphone},
+      {3, Platform::kAndroid},
+      {3, Platform::kAndroid},
+      {3, Platform::kAndroid}};
+  std::map<std::uint64_t, std::vector<std::string>> expected;
+  for (const auto& [client, platform] : sends) {
+    const std::string id = send(client, platform);
+    expected[client].push_back(id + ":submitted");
+    if (platform == Platform::kAndroid) {
+      expected[client].push_back(id + ":delivered");
+    }
+  }
+  return expected;
+}
+
+using GatewayPush = PushServerTest;
+
+TEST_F(GatewayPush, SmsStatusReachesOnlyItsSender) {
+  StartAll(BaseConfig(1), {});
+
+  // In process: every kSmsDelivery event the shard publishes, by the
+  // client it is published for. Listeners run on the shard worker.
+  std::mutex mutex;
+  std::map<std::uint64_t, std::vector<std::string>> published;
+  gateway::PushFeed& feed = gateway_->FeedForShard(0);
+  const std::uint64_t listener =
+      feed.AddListener([&](const gateway::PushEvent& event) {
+        if (event.topic != gateway::PushTopic::kSmsDelivery) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        published[event.client_id].push_back(event.body);
+      });
+  const auto expected =
+      SendSmsFromThreeClients([&](std::uint64_t client, Platform platform) {
+        gateway::Request request;
+        request.client_id = client;
+        request.platform = platform;
+        request.op = Op::kSendSms;
+        request.target = gateway::kGatewaySmsPeer;
+        request.payload = "hello";
+        const gateway::Response response = gateway_->Call(std::move(request));
+        EXPECT_TRUE(response.ok) << response.message;
+        return response.payload;
+      });
+  feed.RemoveListener(listener);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(published, expected);
+  }
+
+  // Over the wire: one subscription per client id sees its own statuses
+  // and no one else's.
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  Subscriber subscribers[3];
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    WireSubscribe subscribe;
+    subscribe.client_id = c;
+    subscribe.topic = PushTopic::kSmsDelivery;
+    subscribe.mode = SubscribeMode::kLiveOnly;
+    Subscriber& sub = subscribers[c - 1];
+    ASSERT_TRUE(client.Subscribe(subscribe, sub.OnEvent(), sub.OnAck()));
+    ASSERT_TRUE(sub.WaitForAck());
+    ASSERT_EQ(sub.acks[0].status, WireStatus::kOk);
+  }
+  const auto wire_expected =
+      SendSmsFromThreeClients([&](std::uint64_t client_id, Platform platform) {
+        WireRequest request;
+        request.client_id = client_id;
+        request.platform = platform;
+        request.op = Op::kSendSms;
+        request.target = gateway::kGatewaySmsPeer;
+        request.payload = "hello";
+        WireResponse response;
+        EXPECT_TRUE(client.Call(request, &response));
+        EXPECT_EQ(response.status, WireStatus::kOk) << response.body;
+        return response.body;
+      });
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    Subscriber& sub = subscribers[c - 1];
+    const std::vector<std::string>& want = wire_expected.at(c);
+    EXPECT_TRUE(sub.WaitForEvents(want.size())) << "client " << c;
+    std::lock_guard<std::mutex> lock(sub.mutex);
+    std::vector<std::string> bodies;
+    for (const WireEvent& event : sub.events) {
+      EXPECT_EQ(event.kind, EventKind::kData);
+      EXPECT_EQ(event.aux, c);
+      bodies.push_back(event.body);
+    }
+    EXPECT_EQ(bodies, want) << "client " << c;
+  }
+  client.Close();
 }
 
 // ---------------------------------------------------------------------------

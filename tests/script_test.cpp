@@ -15,12 +15,14 @@
 //    building) — and the budget kills are counted in
 //    gateway.script.budget_kills;
 //  * script property writes never leak into later traffic on the shard;
+//  * two iPhone sends in one script each report their own status once;
 //  * over real sockets a kScript frame answers with an ordinary
 //    kResponse carrying kOk / kScriptError, and the frame-mutation
 //    fuzzer covers kScript at the socket level without killing the
 //    server (wire_test.cpp covers the shared fuzz harness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -317,6 +319,29 @@ TEST(ScriptGateway, PropertyWritesAreScopedToTheScript) {
       "mobile.getProperty('s60', 'getLocation', 'powerConsumption');"));
   ASSERT_TRUE(second.ok) << second.message;
   EXPECT_NE(second.result, "low") << "property leaked across scripts";
+}
+
+TEST(ScriptGateway, TwoIphoneSendsEachReportTheirOwnStatus) {
+  Gateway gateway(BaseConfig());
+  std::vector<std::string> statuses;  // appended on the shard worker only
+  const std::uint64_t listener = gateway.FeedForShard(0).AddListener(
+      [&statuses](const gateway::PushEvent& event) {
+        if (event.topic == gateway::PushTopic::kSmsDelivery) {
+          statuses.push_back(event.body);
+        }
+      });
+  // The second compose opens before the user has decided on the first:
+  // each must still report its own outcome, once.
+  ScriptResponse response = gateway.CallScript(MakeScript(R"JS(
+    mobile.invoke('iphone', 'sendSms', '+15550123', 'one') + ',' +
+        mobile.invoke('iphone', 'sendSms', '+15550123', 'two');
+  )JS"));
+  gateway.FeedForShard(0).RemoveListener(listener);
+  ASSERT_TRUE(response.ok) << response.message;
+  EXPECT_EQ(response.result, "1,2");
+  std::sort(statuses.begin(), statuses.end());
+  EXPECT_EQ(statuses,
+            (std::vector<std::string>{"1:submitted", "2:submitted"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -115,6 +115,26 @@ TEST(Scheduler, RunLimitBoundsExecution) {
   EXPECT_EQ(count, 100);
 }
 
+TEST(Scheduler, ClearDropsPendingEventsUnrun) {
+  Scheduler scheduler;
+  int fired = 0;
+  scheduler.ScheduleAfter(SimTime::Millis(1), [&] { ++fired; });
+  const EventId cancelled =
+      scheduler.ScheduleAfter(SimTime::Millis(2), [&] { ++fired; });
+  const EventId live =
+      scheduler.ScheduleAfter(SimTime::Millis(3), [&] { ++fired; });
+  ASSERT_TRUE(scheduler.Cancel(cancelled));
+  EXPECT_EQ(scheduler.Clear(), 2u);  // the cancelled one is not counted
+  EXPECT_EQ(scheduler.pending_count(), 0u);
+  EXPECT_FALSE(scheduler.Cancel(live));  // its id went stale
+  EXPECT_EQ(scheduler.Run(), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(scheduler.now(), SimTime::Zero());
+  scheduler.ScheduleAfter(SimTime::Millis(1), [&] { ++fired; });
+  EXPECT_EQ(scheduler.Run(), 1u);  // slots are reused after a clear
+  EXPECT_EQ(fired, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Rng / latency models
 // ---------------------------------------------------------------------------
