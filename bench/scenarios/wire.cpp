@@ -109,9 +109,8 @@ WireRun RunWireScenario(int event_loops, int window,
   server_config.event_loops = event_loops;
   WireStack stack(WireGatewayConfig(), server_config);
 
-  // Pool misses after warm-up are steady-state allocations. Warm-up
-  // threads flush their thread caches into the global tier on exit, so
-  // the measured run's fresh threads inherit those buffers.
+  // Pool misses after warm-up are steady-state allocations: the
+  // warm-up's buffers wait on the pool's shelves for the measured run.
   std::uint64_t misses_before = 0;
   double cpu_before = 0;
   WireRun run;

@@ -17,8 +17,10 @@
 # on their first event while the exporter reads the registry. 'Failover',
 # 'Interner' and 'BufferPool' add the threaded fault-injection soak, the
 # shared interner under concurrent intern/lookup and the frame-buffer
-# pool's thread-exit flush. 'Script' covers the gateway-wide parse cache
-# that every shard reads and inserts into.
+# pool's shelves, which every wire thread acquires from and returns to;
+# the pool's two cross-thread tests also run 20 times over. 'Script'
+# covers the gateway-wide parse cache that every shard reads and inserts
+# into.
 # Opt in to the full suite with
 #   MOBIVINE_CI_PRESETS="default asan ubsan tsan" scripts/ci.sh
 # or run the filtered leg directly:
@@ -214,6 +216,9 @@ if [[ "${MOBIVINE_CI_WIRE_TSAN:-1}" != "0" ]]; then
   cmake --build --preset tsan -j "$JOBS"
   ctest --test-dir build-tsan -R "$tsan_filter" -j "$JOBS" \
     --output-on-failure
+  echo "==== [wire] tsan: frame-buffer pool cross-thread tests x20 ===="
+  ./build-tsan/tests/mobivine_tests --gtest_repeat=20 \
+    --gtest_filter='BufferPool.BufferReleasedOnALiveThreadIsReusedByItsAcquirer:BufferPool.FloodFromEightLiveThreadsParksAtMostTheProcessBound'
 fi
 
 echo "==== all presets green: $PRESETS (+ docs, mscope, wire, cluster, push, script, fleet, descriptor) ===="

@@ -7,20 +7,18 @@
 // vector whose capacity already covers the requested size, and the
 // PooledBuffer RAII handle returns it when the frame has been written.
 //
-// Two tiers:
-//  * a global freelist per size class (mutex-guarded, bounded in depth
-//    and in parked bytes) —
-//    the cross-thread hand-off tier, since frames are typically encoded
-//    on one thread (a gateway shard worker) and released on another (the
-//    event loop that finished the writev);
-//  * an optional per-thread cache (bounded, lock-free by construction) in
-//    front of it, enabled per pool — the process-wide WirePool() enables
-//    it, so the common same-thread reuse pattern never touches a lock.
-//
-// A pool with the thread cache enabled must outlive every thread that
-// used it: exiting threads flush their cached buffers back to the global
-// freelists. WirePool() is intentionally immortal (never destroyed) so
-// this holds trivially; short-lived pools in tests leave the cache off.
+// One tier: a shelf per size class, bounded in depth and in parked
+// bytes, with one lock taken per acquire and one per return. Frames are
+// typically encoded on one thread (a gateway shard worker) and released
+// on another (the event loop that finished the writev), so the shelf is
+// the hand-off point. There is no per-thread cache in front of it. On
+// perfbench (seed 3, 6 s) such a cache served 122k of wire_mixed's 278k
+// acquires, 195k of push_fanout's 223k and 5.2k of script_composite's
+// 10.3k, but a buffer released on a thread that seldom acquires (the
+// wire loop, for every response) sat in that thread's cache, and each
+// thread could park ~3 MiB beyond the shelves. With shelves alone the
+// whole process parks at most 256 x 512 B + 4 x 1 MiB = 4.125 MiB
+// (ParkedBytes()).
 //
 // Stats are relaxed atomics, snapshotable while serving. `misses` counts
 // fresh heap allocations — the numerator of the wire bench's
@@ -78,7 +76,7 @@ class PooledBuffer {
 };
 
 struct BufferPoolStats {
-  std::uint64_t hits = 0;     ///< Acquire served from a freelist / cache
+  std::uint64_t hits = 0;     ///< Acquire served from a shelf
   std::uint64_t misses = 0;   ///< Acquire had to heap-allocate
   std::uint64_t returns = 0;  ///< buffers accepted back into the pool
   std::uint64_t trims = 0;    ///< buffers dropped (freelist full / oversize)
@@ -92,27 +90,21 @@ class BufferPool {
                                                 256u << 10, 1u << 20};
   static constexpr std::size_t kClassCount =
       sizeof(kClassSizes) / sizeof(kClassSizes[0]);
-  /// Global depth must cover peak in-flight frames, not just steady
+  /// Shelf depth must cover peak in-flight frames, not just steady
   /// state: a pipelined wire client keeps (threads x window) responses
   /// alive at once, and every pooled buffer beyond the cap is trimmed —
   /// an undersized shelf turns each burst into a miss/trim churn cycle.
   static constexpr std::size_t kMaxGlobalPerClass = 256;
-  static constexpr std::size_t kMaxThreadCachePerClass = 16;
-  /// Neither tier parks more than this much of one class, counted by
-  /// the parked buffers' capacity: a buffer that grew past its class
-  /// (filed under the class it can still serve) counts at its grown
-  /// size. So the depth caps above bind only the small classes that
-  /// carry steady-state frames (512 B, 4 KB). The large classes get at
-  /// most 16 / 4 / 1 buffers on a shelf, and at most that in a thread
-  /// cache — without the byte cap the shelves alone could park
+  /// No shelf parks more than this much of its class, counted by the
+  /// parked buffers' capacity: a buffer that grew past its class (filed
+  /// under the class it can still serve) counts at its grown size. So
+  /// the depth cap above binds only the small classes that carry
+  /// steady-state frames (512 B, 4 KB); the large classes park at most
+  /// 16 / 4 / 1 buffers — without the byte cap the shelves could park
   /// 256 x 1.3 MB. A buffer over 1 MiB is never parked.
   static constexpr std::size_t kMaxParkedBytesPerClass = 1u << 20;
 
-  /// `enable_thread_cache` adds the per-thread tier; see the header
-  /// comment for the lifetime requirement it imposes.
-  explicit BufferPool(bool enable_thread_cache = false)
-      : thread_cache_enabled_(enable_thread_cache) {}
-
+  BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
@@ -128,19 +120,23 @@ class BufferPool {
     return stats;
   }
 
-  /// Buffers currently parked on the global freelists (not thread caches).
+  /// Buffers currently parked on the shelves.
   [[nodiscard]] std::size_t PooledCount() const;
 
-  /// The process-wide pool the wire layer uses (thread cache enabled,
-  /// never destroyed — safe from any thread at any point of shutdown).
-  static BufferPool& WirePool();
+  /// Capacity parked on the shelves, in bytes: at most kClassSizes[0] x
+  /// kMaxGlobalPerClass + (kClassCount - 1) x kMaxParkedBytesPerClass.
+  [[nodiscard]] std::size_t ParkedBytes() const;
 
-  /// Hand a buffer (back) to the pool. Normally invoked via PooledBuffer;
-  /// public so exiting threads can flush their caches to the global tier.
-  void Return(std::vector<std::uint8_t>&& buf);
+  /// The process-wide pool the wire layer uses (never destroyed — safe
+  /// from any thread at any point of shutdown).
+  static BufferPool& WirePool();
 
  private:
   friend class PooledBuffer;
+
+  /// Hand a buffer back to its class's shelf, or free it when the shelf
+  /// is full or the buffer fits no class. Invoked via PooledBuffer.
+  void Return(std::vector<std::uint8_t>&& buf);
 
   /// Index of the smallest class covering n, or kClassCount when n is
   /// over the largest class (unpooled).
@@ -161,15 +157,12 @@ class BufferPool {
     return best;
   }
 
-  void ReturnToGlobal(std::size_t cls, std::vector<std::uint8_t>&& buf);
-
   struct Shelf {
     mutable std::mutex mutex;
     std::vector<std::vector<std::uint8_t>> buffers;
     std::size_t bytes = 0;  ///< parked capacity, under `mutex`
   };
 
-  const bool thread_cache_enabled_;
   Shelf shelves_[kClassCount];
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -553,11 +553,13 @@ WireStatsSnapshot WireServer::Stats() const {
   WireStatsSnapshot snap;
   reactor_.LoadStats(snap);
   stats_->LoadInto(snap);
-  const support::BufferPoolStats pool = support::BufferPool::WirePool().Stats();
+  const support::BufferPool& wire_pool = support::BufferPool::WirePool();
+  const support::BufferPoolStats pool = wire_pool.Stats();
   snap.pool_hits = pool.hits;
   snap.pool_misses = pool.misses;
   snap.pool_returns = pool.returns;
   snap.pool_trims = pool.trims;
+  snap.pool_parked_bytes = wire_pool.ParkedBytes();
   return snap;
 }
 
@@ -572,6 +574,8 @@ support::MetricsRegistry::Registration WireServer::RegisterMetrics(
         sink.Counter("pool_misses", snap.pool_misses);
         sink.Counter("pool_returns", snap.pool_returns);
         sink.Counter("pool_trims", snap.pool_trims);
+        sink.Gauge("pool_parked_bytes",
+                   static_cast<double>(snap.pool_parked_bytes));
         // Frame-buffer allocations per dispatched request: pool misses
         // are the only fresh heap buffers on the frame path, so at
         // steady state this reads 0.0 (the tentpole's no-alloc claim,

@@ -24,7 +24,7 @@
 // Observability: wire.read / wire.decode / wire.dispatch / wire.write
 // M-Scope spans on the loop threads ("wire-loop-N") and a "wire."
 // MetricsRegistry source: the reactor's and the data plane's table rows
-// and the frame-buffer pool's counters.
+// and the frame-buffer pool's counters and parked-bytes gauge.
 //
 // Shutdown contract: Stop() (or the destructor) closes every socket and
 // joins the loops, but gateway completions for already-dispatched
@@ -104,6 +104,7 @@ struct WireStatsSnapshot : ReactorStats {
   std::uint64_t pool_misses = 0;  ///< fresh heap allocations
   std::uint64_t pool_returns = 0;
   std::uint64_t pool_trims = 0;  ///< dropped: class full or oversized
+  std::uint64_t pool_parked_bytes = 0;  ///< gauge: at most 4.125 MiB
 
   [[nodiscard]] std::uint64_t subscriptions_active() const {
     return subscriptions_open;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -483,17 +484,6 @@ TEST(BufferPool, LargeClassesParkAtMostOneMiB) {
   EXPECT_EQ(parked_after_burst(64u << 10), 16u);
   // One 1 MiB buffer fills its shelf, not 256 MB left parked.
   EXPECT_EQ(parked_after_burst(1u << 20), 1u);
-
-  // A thread cache parks 4 buffers of 256 KiB, and the shelf 4 more.
-  BufferPool cached(/*enable_thread_cache=*/true);
-  std::thread worker([&cached] {
-    std::vector<PooledBuffer> held;
-    for (int i = 0; i < 20; ++i) held.push_back(cached.Acquire(256u << 10));
-    held.clear();
-    EXPECT_EQ(cached.PooledCount(), 4u);
-    EXPECT_EQ(cached.Stats().returns, 8u);
-  });
-  worker.join();  // the exiting thread flushes its cache into `cached`
 }
 
 TEST(BufferPool, GrownBuffersCountAtTheirCapacity) {
@@ -511,18 +501,72 @@ TEST(BufferPool, GrownBuffersCountAtTheirCapacity) {
   EXPECT_EQ(pool.Stats().trims, 256u - pool.PooledCount());
 }
 
-TEST(BufferPool, ThreadCacheFlushesToGlobalTierOnThreadExit) {
-  // A thread-cache-enabled pool must make buffers released by a dying
-  // thread visible to other threads — the wire bench depends on this
-  // (warm-up client threads exit before the measured run starts).
+TEST(BufferPool, BufferReleasedOnALiveThreadIsReusedByItsAcquirer) {
+  // The wire's hand-off: a shard worker (A, this thread) encodes a frame
+  // and the event loop (B) releases it after the writev, then keeps
+  // running. A's next frame of that class must reuse that very buffer —
+  // a hit, no new allocation — while B is still alive. The smallest
+  // class is bounded by depth alone, so whatever earlier tests left on
+  // the shared pool's shelf, handing one buffer back cannot be trimmed.
   BufferPool& pool = BufferPool::WirePool();
-  const std::uint64_t returns_before = pool.Stats().returns;
-  std::thread worker([&pool] {
-    PooledBuffer buf = pool.Acquire(2048);
-    buf.bytes().resize(2048);
+  constexpr std::size_t kSize = BufferPool::kClassSizes[0];
+  PooledBuffer frame = pool.Acquire(kSize);
+  const std::uint8_t* const storage = frame.bytes().data();
+  std::promise<void> released;
+  std::promise<void> reacquired;
+  std::future<void> released_future = released.get_future();
+  std::future<void> reacquired_future = reacquired.get_future();
+  std::thread loop([&] {
+    frame.Release();
+    released.set_value();
+    reacquired_future.wait();
   });
-  worker.join();
-  EXPECT_GT(pool.Stats().returns, returns_before);
+  released_future.wait();
+  const BufferPoolStats before = pool.Stats();
+  PooledBuffer next = pool.Acquire(kSize);
+  const BufferPoolStats after = pool.Stats();
+  reacquired.set_value();
+  loop.join();
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(next.bytes().data(), storage);
+}
+
+TEST(BufferPool, FloodFromEightLiveThreadsParksAtMostTheProcessBound) {
+  // Eight threads each hold 300 buffers of every class, then release
+  // them all and stay alive while the pool is read. Whatever thread a
+  // buffer comes back on, the pool parks at most 256 x 512 B + 4 x 1 MiB
+  // and 256 + 256 + 16 + 4 + 1 buffers.
+  constexpr int kThreads = 8;
+  constexpr int kPerClass = 300;
+  BufferPool pool;
+  std::promise<void> checked;
+  std::shared_future<void> checked_future = checked.get_future().share();
+  std::vector<std::promise<void>> released(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<PooledBuffer> held;
+      for (const std::size_t size : BufferPool::kClassSizes) {
+        for (int i = 0; i < kPerClass; ++i) held.push_back(pool.Acquire(size));
+      }
+      held.clear();
+      released[t].set_value();
+      checked_future.wait();
+    });
+  }
+  for (std::promise<void>& done : released) done.get_future().wait();
+  const std::size_t parked_bytes = pool.ParkedBytes();
+  const std::size_t pooled = pool.PooledCount();
+  checked.set_value();
+  for (std::thread& thread : threads) thread.join();
+  // Each thread still holds 300 of a class after that class's last
+  // acquire, so every shelf ends full: the bound is met exactly.
+  EXPECT_EQ(parked_bytes, 256u * 512u + 4u * (1u << 20));
+  EXPECT_EQ(pooled, 533u);
+  const BufferPoolStats stats = pool.Stats();
+  EXPECT_EQ(stats.returns + stats.trims,
+            kThreads * BufferPool::kClassCount * kPerClass);
 }
 
 TEST(Histogram, PercentileRanksTrackExactValuesWithinErrorBound) {
