@@ -20,7 +20,9 @@
 # pool's shelves, which every wire thread acquires from and returns to;
 # the pool's two cross-thread tests also run 20 times over. 'Script'
 # covers the gateway-wide parse cache that every shard reads and inserts
-# into.
+# into. 'Cluster' covers the in-process worker agent (ClusterAgent.*:
+# the control link's reader thread beside the agent thread) and the
+# control channel's typed failures (ClusterControlChannel.*).
 # Opt in to the full suite with
 #   MOBIVINE_CI_PRESETS="default asan ubsan tsan" scripts/ci.sh
 # or run the filtered leg directly:
@@ -50,8 +52,10 @@ for preset in $PRESETS; do
   if [[ "$preset" == "default" ]]; then
     # Repeat leg: the tests that race the wire and cluster frame paths
     # (teardown vs in-flight sends, stop with busy clients, connection
-    # death, plan repair of subscriptions, requests and scripts) run 50
-    # times over, so a rare interleaving fails here, not in the field.
+    # death, plan repair of subscriptions, requests and scripts, the
+    # worker agent's two threads on one control link, a control
+    # roundtrip ended by its link) run 50 times over, so a rare
+    # interleaving fails here, not in the field.
     echo "==== [default] wire/cluster frame-path races x50 ===="
     race_tests=(
       'WireClientTeardown.*'
@@ -61,6 +65,8 @@ for preset in $PRESETS; do
       'ClusterEndToEnd.PushSubscriptionFollowsPlan*'
       'ClusterEndToEnd.KillWorker*'
       'ClusterEndToEnd.ScriptFollowsPlan*'
+      'ClusterAgent.*'
+      'ClusterControlChannel.*'
     )
     ./build/tests/mobivine_tests --gtest_repeat=50 --gtest_brief=1 \
       --gtest_filter="$(IFS=:; echo "${race_tests[*]}")"

@@ -11,6 +11,15 @@
 
 namespace mobivine::cluster {
 
+namespace {
+
+/// Backoff between route attempts when the plan has not advanced.
+constexpr std::uint64_t kRetryBackoffUs = 25'000;
+/// Deadline of each plan fetch from the controller.
+constexpr std::uint64_t kControlTimeoutUs = 2'000'000;
+
+}  // namespace
+
 std::uint64_t ParseWrongWorkerEpoch(const std::string& body) {
   // Strict by construction (the strtoull predecessor accepted trailing
   // garbage and — worse — saturated overflow to ULLONG_MAX, turning one
@@ -149,12 +158,8 @@ bool Client::RefreshPlanAtLeast(std::uint64_t min_epoch) {
   request.op = ControlOp::kPlanGet;
   ControlMessage reply;
   std::string error;
-  const bool ok = control_.Roundtrip(
-      std::move(request), &reply, config_.control_timeout_us, &error,
-      [this](const ControlMessage& push) {
-        if (push.op == ControlOp::kPlanPush) ApplyPlan(push.plan);
-      });
-  if (!ok) {
+  if (!control_.Roundtrip(std::move(request), &reply, kControlTimeoutUs,
+                         &error)) {
     control_.Close();  // dead control link; next refresh re-dials
     return false;
   }
@@ -229,7 +234,7 @@ bool Client::RouteAttempt(std::uint64_t client_id, int* attempt,
       // mid-plan-change, when that connection's responses are stalled
       // anyway.
       std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.retry_backoff_us));
+          std::chrono::microseconds(kRetryBackoffUs));
     }
     if (Resolve(client_id, route)) return true;
     counters_.Add(ClientCounter::transport_retries);

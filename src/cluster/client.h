@@ -17,6 +17,12 @@
 // A dead worker surfaces as kTransportError; same loop, plus the
 // connection is dropped so the next attempt re-dials.
 //
+// Plans are pulled: the client learns one only from its own kPlanGet's
+// reply, and its control channel (no push handler) drops the controller's
+// unsolicited kPlanPush frames. A refresh's reply is never older than an
+// earlier push, and applying pushes live would move repairs from the
+// first kWrongWorker bounce to the moment the plan changes.
+//
 // Connections are cached per worker id and shared (WireClient pipelines
 // freely). A dropped connection is never Close()d from a reader-thread
 // callback (WireClient forbids it — Close joins the reader); it moves to
@@ -52,10 +58,6 @@ struct ClientConfig {
                                    std::chrono::microseconds(25'000)};
   /// Route attempts per request before giving up (first try included).
   int max_attempts = 8;
-  /// Backoff between attempts when the plan has not advanced.
-  std::uint64_t retry_backoff_us = 25'000;
-  /// Deadline for each control-plane roundtrip (plan fetches).
-  std::uint64_t control_timeout_us = 2'000'000;
 };
 
 /// The routing client's event counters: X(field, metric name, doc).
@@ -236,7 +238,7 @@ class Client {
   const ClientConfig config_;
 
   std::mutex control_mutex_;  ///< serializes the ControlChannel
-  ControlChannel control_;
+  ControlChannel control_;    ///< no push handler: plans are pulled
 
   mutable std::mutex plan_mutex_;
   PartitionPlan plan_;

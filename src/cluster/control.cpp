@@ -1,13 +1,9 @@
 #include "cluster/control.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <utility>
 
+#include "support/buffer_pool.h"
 #include "wire/payload.h"
 
 namespace mobivine::cluster {
@@ -18,8 +14,6 @@ namespace {
 /// the count before reserving — same discipline as the data plane's caps.
 constexpr std::uint64_t kMaxPlanMembers = 4096;
 constexpr std::uint64_t kMaxPort = 0xffff;
-
-constexpr std::size_t kReadChunk = 16 * 1024;
 
 [[nodiscard]] bool Fail(std::string* error, const char* why) {
   if (error != nullptr) *error = why;
@@ -84,131 +78,82 @@ ControlChannel::~ControlChannel() { Close(); }
 bool ControlChannel::Connect(std::uint16_t port,
                              const wire::ConnectOptions& options,
                              std::string* error) {
-  Close();
-  fd_ = wire::ConnectLoopback(port, options, error);
-  carry_.clear();
-  return fd_ >= 0;
-}
-
-void ControlChannel::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  carry_.clear();
+  return client_.Connect(
+      port, options, error,
+      [this](const wire::FrameView* frame) { return OnFrame(frame); });
 }
 
 bool ControlChannel::Send(const ControlMessage& message, std::string* error) {
-  if (fd_ < 0) return Fail(error, "control channel not connected");
-  scratch_.clear();
-  EncodeControl(message, scratch_);
-  std::size_t off = 0;
-  while (off < scratch_.size()) {
-    // MSG_NOSIGNAL: a peer death mid-send is this channel's error, not a
-    // process-wide SIGPIPE.
-    const ssize_t w = ::send(fd_, scratch_.data() + off,
-                             scratch_.size() - off, MSG_NOSIGNAL);
-    if (w > 0) {
-      off += static_cast<std::size_t>(w);
-      continue;
+  support::PooledBuffer frame =
+      support::BufferPool::WirePool().Acquire(kControlFrameHint);
+  EncodeControl(message, frame.bytes());
+  return client_.SendFrames(frame.bytes()) ||
+         Fail(error, connected() ? "control send failed"
+                                 : "control channel not connected");
+}
+
+bool ControlChannel::Roundtrip(ControlMessage request, ControlMessage* reply,
+                               std::uint64_t timeout_us, std::string* error) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(timeout_us);
+  std::unique_lock<std::mutex> lock(mutex_);
+  request.correlation_id = waiting_for_ = next_correlation_++;
+  reply_ = reply;
+  done_ = false;
+  lock.unlock();
+  const bool sent = Send(request, error);
+  lock.lock();
+  const bool ended =
+      sent && cv_.wait_until(lock, deadline, [this] { return done_; });
+  waiting_for_ = 0;
+  if (!sent) return false;
+  if (!ended) return Fail(error, "control roundtrip timed out");
+  if (failure_.empty()) return true;
+  if (error != nullptr) *error = failure_;
+  return false;
+}
+
+bool ControlChannel::Finish(std::string failure, ControlMessage* reply) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (waiting_for_ == 0 || done_ ||
+        (reply != nullptr && reply->correlation_id != waiting_for_)) {
+      return false;
     }
-    if (w < 0 && errno == EINTR) continue;
-    Close();
-    return Fail(error, "control send failed");
+    if (reply != nullptr) *reply_ = std::move(*reply);
+    done_ = true;
+    failure_ = std::move(failure);
   }
+  cv_.notify_all();
   return true;
 }
 
-bool ControlChannel::Receive(ControlMessage* message, std::uint64_t timeout_us,
-                             std::string* error, bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  if (fd_ < 0) return Fail(error, "control channel not connected");
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout_us);
-  while (true) {
-    // Decode first: a complete frame may already sit in the carry.
-    wire::FrameView frame;
-    std::size_t consumed = 0;
-    std::string frame_error;
-    const wire::DecodeStatus status = wire::DecodeFrame(
-        carry_.data(), carry_.size(), &frame, &consumed, &frame_error);
-    if (status == wire::DecodeStatus::kMalformed) {
-      Close();
-      return Fail(error, "control: malformed frame");
-    }
-    if (status == wire::DecodeStatus::kOk) {
-      bool ok = false;
-      if (frame.type == wire::FrameType::kControl) {
-        ok = DecodeControl(frame.payload, frame.payload_size, message, error);
-      } else if (frame.type == wire::FrameType::kResponse) {
-        // A data-plane peer that answered our control frame in-band:
-        // surface it as a typed failure, not a hang.
-        wire::WireResponse response;
-        if (DecodeResponse(frame.payload, frame.payload_size, &response,
-                           nullptr) &&
-            response.status == wire::WireStatus::kUnsupportedFrame) {
-          (void)Fail(error, "peer does not speak the control plane");
-        } else {
-          (void)Fail(error, "control: unexpected response frame");
-        }
-      } else {
-        // Unknown or data frame on the control channel: skip it — the
-        // same forward-compatibility stance as the data-plane client.
-        carry_.erase(carry_.begin(),
-                     carry_.begin() + static_cast<std::ptrdiff_t>(consumed));
-        continue;
-      }
-      carry_.erase(carry_.begin(),
-                   carry_.begin() + static_cast<std::ptrdiff_t>(consumed));
-      return ok;
-    }
-    // kNeedMore: wait for bytes within the deadline.
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      if (timed_out != nullptr) *timed_out = true;
-      return Fail(error, "control receive timed out");
-    }
-    // The socket blocks; its receive timeout is the deadline (rounded up:
-    // a zero timeval would mean "forever").
-    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                          deadline - now).count() + 1;
-    const timeval tv{static_cast<time_t>(left / 1'000'000),
-                     static_cast<suseconds_t>(left % 1'000'000)};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    std::uint8_t chunk[kReadChunk];
-    const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (timed_out != nullptr) *timed_out = true;
-      return Fail(error, "control receive timed out");
-    }
-    if (n <= 0) {
-      Close();
-      return Fail(error, "control connection closed");
-    }
-    carry_.insert(carry_.end(), chunk, chunk + n);
+bool ControlChannel::OnFrame(const wire::FrameView* frame) {
+  if (frame == nullptr) {
+    Finish("control connection closed");
+    if (on_push_) on_push_(nullptr);
+    return true;
   }
-}
-
-bool ControlChannel::Roundtrip(
-    ControlMessage request, ControlMessage* reply, std::uint64_t timeout_us,
-    std::string* error,
-    const std::function<void(const ControlMessage&)>& on_push) {
-  request.correlation_id = next_correlation_++;
-  if (!Send(request, error)) return false;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout_us);
-  while (true) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return Fail(error, "control roundtrip timed out");
-    const auto left =
-        std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
-    if (!Receive(reply, static_cast<std::uint64_t>(left.count()), error)) {
-      return false;
-    }
-    if (reply->correlation_id == request.correlation_id) return true;
-    if (on_push) on_push(*reply);
+  if (frame->type == wire::FrameType::kResponse) {
+    // A data-plane peer that answered our control frame in-band: a typed
+    // failure, not a hang.
+    wire::WireResponse response;
+    const bool unsupported =
+        DecodeResponse(frame->payload, frame->payload_size, &response,
+                       nullptr) &&
+        response.status == wire::WireStatus::kUnsupportedFrame;
+    Finish(unsupported ? "peer does not speak the control plane"
+                       : "control: unexpected response frame");
+    return true;
   }
+  ControlMessage message;
+  std::string error;
+  if (!DecodeControl(frame->payload, frame->payload_size, &message, &error)) {
+    Finish(std::move(error));
+    return false;  // drops the link
+  }
+  if (!Finish({}, &message) && on_push_) on_push_(&message);
+  return true;
 }
 
 }  // namespace mobivine::cluster

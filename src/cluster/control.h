@@ -1,5 +1,5 @@
 // M-Cluster control plane: the REGISTER/HEARTBEAT/PLAN/DRAIN frame
-// family and a small blocking channel for speaking it.
+// family and the channel that speaks it over a wire::WireClient.
 //
 // Control traffic rides the same M-Wire envelope as data (magic/version/
 // type/varint-length/CRC — wire/protocol.h) under FrameType::kControl, so
@@ -23,9 +23,12 @@
 //     C -> *  kError(message)      unknown/invalid control op
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/plan.h"
@@ -71,6 +74,9 @@ struct ControlMessage {
   std::string message;
 };
 
+/// Pooled-buffer size hint for one encoded control frame.
+inline constexpr std::size_t kControlFrameHint = 256;
+
 /// Append one kControl frame carrying `message` to `out`.
 bool EncodeControl(const ControlMessage& message,
                    std::vector<std::uint8_t>& out);
@@ -81,14 +87,21 @@ bool EncodeControl(const ControlMessage& message,
                                  std::size_t size, ControlMessage* message,
                                  std::string* error);
 
-/// A blocking control-plane socket: connect with wire::ConnectOptions
-/// (bounded timeout + backoff), send messages whole, receive frames with
-/// a receive-timeout deadline. Single-threaded by design — each user (worker
-/// agent, cluster client, test harness) owns one channel and serializes
-/// its use; there is no background reader.
+/// The control plane's client end: a wire::WireClient, whose frames
+/// without an owner are this channel's, plus one correlation-id waiter.
+/// Every control frame but the awaited reply goes to the push handler
+/// given at construction, on the link's reader thread, in arrival order;
+/// it hears a null message once when the link dies, and must neither
+/// block on this channel nor Close() it. A Roundtrip fails at once, not
+/// at its deadline, when the link dies, when the peer sends an
+/// undecodable control frame (the link is dropped) and when a data-plane
+/// peer answers kUnsupportedFrame in-band. One user thread at a time.
 class ControlChannel {
  public:
-  ControlChannel() = default;
+  using PushHandler = std::function<void(const ControlMessage* push)>;
+
+  explicit ControlChannel(PushHandler on_push = nullptr)
+      : on_push_(std::move(on_push)) {}
   ~ControlChannel();
 
   ControlChannel(const ControlChannel&) = delete;
@@ -101,34 +114,32 @@ class ControlChannel {
   [[nodiscard]] bool Send(const ControlMessage& message,
                           std::string* error = nullptr);
 
-  /// Block up to `timeout_us` for the next control frame (unsolicited
-  /// pushes included — callers dispatch on op/correlation). False on
-  /// timeout, transport death, or a non-control/undecodable frame; a
-  /// timeout sets `*timed_out` true when given. A kResponse frame with
-  /// status kUnsupportedFrame (a data-plane peer that speaks no control)
-  /// also returns false with a descriptive error.
-  [[nodiscard]] bool Receive(ControlMessage* message, std::uint64_t timeout_us,
-                             std::string* error = nullptr,
-                             bool* timed_out = nullptr);
+  /// Send with a fresh nonzero correlation id; wait for its reply.
+  [[nodiscard]] bool Roundtrip(ControlMessage request, ControlMessage* reply,
+                               std::uint64_t timeout_us,
+                               std::string* error = nullptr);
 
-  /// Request/response: send with a fresh nonzero correlation id, then
-  /// receive until the reply with that id arrives or the deadline
-  /// passes. Frames that are not the reply are handed to `on_push` (when
-  /// set) — unsolicited kPlanPush frames must not be dropped mid-wait.
-  [[nodiscard]] bool Roundtrip(
-      ControlMessage request, ControlMessage* reply, std::uint64_t timeout_us,
-      std::string* error = nullptr,
-      const std::function<void(const ControlMessage&)>& on_push = nullptr);
+  void Close() { client_.Close(); }
 
-  void Close();
-
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
+  [[nodiscard]] bool connected() const { return client_.connected(); }
 
  private:
-  int fd_ = -1;
+  /// The link's unowned-frame handler (reader thread).
+  bool OnFrame(const wire::FrameView* frame);
+  /// End the waiting Roundtrip, if any: with `reply` when given (and it
+  /// carries the awaited id), else with `failure`. False when none ended.
+  bool Finish(std::string failure, ControlMessage* reply = nullptr);
+
+  const PushHandler on_push_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
   std::uint64_t next_correlation_ = 1;
-  std::vector<std::uint8_t> carry_;    ///< partial-frame bytes between reads
-  std::vector<std::uint8_t> scratch_;  ///< encode buffer, reused
+  /// The Roundtrip in flight (id 0: none), and how it ended.
+  std::uint64_t waiting_for_ = 0;
+  ControlMessage* reply_ = nullptr;
+  bool done_ = false;
+  std::string failure_;
+  wire::WireClient client_;  ///< last: its reader calls into the above
 };
 
 }  // namespace mobivine::cluster

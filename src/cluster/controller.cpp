@@ -9,13 +9,6 @@
 
 namespace mobivine::cluster {
 
-namespace {
-
-/// Pooled-buffer size hint for one encoded control or response frame.
-constexpr std::size_t kFrameHint = 256;
-
-}  // namespace
-
 Controller::Controller(ControllerConfig config)
     : config_(config),
       membership_(config.membership),
@@ -76,7 +69,7 @@ void Controller::SendTo(Peer& peer, const ControlMessage& message) {
     counters_.Add(ControllerCounter::plan_pushes);
   }
   support::PooledBuffer frame =
-      support::BufferPool::WirePool().Acquire(kFrameHint);
+      support::BufferPool::WirePool().Acquire(kControlFrameHint);
   EncodeControl(message, frame.bytes());
   if (wire::Reactor::Send(peer.conn, std::move(frame)) >
       config_.max_output_backlog) {
@@ -132,7 +125,7 @@ bool Controller::OnFrame(const std::shared_ptr<wire::Connection>& conn,
                               &response.request_id);
     response.status = wire::WireStatus::kUnsupportedFrame;
     support::PooledBuffer out =
-        support::BufferPool::WirePool().Acquire(kFrameHint);
+        support::BufferPool::WirePool().Acquire(kControlFrameHint);
     wire::EncodeResponse(response, "controller serves control frames only",
                          out.bytes());
     (void)wire::Reactor::Send(conn, std::move(out));

@@ -1,14 +1,25 @@
 #include "cluster/worker_agent.h"
 
 #include <chrono>
+#include <utility>
 
-#include "cluster/membership.h"
 #include "support/trace.h"
 
 namespace mobivine::cluster {
 
+namespace {
+
+/// Deadline of each control roundtrip (register, leave).
+constexpr std::uint64_t kControlTimeoutUs = 2'000'000;
+/// Bound on Gateway::Drain during the handover.
+constexpr std::uint64_t kDrainTimeoutUs = 2'000'000;
+
+}  // namespace
+
 WorkerAgent::WorkerAgent(gateway::Gateway& gateway, WorkerAgentConfig config)
-    : gateway_(gateway), config_(config) {}
+    : gateway_(gateway),
+      config_(config),
+      channel_([this](const ControlMessage* push) { OnPush(push); }) {}
 
 WorkerAgent::~WorkerAgent() { Stop(); }
 
@@ -29,28 +40,28 @@ bool WorkerAgent::Start(std::uint16_t data_port, std::string* error) {
     channel_.Close();
     return false;
   }
-  stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { Run(); });
   return true;
 }
 
 void WorkerAgent::Stop() {
-  stop_.store(true, std::memory_order_release);
+  Raise(kStopEvent);
   if (thread_.joinable()) thread_.join();
   channel_.Close();
+  std::lock_guard<std::mutex> lock(mutex_);
+  events_ = 0;  // a later Start begins clean
 }
 
 bool WorkerAgent::LeaveAndDrain() {
   if (!thread_.joinable()) return false;
-  leave_requested_.store(true, std::memory_order_release);
-  std::unique_lock<std::mutex> lock(drain_mutex_);
-  // The agent thread notices the flag within one heartbeat interval; the
-  // drain itself is bounded by drain_timeout_us. Pad the wait so a slow
-  // drain reports failure rather than racing this timeout.
+  Raise(kLeaveEvent);
+  std::unique_lock<std::mutex> lock(mutex_);
+  // The agent thread wakes at once, or when it finishes the blocking step
+  // it is in; the drain itself is bounded by kDrainTimeoutUs. Pad the
+  // wait so a slow drain reports failure rather than racing this timeout.
   const auto wait = std::chrono::microseconds(
-      config_.drain_timeout_us + 4 * config_.heartbeat_interval_us +
-      1'000'000);
-  drain_cv_.wait_for(lock, wait, [this] { return drain_done_; });
+      kDrainTimeoutUs + 4 * config_.heartbeat_interval_us + 1'000'000);
+  cv_.wait_for(lock, wait, [this] { return drain_done_; });
   return drain_done_ && drain_ok_;
 }
 
@@ -65,21 +76,12 @@ bool WorkerAgent::Owns(std::uint64_t client_id,
   return ring_.OwnerFor(client_id) == config_.worker_id;
 }
 
-WorkerAgentStats WorkerAgent::Stats() const {
-  WorkerAgentStats stats;
-  stats.heartbeats_sent = heartbeats_sent_.load(std::memory_order_relaxed);
-  stats.plan_updates = plan_updates_.load(std::memory_order_relaxed);
-  stats.reconnects = reconnects_.load(std::memory_order_relaxed);
-  return stats;
-}
-
 void WorkerAgent::ApplyPlan(const PartitionPlan& plan) {
   std::lock_guard<std::mutex> lock(plan_mutex_);
   if (plan.epoch <= plan_.epoch) return;  // stale push; epochs only advance
   plan_ = plan;
   ring_.Rebuild(plan_);
   plan_epoch_.store(plan_.epoch, std::memory_order_release);
-  plan_updates_.fetch_add(1, std::memory_order_relaxed);
   support::trace::Instant("cluster.plan_applied");
 }
 
@@ -89,8 +91,8 @@ bool WorkerAgent::RegisterWithController(std::string* error) {
   request.worker_id = config_.worker_id;
   request.data_port = data_port_;
   ControlMessage reply;
-  const std::uint64_t timeout_us = 2'000'000;
-  if (!channel_.Roundtrip(std::move(request), &reply, timeout_us, error)) {
+  if (!channel_.Roundtrip(std::move(request), &reply, kControlTimeoutUs,
+                          error)) {
     return false;
   }
   if (reply.op != ControlOp::kRegisterAck ||
@@ -106,6 +108,31 @@ bool WorkerAgent::RegisterWithController(std::string* error) {
   return true;
 }
 
+void WorkerAgent::Raise(unsigned event, std::uint64_t drain_epoch) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_ |= event;
+    if (event == kDrainEvent) drain_epoch_ = drain_epoch;
+  }
+  cv_.notify_all();
+}
+
+void WorkerAgent::OnPush(const ControlMessage* push) {
+  if (push == nullptr) {
+    Raise(kLinkDownEvent);
+  } else if (push->op == ControlOp::kPlanPush) {
+    ApplyPlan(push->plan);
+  } else if (push->op == ControlOp::kDrain) {
+    // After our kLeave, or controller-initiated.
+    Raise(kDrainEvent, push->epoch);
+  } else if (push->op == ControlOp::kHeartbeatAck &&
+             push->status == AckStatus::kRejected) {
+    // The controller declared us dead (we're a zombie to it); a plain
+    // heartbeat cannot resurrect us — re-register.
+    Raise(kRejectedEvent);
+  }
+}
+
 void WorkerAgent::Run() {
   support::trace::SetCurrentThreadName("cluster-agent");
   // A thread's trace label is exported with its first event. Mark the
@@ -114,150 +141,96 @@ void WorkerAgent::Run() {
   support::trace::Instant(
       "cluster.agent_start", "epoch",
       static_cast<std::int64_t>(plan_epoch_.load(std::memory_order_acquire)));
-  std::uint64_t next_heartbeat_us = NowMicros() + config_.heartbeat_interval_us;
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (leave_requested_.exchange(false, std::memory_order_acq_rel)) {
+  const auto interval =
+      std::chrono::microseconds(config_.heartbeat_interval_us);
+  // When the next heartbeat is due, or (link down) the next reconnect.
+  auto due = std::chrono::steady_clock::now() + interval;
+  while (true) {
+    unsigned events = 0;
+    std::uint64_t drain_epoch = 0;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait_until(lock, due, [this] { return events_ != 0; });
+      events = std::exchange(events_, 0u);
+      drain_epoch = drain_epoch_;
+    }
+    if (events & kStopEvent) return;
+    if (events & kLeaveEvent) {
       // Graceful handover: tell the controller first so the plan changes
-      // (and clients re-route) while we still finish in-flight work.
+      // (and clients re-route) while we still finish in-flight work. Its
+      // kLeaveAck carries the post-leave epoch, as does the kDrain that
+      // follows. Drain regardless: the gateway must go quiet before the
+      // process exits even if the controller vanished.
       ControlMessage leave;
       leave.op = ControlOp::kLeave;
       leave.worker_id = config_.worker_id;
       ControlMessage reply;
       std::string error;
-      const bool acked = channel_.Roundtrip(
-          std::move(leave), &reply, 2'000'000, &error,
-          [this](const ControlMessage& push) {
-            if (push.op == ControlOp::kPlanPush) ApplyPlan(push.plan);
-          });
-      // Wait (briefly) for the controller's kDrain so the ack carries the
-      // post-leave epoch; drain regardless — the gateway must go quiet
-      // before the process exits even if the controller vanished.
-      std::uint64_t drain_epoch = plan_epoch_.load(std::memory_order_acquire);
-      if (acked) {
-        const std::uint64_t deadline = NowMicros() + 1'000'000;
-        ControlMessage incoming;
-        while (NowMicros() < deadline) {
-          bool timed_out = false;
-          if (!channel_.Receive(&incoming, 50'000, &error, &timed_out)) {
-            if (timed_out) continue;
-            break;
-          }
-          if (incoming.op == ControlOp::kPlanPush) {
-            ApplyPlan(incoming.plan);
-          } else if (incoming.op == ControlOp::kDrain) {
-            drain_epoch = incoming.epoch;
-            break;
-          }
-        }
-      }
-      DrainNow();
-      ControlMessage ack;
-      ack.op = ControlOp::kDrainAck;
-      ack.worker_id = config_.worker_id;
-      ack.epoch = drain_epoch;
-      if (channel_.connected()) (void)channel_.Send(ack);
-      return;  // agent retires; Stop() joins us
+      return DrainAndAck(
+          channel_.Roundtrip(std::move(leave), &reply, kControlTimeoutUs,
+                             &error)
+              ? reply.epoch
+              : plan_epoch_.load(std::memory_order_acquire));
     }
+    if (events & kDrainEvent) return DrainAndAck(drain_epoch);
 
+    const auto now = std::chrono::steady_clock::now();
+    std::string error;
     if (!channel_.connected()) {
       // Controller link died: reconnect + re-register under the same id.
       // The controller books it as a rejoin (we were declared dead) or a
       // replace (we beat the detector); either bumps the epoch and
       // re-routes clients back here.
-      std::string error;
       if (channel_.Connect(config_.controller_port, config_.connect,
                            &error) &&
           RegisterWithController(&error)) {
-        reconnects_.fetch_add(1, std::memory_order_relaxed);
         support::trace::Instant("cluster.agent_reconnect");
-        next_heartbeat_us = NowMicros() + config_.heartbeat_interval_us;
       } else {
         channel_.Close();
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(config_.heartbeat_interval_us));
+        // That Close raised kLinkDownEvent for the link just dropped:
+        // the next attempt waits one interval.
+        std::lock_guard<std::mutex> lock(mutex_);
+        events_ &= ~static_cast<unsigned>(kLinkDownEvent);
       }
+      due = std::chrono::steady_clock::now() + interval;
       continue;
     }
-
-    const std::uint64_t now = NowMicros();
-    if (now >= next_heartbeat_us) {
-      ControlMessage beat;
-      beat.op = ControlOp::kHeartbeat;
-      beat.worker_id = config_.worker_id;
-      beat.epoch = plan_epoch_.load(std::memory_order_acquire);
-      std::string error;
-      if (!channel_.Send(beat, &error)) {
-        channel_.Close();
-        continue;
-      }
-      heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-      next_heartbeat_us = now + config_.heartbeat_interval_us;
-    }
-
-    // Sleep on the socket until the next beat is due; anything that
-    // arrives meanwhile (plan pushes, heartbeat acks, a controller-
-    // initiated drain) is handled inline.
-    const std::uint64_t now2 = NowMicros();
-    const std::uint64_t wait_us =
-        next_heartbeat_us > now2 ? next_heartbeat_us - now2 : 1;
-    ControlMessage incoming;
-    std::string error;
-    bool timed_out = false;
-    if (!channel_.Receive(&incoming, wait_us, &error, &timed_out)) {
-      if (!timed_out) channel_.Close();  // transport death => reconnect
+    if ((events & kRejectedEvent) && !RegisterWithController(&error)) {
+      channel_.Close();  // reconnect on the next pass
       continue;
     }
-    switch (incoming.op) {
-      case ControlOp::kPlanPush:
-        ApplyPlan(incoming.plan);
-        break;
-      case ControlOp::kHeartbeatAck:
-        if (incoming.status == AckStatus::kRejected) {
-          // The controller declared us dead (we're a zombie to it); a
-          // plain heartbeat cannot resurrect us — re-register.
-          std::string reg_error;
-          if (!RegisterWithController(&reg_error)) channel_.Close();
-        } else if (incoming.epoch >
-                   plan_epoch_.load(std::memory_order_acquire)) {
-          // We missed a push; ask for the current plan (the reply is a
-          // kPlanPush handled on a later iteration).
-          ControlMessage get;
-          get.op = ControlOp::kPlanGet;
-          get.worker_id = config_.worker_id;
-          (void)channel_.Send(get, &error);
-        }
-        break;
-      case ControlOp::kDrain: {
-        // Controller-initiated drain (it processed our leave before we
-        // asked, or an operator is rotating us out).
-        DrainNow();
-        ControlMessage ack;
-        ack.op = ControlOp::kDrainAck;
-        ack.worker_id = config_.worker_id;
-        ack.epoch = incoming.epoch;
-        (void)channel_.Send(ack, &error);
-        return;
-      }
-      default:
-        break;  // acks and errors we don't act on
+    if (now < due) continue;
+    ControlMessage beat;
+    beat.op = ControlOp::kHeartbeat;
+    beat.worker_id = config_.worker_id;
+    beat.epoch = plan_epoch_.load(std::memory_order_acquire);
+    if (!channel_.Send(beat, &error)) {
+      channel_.Close();
+      continue;
     }
+    due = now + interval;
   }
 }
 
-void WorkerAgent::DrainNow() {
+void WorkerAgent::DrainAndAck(std::uint64_t epoch) {
   // Fence first: Owns() now answers false, so the wire server turns new
   // requests away with kWrongWorker while the gateway finishes the rest.
   draining_.store(true, std::memory_order_release);
   support::trace::Instant("cluster.drain_begin");
   const bool ok =
-      gateway_.Drain(std::chrono::microseconds(config_.drain_timeout_us));
+      gateway_.Drain(std::chrono::microseconds(kDrainTimeoutUs));
   support::trace::Instant(ok ? "cluster.drain_done" : "cluster.drain_timeout");
   {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     drain_done_ = true;
     drain_ok_ = ok;
   }
-  drain_cv_.notify_all();
+  cv_.notify_all();
+  ControlMessage ack;
+  ack.op = ControlOp::kDrainAck;
+  ack.worker_id = config_.worker_id;
+  ack.epoch = epoch;
+  (void)channel_.Send(ack);
 }
 
 }  // namespace mobivine::cluster

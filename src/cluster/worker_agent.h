@@ -1,12 +1,15 @@
 // M-Cluster worker agent: the piece that turns a standalone gateway +
 // wire server process into a cluster member.
 //
-// One background thread owns the control connection to the controller:
-// it registers (blocking, inside Start), heartbeats on a fixed cadence,
-// applies kPlanPush frames to an atomic plan snapshot, and — when the
-// controller link dies — reconnects with backoff and re-registers under
-// the same worker id (the controller books that as a rejoin/replace and
-// bumps the epoch, which is exactly what re-routes clients back here).
+// Two threads share the control link to the controller. Its reader
+// thread applies each kPlanPush to an atomic plan snapshot and records a
+// kDrain, a rejected kHeartbeatAck and link death as events; it never
+// blocks. The agent thread ("cluster-agent") sleeps until the next
+// heartbeat or an event (those, LeaveAndDrain(), Stop()) and does all
+// that blocks: heartbeats, leave and drain, re-registering, and
+// reconnecting with backoff under the same worker id (the controller
+// books a rejoin/replace and bumps the epoch, which re-routes clients
+// back here). Start() registers before the agent thread starts.
 //
 // The data plane never blocks on any of this: the wire server's
 // ownership filter calls Owns(client_id) on its loop threads, which is a
@@ -38,20 +41,12 @@ struct WorkerAgentConfig {
   std::uint16_t controller_port = 0;
   std::uint64_t worker_id = 0;  ///< stable, >= 1
   std::uint64_t heartbeat_interval_us = 25'000;
-  /// Bound on Gateway::Drain during the handover.
-  std::uint64_t drain_timeout_us = 2'000'000;
   /// Dialing the controller (registration and reconnects).
   wire::ConnectOptions connect{.connect_timeout =
                                    std::chrono::microseconds(1'000'000),
                                .max_attempts = 40,
                                .initial_backoff =
                                    std::chrono::microseconds(25'000)};
-};
-
-struct WorkerAgentStats {
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t plan_updates = 0;
-  std::uint64_t reconnects = 0;
 };
 
 class WorkerAgent {
@@ -95,21 +90,31 @@ class WorkerAgent {
   [[nodiscard]] bool draining() const {
     return draining_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] WorkerAgentStats Stats() const;
 
  private:
+  /// What wakes the agent thread early: bits of events_.
+  enum Event : unsigned {
+    kStopEvent = 1,
+    kLeaveEvent = 2,
+    kDrainEvent = 4,
+    kRejectedEvent = 8,  ///< a kHeartbeatAck said kRejected
+    kLinkDownEvent = 16,
+  };
+
   void Run();
+  /// The link's push handler (reader thread). Null: the link died.
+  void OnPush(const ControlMessage* push);
+  /// Record `event` (a kDrain with its epoch); wake the agent thread.
+  void Raise(unsigned event, std::uint64_t drain_epoch = 0);
   void ApplyPlan(const PartitionPlan& plan);
   /// Register over the (connected) channel; applies the acked plan.
   bool RegisterWithController(std::string* error);
-  /// Executed on the agent thread when a leave was requested or a kDrain
-  /// arrived: fence, drain the gateway, ack.
-  void DrainNow();
+  /// Agent thread: fence, drain the gateway, kDrainAck with `epoch`.
+  void DrainAndAck(std::uint64_t epoch);
 
   gateway::Gateway& gateway_;
   const WorkerAgentConfig config_;
   std::uint16_t data_port_ = 0;
-  ControlChannel channel_;  ///< agent thread only (after Start returns)
   std::thread thread_;
 
   mutable std::mutex plan_mutex_;
@@ -117,17 +122,17 @@ class WorkerAgent {
   HashRing ring_;
   std::atomic<std::uint64_t> plan_epoch_{0};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> leave_requested_{false};
 
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
+  /// Guards the five below; cv_ wakes the agent thread and LeaveAndDrain.
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  unsigned events_ = 0;
+  std::uint64_t drain_epoch_ = 0;  ///< of the last kDrain
   bool drain_done_ = false;
   bool drain_ok_ = false;
 
-  std::atomic<std::uint64_t> heartbeats_sent_{0};
-  std::atomic<std::uint64_t> plan_updates_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
+  /// Last, as its reader calls OnPush. The agent thread's after Start.
+  ControlChannel channel_;
 };
 
 }  // namespace mobivine::cluster

@@ -114,8 +114,9 @@ int ConnectOnce(std::uint16_t port, std::chrono::microseconds timeout,
   return fd;
 }
 
-}  // namespace
-
+/// Open a blocking TCP_NODELAY socket to 127.0.0.1:port under `options`
+/// (one bounded attempt each, backoff between attempts). Returns the fd,
+/// or -1 with `error` filled.
 int ConnectLoopback(std::uint16_t port, const ConnectOptions& options,
                     std::string* error) {
   std::chrono::microseconds backoff = options.initial_backoff;
@@ -132,6 +133,8 @@ int ConnectLoopback(std::uint16_t port, const ConnectOptions& options,
             std::max(1.0, options.backoff_multiplier))));
   }
 }
+
+}  // namespace
 
 WireClient::~WireClient() { Close(); }
 
@@ -166,7 +169,7 @@ bool WireClient::Connect(std::uint16_t port, std::string* error) {
 }
 
 bool WireClient::Connect(std::uint16_t port, const ConnectOptions& options,
-                         std::string* error) {
+                         std::string* error, FrameHandler on_unowned) {
   if (connected_.load(std::memory_order_acquire)) {
     if (error != nullptr) *error = "already connected";
     return false;
@@ -174,32 +177,60 @@ bool WireClient::Connect(std::uint16_t port, const ConnectOptions& options,
   // A dead (or closed) previous connection is reclaimed here so one
   // client object can dial again — the cluster client leans on this to
   // survive worker restarts.
-  ReclaimDeadConnection();
+  Close();
   const int fd = ConnectLoopback(port, options, error);
   if (fd < 0) return false;
+  on_unowned_ = std::move(on_unowned);
   fd_.store(fd, std::memory_order_release);
   connected_.store(true, std::memory_order_release);
   reader_ = std::thread([this] { ReaderLoop(); });
   return true;
 }
 
-void WireClient::ReclaimDeadConnection() {
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  if (reader_.joinable()) reader_.join();
-  {
-    // close() only under send_mutex_ (see fd_'s comment): a Submit that
-    // raced past the connected_ check and is inside WriteAll right now
-    // holds it, so its write hits the shut-down-but-still-valid fd — a
-    // clean EPIPE, never a recycled descriptor.
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const int cur = fd_.load(std::memory_order_relaxed);
-    if (cur >= 0) {
-      ::close(cur);
-      fd_.store(-1, std::memory_order_release);
+bool WireClient::SendFrames(const std::vector<std::uint8_t>& frames) {
+  return Send(frames, 0, 0, [] {});
+}
+
+bool WireClient::Dispatch(const FrameView& frame) {
+  switch (frame.type) {
+    case FrameType::kResponse: {
+      WireResponse response;
+      if (!DecodeResponse(frame.payload, frame.payload_size, &response,
+                          nullptr)) {
+        return false;
+      }
+      // An id with no pending entry (already failed, or not sent by
+      // Submit) belongs to the unowned-frame handler.
+      Callback callback = TakePending(response.request_id);
+      if (!callback) return !on_unowned_ || on_unowned_(&frame);
+      callback(response);
+      return true;
     }
+    case FrameType::kSubscribeAck: {
+      WireSubscribeAck ack;
+      if (!DecodeSubscribeAck(frame.payload, frame.payload_size, &ack,
+                              nullptr)) {
+        return false;
+      }
+      HandleSubscribeAck(ack);
+      return true;
+    }
+    case FrameType::kEvent: {
+      WireEvent event;
+      if (!DecodeEvent(frame.payload, frame.payload_size, &event, nullptr)) {
+        return false;
+      }
+      HandleEvent(std::move(event));
+      return true;
+    }
+    case FrameType::kControl:
+      return !on_unowned_ || on_unowned_(&frame);
+    default:
+      // A type from a newer protocol revision: skip it and keep the
+      // connection — forward compatibility with servers that push
+      // additional frame families.
+      return true;
   }
-  FailAllOutstanding();
 }
 
 template <typename Park>
@@ -455,9 +486,10 @@ void WireClient::Close() {
   connected_.store(false, std::memory_order_release);
   if (reader_.joinable()) reader_.join();
   {
-    // Same close-under-send_mutex_ discipline as ReclaimDeadConnection:
-    // a Submit mid-WriteAll sees EPIPE on the shut-down fd, never a
-    // write into a descriptor number the kernel has already re-issued.
+    // close() only under send_mutex_ (see fd_'s comment): a Submit that
+    // raced past the connected_ check and is inside WriteAll right now
+    // holds it, so its write hits the shut-down-but-still-valid fd — a
+    // clean EPIPE, never a descriptor number the kernel has re-issued.
     std::lock_guard<std::mutex> lock(send_mutex_);
     const int cur = fd_.load(std::memory_order_relaxed);
     if (cur >= 0) {
@@ -481,8 +513,9 @@ void WireClient::ReaderLoop() {
   std::uint8_t chunk[kReadChunk];
   bool dead = false;
 
-  // Decode every complete frame in [data, data+size); returns the bytes
-  // consumed. Sets `dead` when the server broke protocol.
+  // Decode and dispatch every complete frame in [data, data+size);
+  // returns the bytes consumed. Sets `dead` when the server broke
+  // protocol or the unowned-frame handler dropped the connection.
   const auto drain = [&](const std::uint8_t* data,
                          std::size_t size) -> std::size_t {
     std::size_t off = 0;
@@ -492,50 +525,11 @@ void WireClient::ReaderLoop() {
       const DecodeStatus status =
           DecodeFrame(data + off, size - off, &frame, &consumed, nullptr);
       if (status == DecodeStatus::kNeedMore) return off;
-      if (status == DecodeStatus::kMalformed) {
-        dead = true;
-        return off;
-      }
-      if (frame.type == FrameType::kSubscribeAck) {
-        WireSubscribeAck ack;
-        if (!DecodeSubscribeAck(frame.payload, frame.payload_size, &ack,
-                                nullptr)) {
-          dead = true;
-          return off;
-        }
-        off += consumed;
-        HandleSubscribeAck(ack);
-        continue;
-      }
-      if (frame.type == FrameType::kEvent) {
-        WireEvent event;
-        if (!DecodeEvent(frame.payload, frame.payload_size, &event,
-                         nullptr)) {
-          dead = true;
-          return off;
-        }
-        off += consumed;
-        HandleEvent(std::move(event));
-        continue;
-      }
-      if (frame.type != FrameType::kResponse) {
-        // Not ours (a control frame, or a type from a newer protocol
-        // revision): skip it and keep the connection — forward
-        // compatibility with servers that push additional frame
-        // families.
-        off += consumed;
-        continue;
-      }
-      WireResponse response;
-      if (!DecodeResponse(frame.payload, frame.payload_size, &response,
-                          nullptr)) {
+      if (status == DecodeStatus::kMalformed || !Dispatch(frame)) {
         dead = true;
         return off;
       }
       off += consumed;
-      // Unmatched ids (already failed, or a server bug) are dropped.
-      Callback callback = TakePending(response.request_id);
-      if (callback) callback(response);
     }
   };
 
@@ -562,6 +556,7 @@ void WireClient::ReaderLoop() {
   }
   connected_.store(false, std::memory_order_release);
   FailAllOutstanding();
+  if (on_unowned_) (void)on_unowned_(nullptr);
 }
 
 void WireClient::FailAllOutstanding() {

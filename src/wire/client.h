@@ -25,6 +25,11 @@
 // keep them short; a callback must not call Close() (deadlock: Close
 // joins the reader).
 //
+// Frames without an owner — a kControl frame, or a kResponse whose id
+// has no pending entry — go to the FrameHandler given at Connect (none:
+// dropped), on the reader thread, in arrival order. SendFrames() writes
+// frames the caller encoded. cluster::ControlChannel is these two.
+//
 // M-Push: Subscribe() opens a server-initiated event stream on the same
 // connection. The ack callback fires exactly once (the server's typed
 // kSubscribeAck, or kTransportError); after a kOk ack the event handler
@@ -65,17 +70,14 @@ struct ConnectOptions {
   std::chrono::microseconds max_backoff{1'000'000};
 };
 
-/// Open a blocking TCP_NODELAY socket to 127.0.0.1:port under `options`
-/// (non-blocking connect + poll per attempt, backoff between attempts).
-/// Returns the fd, or -1 with `error` filled. Shared by WireClient and
-/// the cluster control channel.
-[[nodiscard]] int ConnectLoopback(std::uint16_t port,
-                                  const ConnectOptions& options,
-                                  std::string* error);
-
 class WireClient {
  public:
   using Callback = std::function<void(const WireResponse&)>;
+  /// Hears each frame without an owner, valid during the call only, and
+  /// a null frame once when the connection dies. False drops the
+  /// connection, as a malformed frame would. Like a callback, it must
+  /// not call Close().
+  using FrameHandler = std::function<bool(const FrameView* frame)>;
 
   WireClient() = default;
   ~WireClient();
@@ -94,7 +96,11 @@ class WireClient {
 
   /// Connect with explicit timeout/retry/backoff behavior.
   [[nodiscard]] bool Connect(std::uint16_t port, const ConnectOptions& options,
-                             std::string* error = nullptr);
+                             std::string* error = nullptr,
+                             FrameHandler on_unowned = nullptr);
+
+  /// Write already-encoded frames whole, on Submit's write path.
+  bool SendFrames(const std::vector<std::uint8_t>& frames);
 
   /// Pipelined async send. Returns false (callback fired with
   /// kTransportError) if the connection is down or the send fails. A
@@ -195,13 +201,12 @@ class WireClient {
   static void FailAck(std::uint64_t id, const PendingSub& pending);
 
   void ReaderLoop();
+  /// Hand one decoded frame to its owner. False when the frame is
+  /// undecodable or the unowned-frame handler dropped the connection.
+  bool Dispatch(const FrameView& frame);
   void FailAllOutstanding();
   void HandleSubscribeAck(const WireSubscribeAck& ack);
   void HandleEvent(WireEvent&& event);
-  /// Reclaim a previous (dead or closed) connection so Connect can dial
-  /// fresh: join the exited reader, close the fd, fail anything still
-  /// pending. No-op on a never-connected client.
-  void ReclaimDeadConnection();
   /// Under mutex_: park `callback` under `id`, reusing a recycled map
   /// node when one is available.
   void EmplacePendingLocked(std::uint64_t id, Callback&& callback);
@@ -220,6 +225,7 @@ class WireClient {
   /// a concurrent Submit can never write into a recycled descriptor.
   std::atomic<int> fd_{-1};
   std::thread reader_;
+  FrameHandler on_unowned_;  ///< set by Connect before the reader starts
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> next_id_{1};
 

@@ -1,7 +1,10 @@
 // A blocking loopback socket that speaks frames by hand, for the wire
-// and cluster tests that need byte-level control the WireClient and
-// ControlChannel deliberately forbid (hostile bytes, half-closes); and a
-// thread count for the tests that pin how many loops a server runs.
+// and cluster tests that need byte-level control the WireClient (and the
+// ControlChannel that rides it) deliberately forbid: hostile bytes and
+// half-closes toward a server, and, accepted from a RawListener, a peer
+// that answers a client with garbled frames or hangs up on it mid-wait.
+// Also a thread count for the tests that pin how many loops a server
+// runs.
 #pragma once
 
 #include <netinet/in.h>
@@ -25,21 +28,39 @@ class RawConn {
 
   [[nodiscard]] bool Connect(std::uint16_t port, int rcvbuf = 0,
                              int rcvtimeo_ms = 10000) {
-    CloseNow();  // a retry after a refused connect starts on a new socket
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    // A retry after a refused connect starts on a new socket.
+    Adopt(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0), rcvtimeo_ms);
     if (fd_ < 0) return false;
     if (rcvbuf > 0) {
       ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     }
-    // Reads fail loud instead of hanging the test.
-    timeval tv{rcvtimeo_ms / 1000, (rcvtimeo_ms % 1000) * 1000};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    const sockaddr_in addr = Loopback(port);
+    return ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof addr) == 0;
+  }
+
+  /// Take over a connected socket (RawListener::Accept).
+  void Adopt(int fd, int rcvtimeo_ms = 10000) {
+    CloseNow();
+    fd_ = fd;
+    buf_.clear();
+    start_ = 0;
+    peer_closed_ = false;
+    if (fd_ >= 0) SetReceiveTimeout(fd_, rcvtimeo_ms);
+  }
+
+  static sockaddr_in Loopback(std::uint16_t port) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-           0;
+    return addr;
+  }
+
+  /// Reads (and accepts) fail loud instead of hanging the test.
+  static void SetReceiveTimeout(int fd, int timeout_ms) {
+    timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
 
   [[nodiscard]] bool Send(const std::vector<std::uint8_t>& bytes) {
@@ -127,6 +148,42 @@ class RawConn {
   std::vector<std::uint8_t> buf_;
   std::size_t start_ = 0;
   bool peer_closed_ = false;
+};
+
+/// A loopback listener on a kernel-assigned port: the peer end for tests
+/// of a client, one accepted RawConn at a time.
+class RawListener {
+ public:
+  RawListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    RawConn::SetReceiveTimeout(fd_, 10000);  // bounds Accept
+    sockaddr_in addr = RawConn::Loopback(0);
+    socklen_t len = sizeof addr;
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+        ::listen(fd_, 4) == 0 &&
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+  ~RawListener() { ::close(fd_); }
+
+  RawListener(const RawListener&) = delete;
+  RawListener& operator=(const RawListener&) = delete;
+
+  /// 0 when the listener could not be opened.
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// Accept one connection into `conn`. False on error or after ten
+  /// seconds with no client.
+  [[nodiscard]] bool Accept(RawConn* conn) {
+    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    conn->Adopt(fd);
+    return fd >= 0;
+  }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
 };
 
 /// Threads this process runs now (Linux: one /proc/self/task entry each).
